@@ -213,6 +213,11 @@ def _build_estimate_settings(config: dict) -> dict:
                 "weights": weights,
             }
         )
+    if models and len(covariates) != 2:
+        raise InputError(
+            f"{what}: the regression models need exactly 2 'covariates', "
+            f"got {len(covariates)}"
+        )
     if "conv" in estimators and not models:
         raise InputError(
             f"{what}: the conv estimator needs at least one entry in 'models'"

@@ -3,9 +3,11 @@
 Simplified MM estimation: an S-step searches elemental subsets for a
 candidate with the smallest residual S-scale and polishes it by Gauss-Newton
 descent on that scale, then an M-step reweights with a wider bisquare at the
-fixed scale.  Two mean structures are supported, an exponential-plus-linear
-model in two variants and a plain linear model, plus an optional covariate
-downweighting hook for the M-step.
+fixed scale.  The search screens the candidates at the best scale found so
+far and solves only those whose scale could be smaller; all S-scales come
+from one batched, safeguarded Newton solver.  Two mean structures are
+supported, an exponential-plus-linear model in two variants and a plain
+linear model, plus an optional covariate downweighting hook for the M-step.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ _M_TOL = 1e-8
 # Best candidate scale below this fraction of the response spread means the
 # model interpolates the data: no residual spread to standardize by.
 _DEGENERATE_REL = 1e-12
+_SCALE_ITER = 100
+_SCALE_TOL = 1e-10
+# Relative slack of the candidate screen's test mean rho0 <= b, so that a
+# candidate tied with the screening scale up to rounding is still solved.
+_SCREEN_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,7 +54,8 @@ class RegressionModel:
     """A parametric mean structure with its gradient.
 
     mean(x, beta) and gradient(x, beta) take an (m, 2) covariate matrix and
-    return (m,) and (m, dim_beta) arrays.
+    return (m,) and (m, dim_beta) arrays.  ``mean`` must also broadcast
+    over a (dim_beta, C, 1) stack of C coefficient vectors, giving (C, m).
     """
 
     id: str
@@ -63,6 +71,10 @@ class RegressionFit:
 
     ``s_step_beta`` keeps the polished S-step candidate the M-step started
     from, so the descent property of the second stage can be audited.
+    ``candidates_solved`` (elemental candidates whose scale was solved after
+    the screen), ``polish_steps`` (accepted descent steps on the S-scale)
+    and ``m_iterations`` (M-step iterations) record the work the fit did;
+    like ``s_step_beta`` they take no part in equality.
     """
 
     beta: np.ndarray
@@ -71,6 +83,9 @@ class RegressionFit:
     complete_case_count: int
     converged: bool
     s_step_beta: np.ndarray | None = field(default=None, compare=False)
+    candidates_solved: int | None = field(default=None, compare=False)
+    polish_steps: int | None = field(default=None, compare=False)
+    m_iterations: int | None = field(default=None, compare=False)
 
 
 def exp_linear_model(intercept: bool = False) -> RegressionModel:
@@ -176,47 +191,91 @@ def _solve_step(a: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.zeros_like(g)
 
 
-def _residual_scale(r: np.ndarray, start: float | None = None) -> float:
-    """S-scale of residuals about zero (equal weights).
+def _residual_scales(resid: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Row-wise S-scale about zero (equal weights) of a (rows x m) matrix.
 
-    Returns 0.0 when at least half the residuals vanish, inf when the
-    residuals are not finite.
+    Solves mean rho0(r/s) = b for each row from ``start`` by safeguarded
+    Newton steps in s, s <- s (1 + (mean rho0(u) - b) / mean psi0(u) u).
+    The fixed-point step s <- s sqrt(mean rho0(u) / b) never overshoots the
+    root, so a Newton step is taken only when it lies inside the bracket
+    seen so far and goes at least as far as the fixed-point step.  Each row
+    stops on its own once its step is below 1e-10 relative, so a row's value
+    does not depend on the other rows.  A row scores 0.0 when its start is
+    zero or its residuals all vanish, and inf when it holds a non-finite
+    value.
     """
-    if not np.all(np.isfinite(r)):
-        return np.inf
-    s = float(np.median(np.abs(r))) if start is None else float(start)
-    if s <= 0.0:
-        return 0.0
+    out = np.full(resid.shape[0], np.inf)
+    finite = np.all(np.isfinite(resid), axis=1)
+    out[finite & (start <= 0.0)] = 0.0
+    active = np.flatnonzero(finite & (start > 0.0))
+    r = resid[active]
+    s = np.asarray(start, dtype=float)[active]
+    lo = np.zeros_like(s)
+    hi = np.full_like(s, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(100):
-            m_avg = float(np.mean(_RHO0.rho(r / s)))
-            if m_avg <= 0.0:
-                return 0.0
-            s_new = s * float(np.sqrt(m_avg / SCALE_B_TARGET))
-            if abs(s_new - s) <= 1e-10 * s_new:
-                return s_new
-            s = s_new
-    return s
-
-
-def _batch_residual_scale(resid: np.ndarray) -> np.ndarray:
-    """Row-wise `_residual_scale` for a (candidates x m) residual matrix."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.all(np.isfinite(resid), axis=1)
-        safe = np.where(finite[:, None], resid, 0.0)
-        s = np.median(np.abs(safe), axis=1)
-        zero = s <= 0.0
-        work = np.where(zero | ~finite, 1.0, s)
-        for _ in range(100):
-            m_avg = np.mean(_RHO0.rho(safe / work[:, None]), axis=1)
-            s_new = work * np.sqrt(np.maximum(m_avg, 0.0) / SCALE_B_TARGET)
-            if np.all(np.abs(s_new - work) <= 1e-10 * np.maximum(s_new, 1e-300)):
-                work = s_new
+        for _ in range(_SCALE_ITER):
+            if active.size == 0:
                 break
-            work = s_new
-    out = np.where(zero, 0.0, work)
-    out[~finite | ~np.isfinite(out)] = np.inf
+            u = r / s[:, None]
+            m_avg = np.mean(_RHO0.rho(u), axis=1)
+            slope = np.mean(_RHO0.psi(u) * u, axis=1)
+            below = m_avg > SCALE_B_TARGET  # s lies below the root
+            lo = np.where(below, s, lo)
+            hi = np.where(below, hi, s)
+            fixed = s * np.sqrt(np.maximum(m_avg, 0.0) / SCALE_B_TARGET)
+            newton = s * (1.0 + (m_avg - SCALE_B_TARGET) / slope)
+            usable = (slope > 0.0) & (newton > lo) & (newton < hi) & (
+                (newton > fixed) == below
+            )
+            s_new = np.where(usable, newton, fixed)
+            vanished = m_avg <= 0.0
+            s_new[vanished] = 0.0
+            done = vanished | (np.abs(s_new - s) <= _SCALE_TOL * s_new)
+            if done.any():
+                out[active[done]] = s_new[done]
+                keep = ~done
+                active, r = active[keep], r[keep]
+                s_new, lo, hi = s_new[keep], lo[keep], hi[keep]
+            s = s_new
+    out[active] = s
+    out[~np.isfinite(out)] = np.inf
     return out
+
+
+def _screened_scales(resid: np.ndarray) -> tuple[np.ndarray, int]:
+    """Candidate S-scales, solved only where they can be the smallest.
+
+    mean rho0(r/s) is non-increasing in s, so a row can have a scale below
+    s* only if mean rho0(r/s*) < b.  The row with the smallest median |r|
+    is solved first for s*; one rho0 pass then screens every row at s*
+    (with a relative slack, so that exact ties survive) and only the
+    survivors are solved.  The other rows score inf, which leaves the
+    argmin and its first-index tie rule as with every row solved.
+    Non-finite rows score inf; rows with median |r| = 0 score exactly 0,
+    and then nothing else is solved.  Returns the scores and the number of
+    rows solved.
+    """
+    scores = np.full(resid.shape[0], np.inf)
+    finite = np.all(np.isfinite(resid), axis=1)
+    with np.errstate(invalid="ignore"):
+        med = np.median(np.abs(resid), axis=1)
+    med[~finite] = np.inf
+    zero = med <= 0.0
+    if zero.any():
+        scores[zero] = 0.0
+        return scores, 0
+    pivot = int(np.argmin(med))
+    if not np.isfinite(med[pivot]):
+        return scores, 0
+    one = slice(pivot, pivot + 1)
+    scores[pivot] = _residual_scales(resid[one], med[one])[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m_avg = np.mean(_RHO0.rho(resid / scores[pivot]), axis=1)
+    survive = finite & (m_avg <= SCALE_B_TARGET * (1.0 + _SCREEN_SLACK))
+    survive[pivot] = False
+    rows = np.flatnonzero(survive)
+    scores[rows] = _residual_scales(resid[rows], med[rows])
+    return scores, rows.size + 1
 
 
 def _elemental_candidates(model, yc, xc, rng, n_subsets):
@@ -298,11 +357,107 @@ def _elemental_candidates(model, yc, xc, rng, n_subsets):
 
 
 def _candidate_residuals(model, yc, xc, betas):
-    out = np.empty((betas.shape[0], yc.size))
+    """(candidates x m) residuals, from one call of ``model.mean`` with the
+    candidates along a leading axis."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, beta in enumerate(betas):
-            out[i] = yc - model.mean(xc, beta)
-    return out
+        return yc - model.mean(xc, betas.T[:, :, None])
+
+
+def _s_search(model, yc, xc, rng, n_subsets):
+    """Elemental candidate with the smallest residual S-scale.
+
+    Returns its coefficients, its scale and the number of candidate scales
+    solved.
+    """
+    betas = _elemental_candidates(model, yc, xc, rng, n_subsets)
+    resid = _candidate_residuals(model, yc, xc, betas)
+    scores, solved = _screened_scales(resid)
+    best = int(np.argmin(scores))
+    if not np.isfinite(scores[best]):
+        raise ValueError("no valid elemental candidate found")
+    return betas[best].astype(float), float(scores[best]), solved
+
+
+def _polish(model, yc, xc, beta, s, floor):
+    """Gauss-Newton descent on the S-scale, at most 20 accepted steps.
+
+    Each step halves until the candidate's scale falls below the current
+    one.  Since mean rho0(r/s) is non-increasing in s, that needs
+    mean rho0(r_new/s) < b, so a trial costs one rho0 pass and only a step
+    that passes it gets its scale solved.  Stops early once the scale
+    drops to ``floor``.  Returns the coefficients, the scale and the number
+    of accepted steps.
+    """
+    steps = 0
+    for _ in range(_SN_ITER):
+        if s <= floor:
+            break
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = yc - model.mean(xc, beta)
+            wts = _RHO0.weight(r / s)
+            jac = model.gradient(xc, beta)
+        a = jac.T @ (jac * wts[:, None])
+        g = jac.T @ (wts * r)
+        step = _solve_step(a, g)
+        t, accepted = 1.0, False
+        for _ in range(_MAX_HALVINGS):
+            cand = beta + t * step
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_new = yc - model.mean(xc, cand)
+            if np.all(np.isfinite(r_new)) and np.mean(
+                _RHO0.rho(r_new / s)
+            ) < SCALE_B_TARGET:
+                s_new = _residual_scales(r_new[None, :], np.array([s]))[0]
+                if s_new < s:
+                    beta, s, accepted = cand, float(s_new), True
+                    steps += 1
+                    break
+            t *= 0.5
+        if not accepted:
+            break
+    return beta, s, steps
+
+
+def _m_step(model, yc, xc, w_cov, beta, s):
+    """Bisquare M-step at the fixed scale ``s`` by IRWLS Gauss-Newton with
+    step halving.  Returns the coefficients, whether it converged and the
+    number of iterations."""
+
+    def objective(b):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = yc - model.mean(xc, b)
+            v = float(w_cov @ _RHO_M.rho(r / s))
+        return v if np.isfinite(v) else np.inf
+
+    beta_m = beta.copy()
+    f = objective(beta_m)
+    converged = False
+    iterations = 0
+    for iterations in range(1, _M_ITER + 1):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = yc - model.mean(xc, beta_m)
+            wts = w_cov * _RHO_M.weight(r / s)
+            jac = model.gradient(xc, beta_m)
+        a = jac.T @ (jac * wts[:, None])
+        g = jac.T @ (wts * r)
+        step = _solve_step(a, g)
+        t, accepted = 1.0, False
+        for _ in range(_MAX_HALVINGS):
+            cand = beta_m + t * step
+            fc = objective(cand)
+            if fc < f:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            converged = True
+            break
+        moved = float(np.max(np.abs(cand - beta_m)))
+        beta_m, f = cand, fc
+        if moved <= _M_TOL * (1.0 + float(np.max(np.abs(beta_m)))):
+            converged = True
+            break
+    return beta_m, converged, iterations
 
 
 def fit_mm(
@@ -316,11 +471,15 @@ def fit_mm(
 
     Stage 1 searches ``n_subsets`` random elemental subsets (size
     dim_beta + 1) for the candidate whose full-sample residual S-scale
-    (bisquare c0 = 1.54764, b = 0.5) is smallest, then runs 20 Gauss-Newton
-    descent iterations on that scale.  Stage 2 minimizes the bisquare
-    (c = 4.685) objective at the stage-1 scale by IRWLS Gauss-Newton with
-    step halving, to tolerance 1e-8.  The subset draw is deterministic given
-    ``seed``.
+    (bisquare c0 = 1.54764, b = 0.5) is smallest, then runs up to 20
+    Gauss-Newton descent steps on that scale.  The search solves a
+    candidate's scale only if a screen at the best scale found so far
+    shows it could be smaller (Fast-S, Salibian-Barrera & Yohai 2006); the
+    result is the argmin over all candidates, first index first on ties.
+    Scales are solved by safeguarded Newton steps to 1e-10 relative.
+    Stage 2 minimizes the bisquare (c = 4.685) objective at the stage-1
+    scale by IRWLS Gauss-Newton with step halving, to tolerance 1e-8.  The
+    subset draw is deterministic given ``seed``.
 
     ``covariate_weights``, when given, receives the complete-case covariate
     matrix and must return per-row weights in [0, 1] multiplying the M-step
@@ -349,80 +508,14 @@ def fit_mm(
             raise ValueError("covariate weights are all zero")
 
     rng = np.random.default_rng(seed)
-    betas = _elemental_candidates(model, yc, xc, rng, n_subsets)
-    scores = _batch_residual_scale(_candidate_residuals(model, yc, xc, betas))
-    best = int(np.argmin(scores))
-    if not np.isfinite(scores[best]):
-        raise ValueError("no valid elemental candidate found")
-
-    spread = max(float(np.ptp(yc)), 1e-300)
-    beta = betas[best].astype(float)
-    s = float(scores[best])
-    if s <= _DEGENERATE_REL * spread:
+    beta, s, solved = _s_search(model, yc, xc, rng, n_subsets)
+    floor = _DEGENERATE_REL * max(float(np.ptp(yc)), 1e-300)
+    if s <= floor:
         raise ValueError("degenerate scale: residuals have no spread")
-
-    # Stage 1 polish: Gauss-Newton descent on the S-scale itself.
-    for _ in range(_SN_ITER):
-        if s <= _DEGENERATE_REL * spread:
-            break
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = yc - model.mean(xc, beta)
-            wts = _RHO0.weight(r / s)
-            jac = model.gradient(xc, beta)
-        a = jac.T @ (jac * wts[:, None])
-        g = jac.T @ (wts * r)
-        step = _solve_step(a, g)
-        t, accepted = 1.0, False
-        for _ in range(_MAX_HALVINGS):
-            cand = beta + t * step
-            with np.errstate(over="ignore", invalid="ignore"):
-                r_new = yc - model.mean(xc, cand)
-            s_new = _residual_scale(r_new, start=s) if np.all(
-                np.isfinite(r_new)
-            ) else np.inf
-            if s_new < s:
-                beta, s, accepted = cand, float(s_new), True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    if s <= _DEGENERATE_REL * spread:
+    beta, s, polish_steps = _polish(model, yc, xc, beta, s, floor)
+    if s <= floor:
         raise ValueError("degenerate scale: residuals have no spread")
-
-    # Stage 2: M-step at the fixed stage-1 scale.
-    def objective(b):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = yc - model.mean(xc, b)
-            v = float(w_cov @ _RHO_M.rho(r / s))
-        return v if np.isfinite(v) else np.inf
-
-    beta_m = beta.copy()
-    f = objective(beta_m)
-    converged = False
-    for _ in range(_M_ITER):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = yc - model.mean(xc, beta_m)
-            wts = w_cov * _RHO_M.weight(r / s)
-            jac = model.gradient(xc, beta_m)
-        a = jac.T @ (jac * wts[:, None])
-        g = jac.T @ (wts * r)
-        step = _solve_step(a, g)
-        t, accepted = 1.0, False
-        for _ in range(_MAX_HALVINGS):
-            cand = beta_m + t * step
-            fc = objective(cand)
-            if fc < f:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            converged = True
-            break
-        moved = float(np.max(np.abs(cand - beta_m)))
-        beta_m, f = cand, fc
-        if moved <= _M_TOL * (1.0 + float(np.max(np.abs(beta_m)))):
-            converged = True
-            break
+    beta_m, converged, m_iterations = _m_step(model, yc, xc, w_cov, beta, s)
 
     return RegressionFit(
         beta=beta_m,
@@ -431,4 +524,7 @@ def fit_mm(
         complete_case_count=m,
         converged=converged,
         s_step_beta=beta,
+        candidates_solved=solved,
+        polish_steps=polish_steps,
+        m_iterations=m_iterations,
     )

@@ -316,6 +316,24 @@ class TestEstimateInputErrors:
                 fragment, capsys,
             )
 
+    @pytest.mark.parametrize("covariates", [["x1"], ["x1", "x2", "x3"]])
+    def test_models_need_exactly_two_covariates(
+        self, tmp_path, capsys, covariates
+    ):
+        path = tmp_path / "three.csv"
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, (30, 3))
+        y = 1.0 + x @ [2.0, 0.5, 0.3] + rng.normal(0.0, 0.1, 30)
+        path.write_text(
+            "y,x1,x2,x3\n"
+            + "".join(f"{a},{b},{c},{d}\n" for a, (b, c, d) in zip(y, x))
+        )
+        self.run_expecting_error(
+            tmp_path, str(path),
+            write_config(tmp_path, toy_config(covariates=covariates)),
+            f"need exactly 2 'covariates', got {len(covariates)}", capsys,
+        )
+
     def test_config_missing_field(self, tmp_path, capsys):
         data = toy_csv(tmp_path)
         config = toy_config()

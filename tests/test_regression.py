@@ -1,8 +1,15 @@
 """Tests for the simplified MM regression fits."""
 
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robmarg import regression
+from robmarg.cli import _read_csv_columns
 from robmarg.dataset import ObservedDataset
 from robmarg.regression import (
     RegressionFit,
@@ -12,7 +19,8 @@ from robmarg.regression import (
     linear_model,
     predict,
 )
-from robmarg.scores import location_bisquare
+from robmarg.scores import SCALE_B_TARGET, location_bisquare, scale_bisquare
+from robmarg.simulation import generate_sample
 
 BETA_TRUE = np.array([2.0, 0.1, 5.0])
 
@@ -393,3 +401,246 @@ class TestHardRejectionWeights:
                 linear_model(), data,
                 covariate_weights=lambda x: np.zeros(x.shape[0]), seed=0,
             )
+
+
+# ---------------------------------------------------------------------------
+# Dense reference: the S-step as it was before candidate screening and the
+# Newton scale solver, i.e. fixed-point S-scales for every candidate (the
+# batch stops when its slowest row converges) and a full scale solve for
+# every halving trial of the polish.  The M-step is shared, it did not change.
+
+_RHO0 = scale_bisquare()
+
+
+def dense_residual_scale(r, start=None):
+    if not np.all(np.isfinite(r)):
+        return np.inf
+    s = float(np.median(np.abs(r))) if start is None else float(start)
+    if s <= 0.0:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(100):
+            m_avg = float(np.mean(_RHO0.rho(r / s)))
+            if m_avg <= 0.0:
+                return 0.0
+            s_new = s * float(np.sqrt(m_avg / SCALE_B_TARGET))
+            if abs(s_new - s) <= 1e-10 * s_new:
+                return s_new
+            s = s_new
+    return s
+
+
+def dense_batch_residual_scale(resid):
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite(resid), axis=1)
+        safe = np.where(finite[:, None], resid, 0.0)
+        s = np.median(np.abs(safe), axis=1)
+        zero = s <= 0.0
+        work = np.where(zero | ~finite, 1.0, s)
+        for _ in range(100):
+            m_avg = np.mean(_RHO0.rho(safe / work[:, None]), axis=1)
+            s_new = work * np.sqrt(np.maximum(m_avg, 0.0) / SCALE_B_TARGET)
+            tol = 1e-10 * np.maximum(s_new, 1e-300)
+            if np.all(np.abs(s_new - work) <= tol):
+                work = s_new
+                break
+            work = s_new
+    out = np.where(zero, 0.0, work)
+    out[~finite | ~np.isfinite(out)] = np.inf
+    return out
+
+
+def dense_fit_mm(model, data, covariate_weights=None, seed=0):
+    """fit_mm with the dense S-step; returns (beta, scale, s-step beta)."""
+    obs = data.delta == 1
+    yc, xc = data.y[obs], data.x[obs]
+    w_cov = (
+        np.ones(yc.size) if covariate_weights is None
+        else np.clip(covariate_weights(xc), 0.0, 1.0)
+    )
+    rng = np.random.default_rng(seed)
+    betas = regression._elemental_candidates(model, yc, xc, rng, 500)
+    resid = np.empty((betas.shape[0], yc.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, b in enumerate(betas):
+            resid[i] = yc - model.mean(xc, b)
+    scores = dense_batch_residual_scale(resid)
+    best = int(np.argmin(scores))
+    beta, s = betas[best].astype(float), float(scores[best])
+    floor = 1e-12 * max(float(np.ptp(yc)), 1e-300)
+    assert s > floor
+    for _ in range(20):
+        if s <= floor:
+            break
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = yc - model.mean(xc, beta)
+            wts = _RHO0.weight(r / s)
+            jac = model.gradient(xc, beta)
+        step = regression._solve_step(
+            jac.T @ (jac * wts[:, None]), jac.T @ (wts * r)
+        )
+        t, accepted = 1.0, False
+        for _ in range(30):
+            cand = beta + t * step
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_new = yc - model.mean(xc, cand)
+            s_new = dense_residual_scale(r_new, start=s) if np.all(
+                np.isfinite(r_new)
+            ) else np.inf
+            if s_new < s:
+                beta, s, accepted = cand, float(s_new), True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+    beta_m, _, _ = regression._m_step(model, yc, xc, w_cov, beta, s)
+    return beta_m, s, beta
+
+
+def rel(a, b):
+    return float(np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b))
+
+
+def ozone_data():
+    path = str(resources.files("robmarg") / "data" / "airquality.csv")
+    tab = _read_csv_columns(path, ["ozone", "wind", "solar"])
+    obs = np.isfinite(tab["ozone"]) & np.isfinite(tab["solar"])
+    return ObservedDataset(
+        y=tab["ozone"], x=np.column_stack([tab["wind"], tab["solar"]]),
+        z_index=(0,), delta=obs.astype(int),
+    )
+
+
+MODELS = {
+    "exp": exp_linear_model,
+    "exp-intercept": lambda: exp_linear_model(intercept=True),
+    "linear": linear_model,
+}
+
+
+class TestScreenedSearchMatchesDense:
+    @staticmethod
+    @st.composite
+    def residual_matrices(draw):
+        """Random candidate residuals with exact duplicates, non-finite rows
+        and rows whose median |r| is zero planted at random positions."""
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = draw(st.integers(1, 40))
+        m = draw(st.integers(15, 60))  # fit_mm needs m >= 5 * dim_beta
+        spread = np.exp(rng.normal(0.0, 1.0, (rows, 1)))
+        resid = rng.standard_t(3, (rows, m)) * spread
+        for _ in range(draw(st.integers(0, 4))):
+            src, dst = rng.integers(rows, size=2)
+            resid[dst] = resid[src]
+        for _ in range(draw(st.integers(0, 3))):
+            i = rng.integers(rows)
+            resid[i, rng.integers(m)] = rng.choice([np.nan, np.inf, -np.inf])
+        if draw(st.booleans()):
+            i = rng.integers(rows)
+            resid[i, rng.permutation(m)[: m // 2 + 1]] = 0.0
+        return resid
+
+    @given(residual_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_argmin_and_winning_scale(self, resid):
+        dense = dense_batch_residual_scale(resid)
+        screened, solved = regression._screened_scales(resid)
+        assert int(np.argmin(screened)) == int(np.argmin(dense))
+        assert 0 <= solved <= resid.shape[0]
+        best = int(np.argmin(dense))
+        if not (np.isfinite(dense[best]) and dense[best] > 0.0):
+            assert screened[best] == dense[best]
+        # Every row the screen solved carries its own S-scale: it solves
+        # mean rho0(r/s) = b, and it agrees with the fixed-point value up to
+        # that solver's stopping error (a 1e-10 step on a slowly contracting
+        # row leaves up to about 1e-6 relative).
+        done = np.isfinite(screened) & (screened > 0.0)
+        m_avg = np.mean(_RHO0.rho(resid[done] / screened[done, None]), axis=1)
+        assert np.allclose(m_avg, SCALE_B_TARGET, rtol=0.0, atol=1e-12)
+        assert np.allclose(screened[done], dense[done], rtol=1e-5, atol=0.0)
+
+    def test_first_duplicate_wins(self):
+        rng = np.random.default_rng(5)
+        resid = rng.normal(0.0, 3.0, (30, 25))
+        resid[7] = rng.normal(0.0, 0.5, 25)
+        resid[[3, 19]] = resid[7]
+        scores, _ = regression._screened_scales(resid)
+        assert int(np.argmin(scores)) == 3
+        assert scores[3] == scores[7] == scores[19]
+
+    def test_zero_median_row_wins_with_zero_scale(self):
+        rng = np.random.default_rng(6)
+        resid = rng.normal(0.0, 1.0, (10, 9))
+        resid[4, :5] = 0.0
+        resid[8, :6] = 0.0
+        resid[2, 0] = np.nan
+        scores, solved = regression._screened_scales(resid)
+        assert int(np.argmin(scores)) == 4 and scores[4] == 0.0
+        assert np.isinf(scores[2]) and solved == 0
+
+    def test_all_rows_non_finite(self):
+        resid = np.full((3, 5), np.inf)
+        scores, solved = regression._screened_scales(resid)
+        assert np.all(np.isinf(scores)) and solved == 0
+
+    def test_rows_solve_independently(self):
+        rng = np.random.default_rng(8)
+        resid = rng.normal(0.0, 1.0, (6, 40)) * np.arange(1, 7)[:, None]
+        start = np.median(np.abs(resid), axis=1)
+        batch = regression._residual_scales(resid, start)
+        for i in range(6):
+            row = slice(i, i + 1)
+            one = regression._residual_scales(resid[row], start[row])
+            assert one[0] == batch[i]
+            assert np.mean(_RHO0.rho(resid[i] / batch[i])) == pytest.approx(
+                SCALE_B_TARGET, abs=1e-12
+            )
+
+
+EQUIVALENCE_CASES = [
+    (data, model, weights)
+    for data in ["ozone", 100, 400, 1600]
+    for model in MODELS
+    for weights in (False, True)
+]
+
+
+@pytest.mark.parametrize(
+    "data,model,weights", EQUIVALENCE_CASES,
+    ids=[f"{d}-{m}-{'hr' if w else 'plain'}" for d, m, w in EQUIVALENCE_CASES],
+)
+def test_fit_mm_matches_dense_reference(data, model, weights):
+    data = ozone_data() if data == "ozone" else generate_sample(data, 11)[0]
+    model = MODELS[model]()
+    cw = hard_rejection_weights if weights else None
+    fit = fit_mm(model, data, covariate_weights=cw, seed=0)
+    beta, s, s_beta = dense_fit_mm(model, data, covariate_weights=cw, seed=0)
+    assert fit.residual_scale == pytest.approx(s, rel=1e-8)
+    assert rel(fit.s_step_beta, s_beta) <= 1e-8
+    # The M-step locates its minimum by comparing objective values, which
+    # pins a minimizer only to about sqrt(machine epsilon) relative; from
+    # S-steps that agree to 1e-11 its end points differ by up to 1.3e-8.
+    assert rel(fit.beta, beta) <= 2.0 * np.sqrt(np.finfo(float).eps)
+
+
+def test_work_counters_leave_the_fit_unchanged():
+    data = ozone_data()
+    model = exp_linear_model(intercept=True)
+    fit = fit_mm(model, data, covariate_weights=hard_rejection_weights, seed=0)
+    assert 1 <= fit.candidates_solved < 500
+    assert 0 <= fit.polish_steps <= 20
+    assert 1 <= fit.m_iterations <= 200
+    again = fit_mm(
+        model, data, covariate_weights=hard_rejection_weights, seed=0
+    )
+    assert np.array_equal(again.beta, fit.beta)
+    assert again.residual_scale == fit.residual_scale
+    other = dataclasses.replace(
+        fit, candidates_solved=-1, polish_steps=-1, m_iterations=-1
+    )
+    assert other == fit
+    beta, s, _ = dense_fit_mm(
+        model, data, covariate_weights=hard_rejection_weights, seed=0
+    )
+    assert fit.residual_scale == pytest.approx(s, rel=1e-8)
+    assert rel(fit.beta, beta) <= 1e-8
