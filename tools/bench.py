@@ -1,19 +1,17 @@
 """Stage timings of the MM regression fit, written to ``BENCH_<label>.json``.
 
-    PYTHONPATH=src python tools/bench.py --label NAME [--repeats 3]
-        [--sizes 100 400 1600 6400] [--out DIR]
+    PYTHONPATH=src python tools/bench.py --label NAME [--out DIR]
 
-For each size n it draws one benchmark sample (``generate_sample(n, 1)``:
-MH missingness, no contamination) and fits each model with ``fit_mm`` at
-seed 0, once untimed and then ``--repeats`` times.  Each fit is split into
-the S-search, the polish and the M-step by timing the private helpers of
-``robmarg.regression`` that run them; ``other_ms`` is the rest of the call
-(input checks, and any stage the module does not run through a helper of
-its own).  The record holds the median of each timing, the fit's work
-counters where ``RegressionFit`` has them, the fitted values, and a short
-hash of those values at 6 significant digits, so that two records can show
-that a speed-up kept the numbers.  The machine facts (CPU count, numpy and
-Python versions) come with it.
+For each size n in ``SIZES`` it draws one benchmark sample
+(``generate_sample(n, 1)``: MH missingness, no contamination) and fits each
+model with ``fit_mm`` at seed 0, once untimed and then ``REPEATS`` times.
+Each fit is split into the S-search, the polish and the M-step by timing
+the private helpers of ``robmarg.regression`` that run them; ``other_ms``
+is the rest of the call (input checks and bookkeeping).  The record holds
+the median of each timing, the fit's work counters, the fitted values, and
+a short hash of those values at 6 significant digits, so that two records
+can show that a speed-up kept the numbers.  The machine facts (CPU count,
+numpy and Python versions) come with it.
 
 This is a measuring tool, not a test: it is kept out of the test suite.
 """
@@ -44,19 +42,10 @@ MODELS = {
     "linear": (regression.linear_model, None),
 }
 
-# Stage -> alternative sets of helpers whose calls make it up; the first set
-# the module defines in full is timed.  A module whose fit_mm runs the
-# polish and the M-step inline, with only the pieces of the S-search in
-# helpers of their own, gets those two stages counted in ``other_ms``.
-STAGES = {
-    "s_search": (
-        ("_s_search",),
-        ("_elemental_candidates", "_candidate_residuals",
-         "_batch_residual_scale"),
-    ),
-    "polish": (("_polish",),),
-    "m_step": (("_m_step",),),
-}
+SIZES = (100, 400, 1600, 6400)
+REPEATS = 3
+# Stage -> the helper of ``robmarg.regression`` that runs it.
+STAGES = {"s_search": "_s_search", "polish": "_polish", "m_step": "_m_step"}
 COUNTERS = ("candidates_solved", "polish_steps", "m_iterations")
 
 
@@ -72,31 +61,23 @@ def _timed(func, stage: str, clock: dict):
     return wrapper
 
 
-def _install(clock: dict) -> list[str]:
-    """Wrap the stage helpers; returns the stages that got a timer."""
-    timed = []
-    for stage, alternatives in STAGES.items():
-        for names in alternatives:
-            if all(hasattr(regression, name) for name in names):
-                for name in names:
-                    setattr(regression, name,
-                            _timed(getattr(regression, name), stage, clock))
-                timed.append(stage)
-                break
-    return timed
+def _install(clock: dict) -> None:
+    for stage, name in STAGES.items():
+        setattr(regression, name,
+                _timed(getattr(regression, name), stage, clock))
 
 
-def bench(sizes, repeats: int) -> dict:
+def bench() -> dict:
     clock = dict.fromkeys(STAGES, 0.0)
-    timed = _install(clock)
+    _install(clock)
     rows, digest = [], hashlib.sha256()
-    for n in sizes:
+    for n in SIZES:
         data, _ = generate_sample(n, 1)
         for name, (make_model, weights) in MODELS.items():
             model = make_model()
-            keys = ("fit", *timed, "other")
+            keys = ("fit", *STAGES, "other")
             samples = {f"{key}_ms": [] for key in keys}
-            for rep in range(repeats + 1):
+            for rep in range(REPEATS + 1):
                 for stage in clock:
                     clock[stage] = 0.0
                 start = time.perf_counter()
@@ -107,10 +88,10 @@ def bench(sizes, repeats: int) -> dict:
                 if rep == 0:
                     continue
                 samples["fit_ms"].append(1e3 * total)
-                for stage in timed:
+                for stage in STAGES:
                     samples[f"{stage}_ms"].append(1e3 * clock[stage])
                 samples["other_ms"].append(
-                    1e3 * (total - sum(clock[s] for s in timed))
+                    1e3 * (total - sum(clock.values()))
                 )
             values = [float(v) for v in fit.beta] + [fit.residual_scale]
             digest.update(" ".join("%.6g" % v for v in values).encode())
@@ -119,20 +100,17 @@ def bench(sizes, repeats: int) -> dict:
             row.update(
                 {k: round(statistics.median(v), 3) for k, v in samples.items()}
             )
-            row.update(
-                {c: getattr(fit, c) for c in COUNTERS if hasattr(fit, c)}
-            )
+            row.update({c: getattr(fit, c) for c in COUNTERS})
             row["beta"] = [float(v) for v in fit.beta]
             row["residual_scale"] = fit.residual_scale
             rows.append(row)
             print(
                 f"n={n:5d} {name:36s} fit {row['fit_ms']:9.2f} ms  "
-                + "  ".join(f"{s} {row[s + '_ms']:8.2f}" for s in timed),
+                + "  ".join(f"{s} {row[s + '_ms']:8.2f}" for s in STAGES),
                 file=sys.stderr,
             )
     return {
-        "repeats": repeats,
-        "stages_timed": timed,
+        "repeats": REPEATS,
         "machine": {
             "nproc": os.cpu_count(),
             "numpy": np.__version__,
@@ -147,14 +125,9 @@ def bench(sizes, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[100, 400, 1600, 6400])
     parser.add_argument("--out", default=".")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    record = {"label": args.label, **bench(args.sizes, args.repeats)}
+    record = {"label": args.label, **bench()}
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1)
