@@ -31,7 +31,7 @@ from .propensity import PropensityFit
 from .regression import RegressionFit, RegressionModel
 from .scaleloc import check_score_pair, m_location, mad_scale, s_scale
 from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
-from .weighted import WeightedSample, weighted_quantile
+from .weighted import WeightedSample, serial_dot, weighted_quantile
 
 __all__ = [
     "ObservedDataset",
@@ -294,7 +294,7 @@ def estimate_aipw(
         den = panel.sum(axis=0)
         good = den > 0.0
         shares = np.where(good, panel / np.where(good, den, 1.0), 1.0 / n_obs)
-        varpi += shares @ deficit[lo:hi]
+        varpi += serial_dot(shares, deficit[lo:hi])
 
     composite = (zeta[obs] + varpi) / n
     signed = composite.copy()

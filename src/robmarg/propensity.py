@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .weighted import serial_dot
+
 __all__ = [
     "PropensityFit",
     "fit_logistic",
@@ -236,6 +238,9 @@ def kernel_propensity(z, delta, b_n: float, floor: float = DEFAULT_FLOOR) -> Pro
     if n < 2:
         raise ValueError("need at least two observations")
     d_mean = float(d.mean())
+    # The weight totals are summed like the weighted counts, so that with
+    # every row observed the ratio is exactly 1.
+    ones = np.ones(n)
 
     def raw(mat):
         m = mat.shape[0]
@@ -243,8 +248,8 @@ def kernel_propensity(z, delta, b_n: float, floor: float = DEFAULT_FLOOR) -> Pro
         for lo in range(0, m, _BLOCK):
             hi = min(lo + _BLOCK, m)
             panel = _epanechnikov_panel(zm, mat[lo:hi], b_n)
-            den = panel.sum(axis=1)
-            num = panel @ d
+            den = serial_dot(panel, ones)
+            num = serial_dot(panel, d)
             out[lo:hi] = np.where(den > 0.0, num / np.where(den > 0, den, 1.0), d_mean)
         return out
 
@@ -276,6 +281,7 @@ def cv_bandwidth(z, delta, grid) -> float:
     loo_mean = (d.sum() - d) / (n - 1) if n > 1 else np.full(n, d.mean())
     bandwidths = np.sort(grid_arr)
     scores = np.empty(bandwidths.size)
+    ones = np.ones(n)
     for j, b in enumerate(bandwidths):
         score = 0.0
         for lo in range(0, n, _BLOCK):
@@ -283,8 +289,8 @@ def cv_bandwidth(z, delta, grid) -> float:
             panel = _epanechnikov_panel(zm, zm[lo:hi], b)
             idx = np.arange(lo, hi)
             self_k = panel[np.arange(hi - lo), idx]
-            den = panel.sum(axis=1) - self_k
-            num = panel @ d - self_k * d[idx]
+            den = serial_dot(panel, ones) - self_k
+            num = serial_dot(panel, d) - self_k * d[idx]
             p_loo = np.where(den > 0.0, num / np.where(den > 0, den, 1.0), loo_mean[idx])
             score += float(((d[idx] - p_loo) ** 2).sum())
         scores[j] = score

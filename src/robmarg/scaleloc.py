@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scores import ScoreFamily
-from .weighted import WeightedSample, weighted_quantile
+from .weighted import WeightedSample, serial_dot, weighted_quantile
 
 __all__ = ["ScaleFit", "s_scale", "m_location", "mad_scale", "check_score_pair"]
 
@@ -77,18 +77,18 @@ def s_scale(ws: WeightedSample, rho0: ScoreFamily, b: float) -> ScaleFit:
     dev = np.abs(y - a)
     s = float(weighted_quantile(WeightedSample(dev, w), 0.5))
     if s <= 0.0:
-        s = float((w @ dev) / sw)
+        s = float(serial_dot(w, dev) / sw)
 
     converged = False
     iterations = 0
     for iterations in range(1, _SCALE_MAX_ITER + 1):
-        m = float(w @ rho0.rho((y - a) / s)) / sw
+        m = float(serial_dot(w, rho0.rho((y - a) / s))) / sw
         if m <= 0.0:
             raise ValueError("degenerate scale")
         s_new = s * np.sqrt(m / b)
         wt = w * rho0.weight((y - a) / s_new)
         denom = float(wt.sum())
-        a_new = float(wt @ y) / denom if denom > 0.0 else a
+        a_new = float(serial_dot(wt, y)) / denom if denom > 0.0 else a
         done = (
             abs(s_new - s) <= _SCALE_TOL * s_new
             and abs(a_new - a) <= _SCALE_TOL * s_new
@@ -101,7 +101,7 @@ def s_scale(ws: WeightedSample, rho0: ScoreFamily, b: float) -> ScaleFit:
     # Polish the scale at the final location so the defining identity
     # avg rho0((y-a)/s) = b holds to well within the stated tolerance.
     for _ in range(100):
-        m = float(w @ rho0.rho((y - a) / s)) / sw
+        m = float(serial_dot(w, rho0.rho((y - a) / s))) / sw
         s_next = s * float(np.sqrt(m / b))
         step = abs(s_next - s)
         s = s_next
@@ -174,7 +174,7 @@ def m_location(
             # Everything lies in the rejection region of the score at this
             # scale; no update is possible.
             break
-        th_new = float(wt @ y) / denom
+        th_new = float(serial_dot(wt, y)) / denom
         delta = abs(th_new - th)
         th = th_new
         if delta <= _LOC_TOL * scale:

@@ -11,6 +11,7 @@ from robmarg import (
     weighted_cdf,
     weighted_quantile,
 )
+from robmarg.weighted import serial_dot
 
 
 def ws(atoms, weights=None):
@@ -124,6 +125,22 @@ class TestKolmogorov:
         a = ws([1.0, 1.0, 2.0], [1.0, 1.0, 2.0])
         b = ws([1.0, 2.0], [2.0, 2.0])
         assert kolmogorov_distance(a, b) == 0.0
+
+
+class TestSerialDot:
+    # Sizes above OpenBLAS's threading thresholds (about 1e4 elements), where
+    # ``@`` would hand the product to worker threads.
+    def test_vector_matches_matmul(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, 20_000))
+        assert float(serial_dot(a, b)) == pytest.approx(float(a @ b), rel=1e-12)
+
+    def test_matrix_vector_matches_matmul(self):
+        rng = np.random.default_rng(4)
+        panel, d = rng.random((200, 153)), rng.random(153)
+        out = serial_dot(panel, d)
+        assert out.shape == (200,)
+        np.testing.assert_allclose(out, panel @ d, rtol=1e-12)
 
 
 finite_atoms = st.lists(
