@@ -308,6 +308,26 @@ def _fit_cli_propensity(method: str, data: ObservedDataset, settings: dict):
     return constant_propensity(data.delta, floor=settings["floor"])
 
 
+def _fit_model(spec: dict, data: ObservedDataset, settings: dict):
+    model = _MODEL_IDS[spec["id"]]()
+    return model, fit_mm(
+        model,
+        data,
+        covariate_weights=_WEIGHT_IDS[spec["weights"]],
+        seed=settings["seed"],
+    )
+
+
+def _estimate(est_name: str, data: ObservedDataset, pf, settings: dict,
+              model_fit=None):
+    sm = settings["scale_method"]
+    if est_name == "ipw":
+        return estimate_ipw(data, pf, _SF, sm)
+    if est_name == "aipw":
+        return estimate_aipw(data, pf, settings["a_n_resolved"], _SF, sm)
+    return estimate_conv(data, pf, *model_fit, _SF, sm)
+
+
 def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
     """All requested (estimator, propensity[, model]) marginal estimates."""
     a_n = settings["a_n"]
@@ -315,22 +335,14 @@ def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
         a_n = data.n ** (-1.0 / 3.0)
     settings["a_n_resolved"] = a_n
 
-    fits = {}
-    for model_spec in settings["models"]:
-        model = _MODEL_IDS[model_spec["id"]]()
-        fits[model_spec["label"]] = (
-            model,
-            fit_mm(
-                model,
-                data,
-                covariate_weights=_WEIGHT_IDS[model_spec["weights"]],
-                seed=settings["seed"],
-            ),
-            model_spec,
-        )
-
+    fits = {m["label"]: _fit_model(m, data, settings) for m in settings["models"]}
+    # Each propensity fit is deterministic, so one per dataset serves every
+    # estimator and model.
+    pfs = {
+        prop: _fit_cli_propensity(prop, data, settings)
+        for prop in settings["propensities"]
+    }
     entries = []
-    sm = settings["scale_method"]
     for est_name in settings["estimators"]:
         variants = (
             [m["label"] for m in settings["models"]]
@@ -339,17 +351,8 @@ def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
         )
         for label in variants:
             for prop in settings["propensities"]:
-                pf = _fit_cli_propensity(prop, data, settings)
-                if est_name == "ipw":
-                    est = estimate_ipw(data, pf, _SF, sm)
-                    converged = None
-                elif est_name == "aipw":
-                    est = estimate_aipw(data, pf, a_n, _SF, sm)
-                    converged = None
-                else:
-                    model, fit, _spec = fits[label]
-                    est = estimate_conv(data, pf, model, fit, _SF, sm)
-                    converged = fit.converged
+                est = _estimate(est_name, data, pfs[prop], settings,
+                                fits.get(label))
                 entries.append(
                     {
                         "estimator": est_name,
@@ -362,7 +365,10 @@ def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
                         "negative_weights_floored": bool(
                             est.negative_weights_floored
                         ),
-                        "converged": converged,
+                        "converged": (
+                            fits[label][1].converged if label is not None
+                            else None
+                        ),
                         "se": None,
                         "ci": None,
                         "jackknife_n": None,
@@ -373,31 +379,14 @@ def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
 
 def _jackknife_theta(entry: dict, settings: dict):
     """Closure recomputing the entry's M-location on a leave-one-out dataset."""
-    est_name = entry["estimator"]
-    model_spec = None
-    if est_name == "conv":
-        model_spec = next(
-            m for m in settings["models"] if m["label"] == entry["model"]
-        )
-
-    sm = settings["scale_method"]
+    spec = next(
+        (m for m in settings["models"] if m["label"] == entry["model"]), None
+    )
 
     def rerun(d: ObservedDataset) -> float:
         pf = _fit_cli_propensity(entry["propensity"], d, settings)
-        if est_name == "ipw":
-            return estimate_ipw(d, pf, _SF, sm).theta_m
-        if est_name == "aipw":
-            return estimate_aipw(
-                d, pf, settings["a_n_resolved"], _SF, sm
-            ).theta_m
-        model = _MODEL_IDS[model_spec["id"]]()
-        fit = fit_mm(
-            model,
-            d,
-            covariate_weights=_WEIGHT_IDS[model_spec["weights"]],
-            seed=settings["seed"],
-        )
-        return estimate_conv(d, pf, model, fit, _SF, sm).theta_m
+        model_fit = _fit_model(spec, d, settings) if spec else None
+        return _estimate(entry["estimator"], d, pf, settings, model_fit).theta_m
 
     return rerun
 

@@ -14,13 +14,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
 from .dataset import ObservedDataset
 from .marginal import SCALE_METHODS
-from .propensity import PropensityFit, _epanechnikov_panel
+from .kernels import SortedWindow
+from .propensity import PropensityFit
 from .scaleloc import mad_scale, s_scale
 from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
 from .weighted import WeightedSample
@@ -33,6 +35,9 @@ __all__ = [
 ]
 
 _METHODS = ("jackknife", "plugin_known", "plugin_kernel")
+
+# A jackknife projected to run longer than this (seconds) draws a warning.
+_JACKKNIFE_WARN_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -72,18 +77,29 @@ def jackknife_se(
     the n delete-one datasets, so every data-dependent stage (propensity
     fit, regression fit, scale) contributes to the spread.  A leave-one-out
     replicate that raises is skipped; more than 5% skipped draws a warning.
+    The first refit is timed, and a warning gives the projected total when
+    n times that time exceeds 60 s.
     se = sqrt(((m-1)/m) * sum (theta_(i) - mean)^2) over the m retained
     replicates.
     """
     n = data.n
     values = []
     failures = 0
+    start = perf_counter()
     for i in range(n):
         try:
             reduced = _drop_row(data, i)
             values.append(float(estimator(reduced)))
         except Exception:
             failures += 1
+        if i == 0:
+            projected = n * (perf_counter() - start)
+            if projected > _JACKKNIFE_WARN_S:
+                warnings.warn(
+                    f"jackknife: {n} leave-one-out refits projected to take "
+                    f"about {projected:.0f} s",
+                    stacklevel=2,
+                )
     m = len(values)
     if m < 2:
         raise ValueError(
@@ -213,9 +229,8 @@ def plugin_var_ipw(
                 "the propensity fit)"
             )
         z_all = data.z
-        panel = _epanechnikov_panel(z_obs, z_all, float(bandwidth))
-        den = panel.sum(axis=1)
-        num = panel @ phi
+        window = SortedWindow(z_obs, (np.ones(phi.size), phi))
+        den, num = window.sums(z_all, float(bandwidth), "epanechnikov").T
         fallback = float(phi.mean())
         with np.errstate(invalid="ignore", divide="ignore"):
             r_hat = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),

@@ -27,11 +27,12 @@ from typing import Callable
 import numpy as np
 
 from .dataset import ObservedDataset
+from .kernels import SortedWindow
 from .propensity import PropensityFit
 from .regression import RegressionFit, RegressionModel
 from .scaleloc import check_score_pair, m_location, mad_scale, s_scale
 from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
-from .weighted import WeightedSample, serial_dot, weighted_quantile
+from .weighted import WeightedSample, weighted_quantile
 
 __all__ = [
     "ObservedDataset",
@@ -207,11 +208,29 @@ def estimate_conv(
     return _finish(atoms, weights, sf, "conv", pf.method, scale_method)
 
 
-def _biweight_panel(z_train: np.ndarray, z_query: np.ndarray, a_n: float):
-    """Product biweight kernel matrix, shape (len(query), len(train))."""
-    t = (z_train[None, :, :] - z_query[:, None, :]) / a_n
-    k = np.where(np.abs(t) < 1.0, (15.0 / 16.0) * (1.0 - t * t) ** 2, 0.0)
-    return k.prod(axis=2)
+def _spread(z_obs: np.ndarray, z_rows: np.ndarray, a_n: float, values):
+    """Spread one value per row over the complete cases by kernel share.
+
+    Row i's share profile over the complete cases is its biweight kernel
+    weight at each z_obs_j divided by their total; a row with no complete
+    case in its window shares uniformly.  Returns, for each complete case j,
+    sum_i share_ji * values_i.
+    """
+    values = np.asarray(values, dtype=float)
+    window = SortedWindow(z_obs)
+    spread = np.zeros(z_obs.shape[0])
+    empty = np.ones(values.size, dtype=bool)
+    for rows, cases, kern in window.panels(z_rows, a_n, "biweight"):
+        # A block's window holds every complete case near its rows, so the
+        # row totals are complete.
+        den = np.einsum("qw->q", kern)
+        good = den > 0.0
+        empty[rows] = ~good
+        scaled = np.where(good, values[rows] / np.where(good, den, 1.0), 0.0)
+        spread[cases] += np.einsum("qw,q->w", kern, scaled)
+    out = np.empty_like(spread)
+    out[window.order] = spread + float(values[empty].sum()) / spread.size
+    return out
 
 
 def conditional_cdf_kernel(
@@ -233,18 +252,12 @@ def conditional_cdf_kernel(
     z_obs = data.z[obs]
     order = np.argsort(y_obs, kind="stable")
     y_sorted = y_obs[order]
-    n_obs = y_obs.size
 
     def cdf(y, z):
         zq = np.asarray(z, dtype=float).reshape(1, -1)
         if zq.shape[1] != z_obs.shape[1]:
             raise ValueError("z has the wrong number of coordinates")
-        kern = _biweight_panel(z_obs, zq, a_n)[0]
-        den = kern.sum()
-        if den > 0.0:
-            w = kern[order] / den
-        else:
-            w = np.full(n_obs, 1.0 / n_obs)
+        w = _spread(z_obs, zq, a_n, [1.0])[order]
         cw = np.clip(np.concatenate(([0.0], np.cumsum(w))), 0.0, 1.0)
         cw[-1] = 1.0
         yq = np.asarray(y, dtype=float)
@@ -279,22 +292,10 @@ def estimate_aipw(
     pi = np.asarray(pf.predict(data.z), dtype=float)
     zeta = data.delta / pi
     y_obs = data.y[obs]
-    z_obs = data.z[obs]
-    n_obs = y_obs.size
 
     # varpi_j = sum_i share_ji * (1 - zeta_i) where share_:i is the kernel
     # weight profile of row i over the complete cases (columns sum to 1).
-    deficit = 1.0 - zeta
-    varpi = np.zeros(n_obs)
-    block = max(1, int(4e6 // max(n_obs, 1)))
-    z_all = data.z
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        panel = _biweight_panel(z_obs, z_all[lo:hi], a_n).T  # (n_obs, hi-lo)
-        den = panel.sum(axis=0)
-        good = den > 0.0
-        shares = np.where(good, panel / np.where(good, den, 1.0), 1.0 / n_obs)
-        varpi += serial_dot(shares, deficit[lo:hi])
+    varpi = _spread(data.z[obs], data.z, a_n, 1.0 - zeta)
 
     composite = (zeta[obs] + varpi) / n
     signed = composite.copy()

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .weighted import serial_dot
+from .kernels import SortedWindow
 
 __all__ = [
     "PropensityFit",
@@ -33,10 +33,6 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 _MAX_HALVINGS = 30
 _SEPARATION_NORM = 1e3
-
-# Query-block size for kernel evaluations, keeps the (block x n) kernel
-# panels comfortably in cache without quadratic memory blowup.
-_BLOCK = 1024
 
 
 def _as_matrix(z) -> np.ndarray:
@@ -150,6 +146,8 @@ def fit_logistic(z, delta, floor: float = DEFAULT_FLOOR) -> PropensityFit:
 
     Damped Newton iterations (steps halved until the likelihood increases,
     at most 30 halvings) to gradient norm 1e-10, capped at 100 iterations.
+    ``params`` records the Newton steps taken ("iterations") and whether the
+    fit stopped at the optimum rather than at the cap ("converged").
 
     Raises
     ------
@@ -171,10 +169,12 @@ def fit_logistic(z, delta, floor: float = DEFAULT_FLOOR) -> PropensityFit:
     gamma = np.zeros(k + 1)
     eta = x @ gamma
     ll = _log_likelihood(eta, d)
+    iterations, converged = 0, False
     for _ in range(_NEWTON_MAX_ITER):
         p = 1.0 / (1.0 + np.exp(-eta))
         grad = x.T @ (d - p)
         if float(np.linalg.norm(grad)) <= _NEWTON_TOL:
+            converged = True
             break
         w = p * (1.0 - p)
         hess = x.T @ (x * w[:, None])
@@ -194,8 +194,10 @@ def fit_logistic(z, delta, floor: float = DEFAULT_FLOOR) -> PropensityFit:
         else:
             # No step length improves the likelihood: we are at the optimum
             # up to floating-point resolution.
+            converged = True
             break
         gamma, eta, ll = cand, eta_cand, ll_cand
+        iterations += 1
         if float(np.linalg.norm(gamma)) > _SEPARATION_NORM:
             raise ValueError("separation")
 
@@ -209,16 +211,13 @@ def fit_logistic(z, delta, floor: float = DEFAULT_FLOOR) -> PropensityFit:
     return PropensityFit(
         method="logistic",
         predict=_clamped(raw, floor, k),
-        params={"gamma": gamma.copy()},
+        params={
+            "gamma": gamma.copy(),
+            "iterations": iterations,
+            "converged": converged,
+        },
         floor=floor,
     )
-
-
-def _epanechnikov_panel(z_train: np.ndarray, z_query: np.ndarray, b_n: float):
-    """Product Epanechnikov kernel matrix, shape (len(query), len(train))."""
-    t = (z_train[None, :, :] - z_query[:, None, :]) / b_n
-    k = np.where(np.abs(t) <= 1.0, 0.75 * (1.0 - t * t), 0.0)
-    return k.prod(axis=2)
 
 
 def kernel_propensity(z, delta, b_n: float, floor: float = DEFAULT_FLOOR) -> PropensityFit:
@@ -238,20 +237,13 @@ def kernel_propensity(z, delta, b_n: float, floor: float = DEFAULT_FLOOR) -> Pro
     if n < 2:
         raise ValueError("need at least two observations")
     d_mean = float(d.mean())
-    # The weight totals are summed like the weighted counts, so that with
-    # every row observed the ratio is exactly 1.
-    ones = np.ones(n)
+    # The weight totals are a value vector summed like the weighted counts,
+    # so that with every row observed the ratio is exactly 1.
+    window = SortedWindow(zm, (np.ones(n), d))
 
     def raw(mat):
-        m = mat.shape[0]
-        out = np.empty(m)
-        for lo in range(0, m, _BLOCK):
-            hi = min(lo + _BLOCK, m)
-            panel = _epanechnikov_panel(zm, mat[lo:hi], b_n)
-            den = serial_dot(panel, ones)
-            num = serial_dot(panel, d)
-            out[lo:hi] = np.where(den > 0.0, num / np.where(den > 0, den, 1.0), d_mean)
-        return out
+        den, num = window.sums(mat, b_n, "epanechnikov").T
+        return np.where(den > 0.0, num / np.where(den > 0, den, 1.0), d_mean)
 
     return PropensityFit(
         method="kernel",
@@ -271,7 +263,7 @@ def cv_bandwidth(z, delta, grid) -> float:
     """
     zm = _as_matrix(z)
     d = _as_delta(delta)
-    n = zm.shape[0]
+    n, k = zm.shape
     grid_arr = np.asarray(grid, dtype=float)
     if grid_arr.ndim != 1 or grid_arr.size == 0:
         raise ValueError("grid must be a nonempty vector")
@@ -281,19 +273,14 @@ def cv_bandwidth(z, delta, grid) -> float:
     loo_mean = (d.sum() - d) / (n - 1) if n > 1 else np.full(n, d.mean())
     bandwidths = np.sort(grid_arr)
     scores = np.empty(bandwidths.size)
-    ones = np.ones(n)
+    window = SortedWindow(zm, (np.ones(n), d))
+    self_k = 0.75**k  # each point's own kernel weight, at t = 0
     for j, b in enumerate(bandwidths):
-        score = 0.0
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            panel = _epanechnikov_panel(zm, zm[lo:hi], b)
-            idx = np.arange(lo, hi)
-            self_k = panel[np.arange(hi - lo), idx]
-            den = serial_dot(panel, ones) - self_k
-            num = serial_dot(panel, d) - self_k * d[idx]
-            p_loo = np.where(den > 0.0, num / np.where(den > 0, den, 1.0), loo_mean[idx])
-            score += float(((d[idx] - p_loo) ** 2).sum())
-        scores[j] = score
+        den, num = window.sums(zm, b, "epanechnikov").T
+        den = den - self_k
+        num = num - self_k * d
+        p_loo = np.where(den > 0.0, num / np.where(den > 0, den, 1.0), loo_mean)
+        scores[j] = float(((d - p_loo) ** 2).sum())
     # Scores equal up to rounding noise count as ties, and ties go to the
     # smallest bandwidth.
     cutoff = scores.min() * (1.0 + 1e-10) + 1e-12

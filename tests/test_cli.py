@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from robmarg import cli
 from robmarg.cli import main
 
 DATA_DIR = resources.files("robmarg") / "data"
@@ -151,6 +152,42 @@ class TestEstimateJackknife:
             assert lo < e["theta_m"] < hi
             assert e["se"] > 0
             assert e["jackknife_n"] == 153
+
+
+class TestPropensityFitPerDataset:
+    def test_one_fit_serves_every_entry(self, monkeypatch):
+        config = dict(OZONE_CONFIG)
+        config["jackknife"] = False
+        settings = cli._build_estimate_settings(config)
+        columns = [settings["response"]] + [
+            c for c in settings["covariates"] if c != settings["response"]
+        ]
+        data = cli._build_dataset(cli._read_csv_columns(AIRQ, columns), settings)
+        calls = []
+        real = cli.auto_bandwidth
+
+        def counted(z, delta):
+            calls.append(1)
+            return real(z, delta)
+
+        monkeypatch.setattr(cli, "auto_bandwidth", counted)
+        entries = cli._estimate_entries(data, settings)
+        assert "kernel" in settings["propensities"]
+        assert len(calls) == 1
+        assert len(entries) == 12
+
+        # Each entry alone, so that its propensity is fitted for it alone.
+        for entry in entries:
+            single = dict(
+                settings,
+                estimators=[entry["estimator"]],
+                propensities=[entry["propensity"]],
+                models=[m for m in settings["models"]
+                        if m["label"] == entry["model"]] or settings["models"],
+            )
+            (refit,) = cli._estimate_entries(data, single)
+            assert refit == entry
+        assert len(calls) == 1 + 4
 
 
 class TestEstimateCollapse:

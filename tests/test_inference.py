@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from robmarg import inference
 from robmarg.dataset import ObservedDataset
 from robmarg.inference import (
     VarianceEstimate,
@@ -121,6 +122,34 @@ class TestJackknife:
             warnings.simplefilter("error")
             ve = jackknife_se(estimator, data)
         assert ve.n_effective == 29
+
+    @staticmethod
+    def tick_clock(monkeypatch, step):
+        """Each clock reading is ``step`` seconds after the previous one."""
+        ticks = iter(range(100_000))
+        monkeypatch.setattr(inference, "perf_counter",
+                            lambda: step * next(ticks))
+
+    def test_slow_first_refit_warns_once_with_projection(self, monkeypatch):
+        data = complete_dataset(np.arange(100.0) ** 1.5)
+        expected = jackknife_se(lambda d: float(d.y.mean()), data)
+        # The first refit reads as 1 s, so 100 refits project to 100 s.
+        self.tick_clock(monkeypatch, 1.0)
+        with pytest.warns(UserWarning) as record:
+            ve = jackknife_se(lambda d: float(d.y.mean()), data)
+        messages = [str(w.message) for w in record]
+        assert messages == [
+            "jackknife: 100 leave-one-out refits projected to take about 100 s"
+        ]
+        assert ve == expected
+
+    def test_projection_under_a_minute_does_not_warn(self, monkeypatch):
+        data = complete_dataset(np.arange(100.0))
+        self.tick_clock(monkeypatch, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ve = jackknife_se(lambda d: float(d.y.mean()), data)
+        assert ve.n_effective == 100
 
     def test_needs_two_successes(self):
         data = complete_dataset([1.0, 2.0, 3.0])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from robmarg import propensity
 from robmarg.propensity import (
     constant_propensity,
     cv_bandwidth,
@@ -81,6 +82,21 @@ class TestLogistic:
         etas = grid[:, None, None] + grid[None, :, None] * z[None, None, :]
         lls = (delta * etas - np.logaddexp(0.0, etas)).sum(axis=2)
         assert lls.max() <= best + 1e-6
+
+    def test_records_iterations_and_convergence(self):
+        z, delta = draw_mh(500, seed=3)
+        fit = fit_logistic(z, delta)
+        assert fit.params["converged"] is True
+        assert 1 <= fit.params["iterations"] < propensity._NEWTON_MAX_ITER
+
+    def test_reports_hitting_the_iteration_cap(self, monkeypatch):
+        z, delta = draw_mh(500, seed=3)
+        full = fit_logistic(z, delta)
+        monkeypatch.setattr(propensity, "_NEWTON_MAX_ITER", 1)
+        capped = fit_logistic(z, delta)
+        assert capped.params["iterations"] == 1
+        assert capped.params["converged"] is False
+        assert not np.array_equal(capped.params["gamma"], full.params["gamma"])
 
     def test_predictions_clamped(self):
         z, delta = draw_mh(500, seed=3)
