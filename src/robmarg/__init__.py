@@ -18,7 +18,6 @@ from .scores import (
     ScoreFamily,
     location_bisquare,
     scale_bisquare,
-    score_eval,
 )
 from .scaleloc import ScaleFit, m_location, mad_scale, s_scale
 from .weighted import (
@@ -51,7 +50,6 @@ from .marginal import (
     SCALE_METHODS,
     FunctionalSummary,
     MarginalEstimate,
-    conditional_cdf_kernel,
     estimate_aipw,
     estimate_conv,
     estimate_ipw,
@@ -86,7 +84,6 @@ __all__ = [
     "weighted_quantile",
     "kolmogorov_distance",
     "ScoreFamily",
-    "score_eval",
     "location_bisquare",
     "scale_bisquare",
     "LOCATION_BISQUARE_C",
@@ -118,7 +115,6 @@ __all__ = [
     "estimate_ipw",
     "estimate_conv",
     "estimate_aipw",
-    "conditional_cdf_kernel",
     "functional_summary",
     "signed_cdf_sample",
     "VarianceEstimate",

@@ -165,6 +165,11 @@ def _require(config: dict, key: str, kind, what: str):
     return value
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """A JSON number of ``kind``; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _string_list(config: dict, key: str, what: str, default=None) -> list[str]:
     if key not in config and default is not None:
         return list(default)
@@ -197,6 +202,7 @@ def _build_estimate_settings(config: dict) -> dict:
         raise InputError(f"{what}: unknown propensities {bad!r}")
 
     models = []
+    labels = set()
     for entry in config.get("models", []):
         if not isinstance(entry, dict) or "id" not in entry:
             raise InputError(f"{what}: each model needs an 'id'")
@@ -206,13 +212,14 @@ def _build_estimate_settings(config: dict) -> dict:
         weights = entry.get("weights")
         if weights not in _WEIGHT_IDS:
             raise InputError(f"{what}: unknown model weights {weights!r}")
-        models.append(
-            {
-                "id": mid,
-                "label": str(entry.get("label", mid)),
-                "weights": weights,
-            }
-        )
+        label = str(entry.get("label", mid))
+        if label in labels:
+            raise InputError(
+                f"{what}: two models are labelled {label!r}; give each "
+                "model a distinct 'label'"
+            )
+        labels.add(label)
+        models.append({"id": mid, "label": label, "weights": weights})
     if models and len(covariates) != 2:
         raise InputError(
             f"{what}: the regression models need exactly 2 'covariates', "
@@ -224,20 +231,18 @@ def _build_estimate_settings(config: dict) -> dict:
         )
 
     a_n = config.get("a_n")
-    if a_n is not None and (not isinstance(a_n, (int, float)) or a_n <= 0):
+    if a_n is not None and (not _is_number(a_n) or a_n <= 0):
         raise InputError(f"{what}: field 'a_n' must be a positive number")
     bandwidth = config.get("kernel_bandwidth")
-    if bandwidth is not None and (
-        not isinstance(bandwidth, (int, float)) or bandwidth <= 0
-    ):
+    if bandwidth is not None and (not _is_number(bandwidth) or bandwidth <= 0):
         raise InputError(
             f"{what}: field 'kernel_bandwidth' must be a positive number"
         )
     floor = config.get("floor", DEFAULT_FLOOR)
-    if not isinstance(floor, (int, float)) or not 0 < floor < 1:
+    if not _is_number(floor) or not 0 < floor < 1:
         raise InputError(f"{what}: field 'floor' must lie in (0, 1)")
     level = config.get("confidence_level", 0.95)
-    if not isinstance(level, (int, float)) or not 0 < level < 1:
+    if not _is_number(level) or not 0 < level < 1:
         raise InputError(
             f"{what}: field 'confidence_level' must lie strictly in (0, 1)"
         )
@@ -253,7 +258,7 @@ def _build_estimate_settings(config: dict) -> dict:
             "propensities"
         )
     seed = config.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_number(seed, int):
         raise InputError(f"{what}: field 'seed' must be an integer")
     scale_method = config.get("scale_method", "mad")
     if scale_method not in SCALE_METHODS:
@@ -547,7 +552,7 @@ def cmd_simulate(args) -> int:
     if targets is not None and not isinstance(targets, dict):
         raise InputError("simulate config: 'targets' must be an object")
     workers = config.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if not _is_number(workers, int) or workers < 1:
         raise InputError("simulate config: 'workers' must be a positive "
                          "integer")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "SCALE_METHODS",
     "estimate_ipw",
     "estimate_conv",
-    "conditional_cdf_kernel",
     "estimate_aipw",
     "functional_summary",
     "signed_cdf_sample",
@@ -108,8 +106,7 @@ def functional_summary(
         sfit = mad_scale(ws, normal_consistency=True)
     else:
         rho0 = scale_bisquare()
-        if sf.family in ("bisquare", "huber"):
-            check_score_pair(sf, rho0)
+        check_score_pair(sf, rho0)
         sfit = s_scale(ws, rho0, SCALE_B_TARGET)
     theta_m = m_location(ws, sf, sfit.scale)
     return FunctionalSummary(
@@ -233,40 +230,6 @@ def _spread(z_obs: np.ndarray, z_rows: np.ndarray, a_n: float, values):
     return out
 
 
-def conditional_cdf_kernel(
-    data: ObservedDataset, a_n: float
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Kernel estimate of the conditional CDF of y given z.
-
-    Returns G(y, z): the biweight-kernel weighted empirical CDF of the
-    complete-case responses local to z.  A query z with no complete case in
-    its kernel window falls back to the unconditional complete-case ECDF.
-    ``y`` may be scalar or vector; ``z`` is a single point.
-    """
-    if not a_n > 0:
-        raise ValueError("smoothing parameter a_n must be positive")
-    obs = data.delta == 1
-    if int(obs.sum()) < 1:
-        raise ValueError("need at least one complete case")
-    y_obs = data.y[obs]
-    z_obs = data.z[obs]
-    order = np.argsort(y_obs, kind="stable")
-    y_sorted = y_obs[order]
-
-    def cdf(y, z):
-        zq = np.asarray(z, dtype=float).reshape(1, -1)
-        if zq.shape[1] != z_obs.shape[1]:
-            raise ValueError("z has the wrong number of coordinates")
-        w = _spread(z_obs, zq, a_n, [1.0])[order]
-        cw = np.clip(np.concatenate(([0.0], np.cumsum(w))), 0.0, 1.0)
-        cw[-1] = 1.0
-        yq = np.asarray(y, dtype=float)
-        out = cw[np.searchsorted(y_sorted, yq, side="right")]
-        return float(out) if yq.ndim == 0 else out
-
-    return cdf
-
-
 def estimate_aipw(
     data: ObservedDataset,
     pf: PropensityFit,
@@ -280,10 +243,10 @@ def estimate_aipw(
     zeta_j = delta_j/pi_hat_j is the IPW part and varpi_j redistributes each
     row's IPW deficit 1 - zeta_i over the complete cases near z_i under the
     biweight kernel (rows with an empty kernel neighborhood spread their
-    deficit uniformly, matching the conditional-CDF fallback).  The
-    composite weights sum to n exactly but can be negative; negative entries
-    are floored at zero and the rest renormalized, with the signed originals
-    kept on the estimate.
+    deficit uniformly over the complete cases).  The composite weights sum
+    to n exactly but can be negative; negative entries are floored at zero
+    and the rest renormalized, with the signed originals kept on the
+    estimate.
     """
     if not a_n > 0:
         raise ValueError("smoothing parameter a_n must be positive")

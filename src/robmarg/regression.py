@@ -5,9 +5,10 @@ candidate with the smallest residual S-scale and polishes it by Gauss-Newton
 descent on that scale, then an M-step reweights with a wider bisquare at the
 fixed scale.  The search screens the candidates at the best scale found so
 far and solves only those whose scale could be smaller; all S-scales come
-from one batched, safeguarded Newton solver.  Two mean structures are
-supported, an exponential-plus-linear model in two variants and a plain
-linear model, plus an optional covariate downweighting hook for the M-step.
+from the package's one S-scale solver, ``scaleloc.residual_scales``.  Two
+mean structures are supported, an exponential-plus-linear model in two
+variants and a plain linear model, plus an optional covariate downweighting
+hook for the M-step.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import ObservedDataset
+from .scaleloc import residual_scales
 from .scores import SCALE_B_TARGET, location_bisquare, scale_bisquare
 
 __all__ = [
@@ -42,8 +44,6 @@ _M_TOL = 1e-8
 # Best candidate scale below this fraction of the response spread means the
 # model interpolates the data: no residual spread to standardize by.
 _DEGENERATE_REL = 1e-12
-_SCALE_ITER = 100
-_SCALE_TOL = 1e-10
 # Relative slack of the candidate screen's test mean rho0 <= b, so that a
 # candidate tied with the screening scale up to rounding is still solved.
 _SCREEN_SLACK = 1e-8
@@ -191,57 +191,6 @@ def _solve_step(a: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.zeros_like(g)
 
 
-def _residual_scales(resid: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Row-wise S-scale about zero (equal weights) of a (rows x m) matrix.
-
-    Solves mean rho0(r/s) = b for each row from ``start`` by safeguarded
-    Newton steps in s, s <- s (1 + (mean rho0(u) - b) / mean psi0(u) u).
-    The fixed-point step s <- s sqrt(mean rho0(u) / b) never overshoots the
-    root, so a Newton step is taken only when it lies inside the bracket
-    seen so far and goes at least as far as the fixed-point step.  Each row
-    stops on its own once its step is below 1e-10 relative, so a row's value
-    does not depend on the other rows.  A row scores 0.0 when its start is
-    zero or its residuals all vanish, and inf when it holds a non-finite
-    value.
-    """
-    out = np.full(resid.shape[0], np.inf)
-    finite = np.all(np.isfinite(resid), axis=1)
-    out[finite & (start <= 0.0)] = 0.0
-    active = np.flatnonzero(finite & (start > 0.0))
-    r = resid[active]
-    s = np.asarray(start, dtype=float)[active]
-    lo = np.zeros_like(s)
-    hi = np.full_like(s, np.inf)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_SCALE_ITER):
-            if active.size == 0:
-                break
-            u = r / s[:, None]
-            m_avg = np.mean(_RHO0.rho(u), axis=1)
-            slope = np.mean(_RHO0.psi(u) * u, axis=1)
-            below = m_avg > SCALE_B_TARGET  # s lies below the root
-            lo = np.where(below, s, lo)
-            hi = np.where(below, hi, s)
-            fixed = s * np.sqrt(np.maximum(m_avg, 0.0) / SCALE_B_TARGET)
-            newton = s * (1.0 + (m_avg - SCALE_B_TARGET) / slope)
-            usable = (slope > 0.0) & (newton > lo) & (newton < hi) & (
-                (newton > fixed) == below
-            )
-            s_new = np.where(usable, newton, fixed)
-            vanished = m_avg <= 0.0
-            s_new[vanished] = 0.0
-            done = vanished | (np.abs(s_new - s) <= _SCALE_TOL * s_new)
-            if done.any():
-                out[active[done]] = s_new[done]
-                keep = ~done
-                active, r = active[keep], r[keep]
-                s_new, lo, hi = s_new[keep], lo[keep], hi[keep]
-            s = s_new
-    out[active] = s
-    out[~np.isfinite(out)] = np.inf
-    return out
-
-
 def _screened_scales(resid: np.ndarray) -> tuple[np.ndarray, int]:
     """Candidate S-scales, solved only where they can be the smallest.
 
@@ -268,13 +217,13 @@ def _screened_scales(resid: np.ndarray) -> tuple[np.ndarray, int]:
     if not np.isfinite(med[pivot]):
         return scores, 0
     one = slice(pivot, pivot + 1)
-    scores[pivot] = _residual_scales(resid[one], med[one])[0]
+    scores[pivot] = residual_scales(resid[one], med[one])[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m_avg = np.mean(_RHO0.rho(resid / scores[pivot]), axis=1)
     survive = finite & (m_avg <= SCALE_B_TARGET * (1.0 + _SCREEN_SLACK))
     survive[pivot] = False
     rows = np.flatnonzero(survive)
-    scores[rows] = _residual_scales(resid[rows], med[rows])
+    scores[rows] = residual_scales(resid[rows], med[rows])
     return scores, rows.size + 1
 
 
@@ -407,7 +356,7 @@ def _polish(model, yc, xc, beta, s, floor):
             if np.all(np.isfinite(r_new)) and np.mean(
                 _RHO0.rho(r_new / s)
             ) < SCALE_B_TARGET:
-                s_new = _residual_scales(r_new[None, :], np.array([s]))[0]
+                s_new = residual_scales(r_new[None, :], np.array([s]))[0]
                 if s_new < s:
                     beta, s, accepted = cand, float(s_new), True
                     steps += 1

@@ -1,8 +1,10 @@
 """Weighted S-scale and M-location solvers.
 
-These are the two numerical kernels every marginal estimator is built from:
-the S-scale of a weighted sample (dispersion defined through a bounded rho,
+These are the numerical kernels every marginal estimator is built from: the
+S-scale of a weighted sample (dispersion defined through a bounded rho,
 minimized over location) and the M-location at a fixed scale.
+``residual_scales`` is the package's one S-scale solver at a fixed
+location; ``s_scale`` and the MM regression fit both solve through it.
 """
 
 from __future__ import annotations
@@ -12,17 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scores import ScoreFamily
+from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
 from .weighted import WeightedSample, serial_dot, weighted_quantile
 
-__all__ = ["ScaleFit", "s_scale", "m_location", "mad_scale", "check_score_pair"]
+__all__ = ["ScaleFit", "s_scale", "residual_scales", "m_location",
+           "mad_scale", "check_score_pair"]
 
 _logger = logging.getLogger(__name__)
+
+_RHO0 = scale_bisquare()
 
 _SCALE_TOL = 1e-9
 _LOC_TOL = 1e-10
 _SCALE_MAX_ITER = 200
 _LOC_MAX_ITER = 500
+_NEWTON_ITER = 100
+_NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,73 @@ def _positive_part(ws: WeightedSample) -> tuple[np.ndarray, np.ndarray]:
     return ws.atoms[keep], ws.weights[keep]
 
 
+def residual_scales(
+    resid: np.ndarray,
+    start: np.ndarray,
+    weights: np.ndarray | None = None,
+    rho0: ScoreFamily = _RHO0,
+    b: float = SCALE_B_TARGET,
+) -> np.ndarray:
+    """Row-wise S-scale about zero of a (rows x m) matrix of residuals.
+
+    Solves avg rho0(r/s) = b for each row from ``start`` by safeguarded
+    Newton steps in s, s <- s (1 + (avg rho0(u) - b) / avg psi0(u) u).  The
+    average is the plain mean, or the ``weights``-weighted mean over the
+    columns when they are given.  The fixed-point step
+    s <- s sqrt(avg rho0(u) / b) never overshoots the root, so a Newton
+    step is taken only when it lies inside the bracket seen so far and goes
+    at least as far as the fixed-point step.  Each row stops on its own
+    once its step is below 1e-10 relative, so a row's value does not depend
+    on the other rows.  A row scores 0.0 when its start is zero or its
+    residuals all vanish, and inf when it holds a non-finite value.
+    """
+    if weights is None:
+        def avg(v):
+            return np.mean(v, axis=1)
+    else:
+        total = float(weights.sum())
+
+        def avg(v):
+            return serial_dot(v, weights) / total
+
+    out = np.full(resid.shape[0], np.inf)
+    finite = np.all(np.isfinite(resid), axis=1)
+    out[finite & (start <= 0.0)] = 0.0
+    active = np.flatnonzero(finite & (start > 0.0))
+    r = resid[active]
+    s = np.asarray(start, dtype=float)[active]
+    lo = np.zeros_like(s)
+    hi = np.full_like(s, np.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_NEWTON_ITER):
+            if active.size == 0:
+                break
+            u = r / s[:, None]
+            m_avg = avg(rho0.rho(u))
+            slope = avg(rho0.psi(u) * u)
+            below = m_avg > b  # s lies below the root
+            lo = np.where(below, s, lo)
+            hi = np.where(below, hi, s)
+            fixed = s * np.sqrt(np.maximum(m_avg, 0.0) / b)
+            newton = s * (1.0 + (m_avg - b) / slope)
+            usable = (slope > 0.0) & (newton > lo) & (newton < hi) & (
+                (newton > fixed) == below
+            )
+            s_new = np.where(usable, newton, fixed)
+            vanished = m_avg <= 0.0
+            s_new[vanished] = 0.0
+            done = vanished | (np.abs(s_new - s) <= _NEWTON_TOL * s_new)
+            if done.any():
+                out[active[done]] = s_new[done]
+                keep = ~done
+                active, r = active[keep], r[keep]
+                s_new, lo, hi = s_new[keep], lo[keep], hi[keep]
+            s = s_new
+    out[active] = s
+    out[~np.isfinite(out)] = np.inf
+    return out
+
+
 def s_scale(ws: WeightedSample, rho0: ScoreFamily, b: float) -> ScaleFit:
     """S-scale of a weighted sample: the smallest dispersion over locations.
 
@@ -55,19 +129,17 @@ def s_scale(ws: WeightedSample, rho0: ScoreFamily, b: float) -> ScaleFit:
     rho0((y - a)/s) equals b and a minimizes s.  Alternates a damped
     fixed-point scale update, s^2 <- s^2 * avg_rho / b, with one weighted
     IRWLS location step using the rho0 weights, to joint relative tolerance
-    1e-9 or 200 iterations.  A final fixed-location polish tightens the
-    defining identity.
+    1e-9 or 200 iterations.  The scale is then solved at the final
+    location by ``residual_scales``, so the defining identity holds to
+    rounding.
 
     Raises
     ------
     ValueError
-        If all atoms coincide ("degenerate scale"), b is not in (0, 1), or
-        b is not below the supremum of rho0.
+        If all atoms coincide ("degenerate scale") or b is not in (0, 1).
     """
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie strictly between 0 and 1")
-    if b >= rho0.rho_sup:
-        raise ValueError("b must be below the supremum of rho0")
     y, w = _positive_part(ws)
     if y.size < 2 or np.all(y == y[0]):
         raise ValueError("degenerate scale")
@@ -98,43 +170,28 @@ def s_scale(ws: WeightedSample, rho0: ScoreFamily, b: float) -> ScaleFit:
             converged = True
             break
 
-    # Polish the scale at the final location so the defining identity
-    # avg rho0((y-a)/s) = b holds to well within the stated tolerance.
-    for _ in range(100):
-        m = float(serial_dot(w, rho0.rho((y - a) / s))) / sw
-        s_next = s * float(np.sqrt(m / b))
-        step = abs(s_next - s)
-        s = s_next
-        if step <= 1e-13 * s:
-            break
-
-    return ScaleFit(
-        scale=s, s_location=a, b=b, iterations=iterations, converged=converged
-    )
+    s = residual_scales((y - a)[None, :], np.array([s]), w, rho0, b)[0]
+    return ScaleFit(scale=float(s), s_location=a, b=b, iterations=iterations,
+                    converged=converged)
 
 
-def mad_scale(
-    ws: WeightedSample, c0: float = 1.0, normal_consistency: bool = False
-) -> ScaleFit:
+def mad_scale(ws: WeightedSample, normal_consistency: bool = False) -> ScaleFit:
     """Median-absolute-deviation preset of the S-scale.
 
-    For the indicator score rho*(t) = 1{|t| > c0} the S-scale has a closed
-    form, the weighted median of |y - med| divided by c0, so no iteration is
-    run.  With ``normal_consistency`` the result is additionally divided by
-    0.6745, making it consistent for the standard deviation at the normal
-    distribution; the default leaves the raw MAD.
+    For the indicator score rho*(t) = 1{|t| > 1} the S-scale has a closed
+    form, the weighted median of |y - med|, so no iteration is run.  With
+    ``normal_consistency`` the result is divided by 0.6745, making it
+    consistent for the standard deviation at the normal distribution; the
+    default leaves the raw MAD.
 
     Raises ``ValueError("degenerate scale")`` when the MAD is zero, which
     happens whenever at least half the weight sits on the (lower) median
     atom, e.g. atoms {-1, 1} with equal weights under the lower-median
     convention.
     """
-    if not c0 > 0:
-        raise ValueError("c0 must be positive")
     med = weighted_quantile(ws, 0.5)
     y, w = _positive_part(ws)
-    mad = float(weighted_quantile(WeightedSample(np.abs(y - med), w), 0.5))
-    scale = mad / c0
+    scale = float(weighted_quantile(WeightedSample(np.abs(y - med), w), 0.5))
     if normal_consistency:
         scale /= 0.6745
     if scale <= 0.0:
@@ -150,20 +207,14 @@ def m_location(
 ) -> float:
     """Weighted M-location of ``ws`` at a fixed scale.
 
-    For the bisquare and huber families this runs the IRWLS iteration
-    theta <- sum(W y)/sum(W) with W = w * psi(u)/u, u = (y - theta)/scale,
-    started at ``start`` (the weighted median when omitted, which for the
-    redescending bisquare selects the solution in the median's basin), to
-    absolute tolerance 1e-10 * scale or 500 iterations.  The absolute family
-    is the median and is answered by the weighted quantile directly; the
-    square family is the weighted mean.
+    Runs the IRWLS iteration theta <- sum(W y)/sum(W) with
+    W = w * psi(u)/u, u = (y - theta)/scale, started at ``start`` (the
+    weighted median when omitted, which for the redescending bisquare
+    selects the solution in the median's basin), to absolute tolerance
+    1e-10 * scale or 500 iterations.
     """
     if not scale > 0.0:
         raise ValueError("scale must be positive")
-    if rho.family == "absolute":
-        return float(weighted_quantile(ws, 0.5))
-    if rho.family == "square":
-        return ws.mean()
 
     y, w = _positive_part(ws)
     th = float(weighted_quantile(ws, 0.5)) if start is None else float(start)
@@ -186,12 +237,11 @@ def check_score_pair(rho: ScoreFamily, rho0: ScoreFamily) -> bool:
     """Warn unless the location score is dominated by the scale score.
 
     The location/scale pairing is only coherent when rho(u) <= rho0(u) for
-    all u.  Violations are logged, not raised.  Returns True when the pair
-    is dominated on the check grid.
+    all u.  The bisquare rho_c(u) = rho*(u/c) falls as c grows, so that
+    holds exactly when rho.c >= rho0.c.  Violations are logged, not raised.
+    Returns True when the pair is dominated.
     """
-    hi = 2.0 * max(rho.c, rho0.c, 1.0)
-    u = np.linspace(0.0, hi, 201)
-    ok = bool(np.all(rho.rho(u) <= rho0.rho(u) + 1e-12))
+    ok = bool(rho.c >= rho0.c)
     if not ok:
         _logger.warning(
             "location score is not dominated by the scale score; the "

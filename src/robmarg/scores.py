@@ -1,9 +1,10 @@
-"""Score-function families for M-estimation: rho, psi = rho', and psi'.
+"""Tukey's bisquare score: rho, psi = rho', psi' and the IRWLS weight.
 
-The bounded families are written in normalized form: rho_c(u) = rho*(u/c)
-where rho* has sup-norm 1, so a bisquare rho saturates at exactly 1 for
-|u| >= c.  Derivatives are closed form because the plug-in variance formulas
-need accurate psi'.
+rho is written in normalized form, rho_c(u) = rho*(u/c) with rho* of
+sup-norm 1, so it saturates at exactly 1 for |u| >= c.  Derivatives are
+closed form because the plug-in variance formulas need accurate psi'.  The
+package uses two tunings: c = 4.685 for the M-location and c0 = 1.54764
+(with b = 0.5) for the S-scale.
 """
 
 from __future__ import annotations
@@ -14,15 +15,12 @@ import numpy as np
 
 __all__ = [
     "ScoreFamily",
-    "score_eval",
     "location_bisquare",
     "scale_bisquare",
     "LOCATION_BISQUARE_C",
     "SCALE_BISQUARE_C0",
     "SCALE_B_TARGET",
 ]
-
-_FAMILIES = ("bisquare", "huber", "square", "absolute")
 
 # Constant registry.  The location constant gives the bisquare M-estimator
 # 95% efficiency relative to the mean under normality; the scale pair
@@ -41,118 +39,58 @@ def _match(u, out):
 
 @dataclass(frozen=True)
 class ScoreFamily:
-    """A rho-function with its derivatives.
+    """The bisquare rho-function with tuning constant ``c`` > 0, in
+    standardized-residual units, and its derivatives.
 
-    family : one of "bisquare", "huber", "square", "absolute"
-    c : positive tuning constant in standardized-residual units.  The square
-        and absolute families have no tuning constant and ignore ``c``.
+    np.where evaluates both branches, so saturation-side overflow for
+    extreme u is expected and discarded; each method silences it once.
     """
 
-    family: str
-    c: float = 1.0
+    c: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown score family: {self.family!r}")
         if not self.c > 0:
             raise ValueError("tuning constant c must be positive")
 
-    @property
-    def rho_sup(self) -> float:
-        """Supremum of rho (1 for bisquare, infinite otherwise)."""
-        return 1.0 if self.family == "bisquare" else np.inf
-
     def rho(self, u):
         u = np.asarray(u, dtype=float)
-        # np.where evaluates both branches, so saturation-side overflow for
-        # extreme u is expected and discarded; silence it here once.
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.family == "bisquare":
-                t2 = (u / self.c) ** 2
-                out = np.where(t2 < 1.0, t2 * (3.0 + t2 * (t2 - 3.0)), 1.0)
-            elif self.family == "huber":
-                a = np.abs(u) / self.c
-                out = np.where(a <= 1.0, a * a, 2.0 * a - 1.0)
-            elif self.family == "square":
-                out = u * u
-            else:
-                out = np.abs(u)
+            t2 = (u / self.c) ** 2
+            out = np.where(t2 < 1.0, t2 * (3.0 + t2 * (t2 - 3.0)), 1.0)
         return _match(u, out)
 
     def psi(self, u):
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.family == "bisquare":
-                t = u / self.c
-                t2 = t * t
-                out = np.where(
-                    t2 < 1.0, 6.0 * t * (1.0 - t2) ** 2 / self.c, 0.0
-                )
-            elif self.family == "huber":
-                t = u / self.c
-                out = (
-                    np.where(np.abs(t) <= 1.0, 2.0 * t, 2.0 * np.sign(t))
-                    / self.c
-                )
-            elif self.family == "square":
-                out = 2.0 * u
-            else:
-                out = np.sign(u)
+            t = u / self.c
+            t2 = t * t
+            out = np.where(t2 < 1.0, 6.0 * t * (1.0 - t2) ** 2 / self.c, 0.0)
         return _match(u, out)
 
     def psi_prime(self, u):
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.family == "bisquare":
-                t2 = (u / self.c) ** 2
-                out = np.where(
-                    t2 < 1.0,
-                    6.0 * (1.0 - t2) * (1.0 - 5.0 * t2) / self.c**2,
-                    0.0,
-                )
-            elif self.family == "huber":
-                t2 = (u / self.c) ** 2
-                out = np.where(t2 < 1.0, 2.0 / self.c**2, 0.0)
-            elif self.family == "square":
-                out = np.full_like(u, 2.0)
-            else:
-                # Subgradient convention: the absolute family reports
-                # psi' = 0 off the origin, and 0 at the origin as well.
-                out = np.zeros_like(u)
+            t2 = (u / self.c) ** 2
+            out = np.where(
+                t2 < 1.0, 6.0 * (1.0 - t2) * (1.0 - 5.0 * t2) / self.c**2, 0.0
+            )
         return _match(u, out)
 
     def weight(self, u):
-        """IRWLS weight psi(u)/u with the limit psi'(0) at u = 0.
-
-        Written in closed form per family so no 0/0 is ever evaluated.
-        """
+        """IRWLS weight psi(u)/u, in closed form so that no 0/0 is ever
+        evaluated; psi'(0) at u = 0."""
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.family == "bisquare":
-                t2 = (u / self.c) ** 2
-                out = np.where(t2 < 1.0, 6.0 * (1.0 - t2) ** 2 / self.c**2, 0.0)
-            elif self.family == "huber":
-                a = np.abs(u) / self.c
-                out = 2.0 / (self.c**2 * np.maximum(a, 1.0))
-            elif self.family == "square":
-                out = np.full_like(u, 2.0)
-            else:
-                out = np.where(
-                    u == 0.0, 0.0, 1.0 / np.maximum(np.abs(u), 1e-300)
-                )
+            t2 = (u / self.c) ** 2
+            out = np.where(t2 < 1.0, 6.0 * (1.0 - t2) ** 2 / self.c**2, 0.0)
         return _match(u, out)
-
-
-def score_eval(sf: ScoreFamily, u):
-    """Evaluate (rho, psi, psi') of ``sf`` at ``u`` in one call."""
-    return sf.rho(u), sf.psi(u), sf.psi_prime(u)
 
 
 def location_bisquare() -> ScoreFamily:
     """Bisquare location preset, c = 4.685."""
-    return ScoreFamily("bisquare", LOCATION_BISQUARE_C)
+    return ScoreFamily(LOCATION_BISQUARE_C)
 
 
 def scale_bisquare() -> ScoreFamily:
     """Bisquare S-scale preset, c0 = 1.54764 (pair with b = 0.5)."""
-    return ScoreFamily("bisquare", SCALE_BISQUARE_C0)
+    return ScoreFamily(SCALE_BISQUARE_C0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
@@ -216,6 +217,11 @@ class ScenarioConfig:
     functionals: tuple[str, ...] = FUNCTIONALS
 
     def __post_init__(self):
+        for name in ("n", "reps", "seed"):
+            value = getattr(self, name)
+            integral = isinstance(value, numbers.Integral)
+            if not integral or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if self.n < 20:

@@ -353,6 +353,32 @@ class TestEstimateInputErrors:
                 fragment, capsys,
             )
 
+    def test_duplicate_model_labels_rejected(self, tmp_path, capsys):
+        # Fits are keyed by label: a second "linear" would replace the
+        # first model's fit and the plain linear estimate would be lost.
+        models = [{"id": "linear"},
+                  {"id": "exp_linear_intercept", "label": "linear"}]
+        self.run_expecting_error(
+            tmp_path, toy_csv(tmp_path),
+            write_config(tmp_path, toy_config(models=models)),
+            "two models are labelled 'linear'; give each model a distinct "
+            "'label'", capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "field,fragment",
+        [("a_n", "'a_n' must be a positive number"),
+         ("kernel_bandwidth", "'kernel_bandwidth' must be a positive number"),
+         ("seed", "'seed' must be an integer")],
+        ids=["a_n", "kernel_bandwidth", "seed"],
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, field, fragment):
+        self.run_expecting_error(
+            tmp_path, toy_csv(tmp_path),
+            write_config(tmp_path, toy_config(**{field: True})),
+            fragment, capsys,
+        )
+
     @pytest.mark.parametrize("covariates", [["x1"], ["x1", "x2", "x3"]])
     def test_models_need_exactly_two_covariates(
         self, tmp_path, capsys, covariates
@@ -473,6 +499,34 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "scenario 'smoke'" in err
         assert "contamination" in err
+
+    @pytest.mark.parametrize(
+        "field,value", [("reps", 2.5), ("n", 50.5), ("seed", "x"), ("n", True)]
+    )
+    def test_non_integer_counts_are_input_errors(
+        self, tmp_path, capsys, field, value
+    ):
+        code = main(
+            ["simulate", "--config",
+             self.simulate_config(tmp_path, **{field: value}),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"scenario 'smoke': {field} must be an integer" in err
+
+    def test_boolean_workers_rejected(self, tmp_path, capsys):
+        self.simulate_config(tmp_path)
+        doc = json.loads((tmp_path / "sim.json").read_text())
+        doc["workers"] = True
+        code = main(
+            ["simulate", "--config", write_config(tmp_path, doc, "w.json"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "'workers' must be a positive integer" in (
+            capsys.readouterr().err
+        )
 
     def test_duplicate_ids_rejected(self, tmp_path, capsys):
         doc = {

@@ -19,7 +19,7 @@ from robmarg import cli
 from robmarg.dataset import ObservedDataset
 from robmarg.inference import plugin_var_ipw
 from robmarg.kernels import SortedWindow
-from robmarg.marginal import conditional_cdf_kernel, estimate_aipw
+from robmarg.marginal import _spread, estimate_aipw
 from robmarg.propensity import (
     auto_bandwidth,
     cv_bandwidth,
@@ -274,15 +274,15 @@ def test_aipw_weights_match_dense_shares(k, a_n):
 def test_conditional_cdf_matches_dense_shares(a_n):
     rng = np.random.default_rng(8)
     data = mar_dataset(np.round(rng.random((150, 1)), 2), seed=4)
-    cdf = conditional_cdf_kernel(data, a_n)
     obs = data.delta == 1
     y_obs = data.y[obs]
     ys = np.sort(y_obs)
     for zq in (0.3, 0.55, 5.0):  # 5.0 has an empty window
         w = dense_shares(data.z[obs], np.array([[zq]]), a_n)[:, 0]
         ref = np.array([w[y_obs <= y].sum() for y in ys])
-        np.testing.assert_allclose(cdf(ys, np.array([zq]))[:-1], ref[:-1],
-                                   rtol=0, atol=1e-12)
+        shares = _spread(data.z[obs], np.array([[zq]]), a_n, [1.0])
+        cdf = np.array([shares[y_obs <= y].sum() for y in ys])
+        np.testing.assert_allclose(cdf[:-1], ref[:-1], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robmarg import regression
+from robmarg import regression, scaleloc
 from robmarg.cli import _read_csv_columns
 from robmarg.dataset import ObservedDataset
 from robmarg.regression import (
@@ -587,10 +587,10 @@ class TestScreenedSearchMatchesDense:
         rng = np.random.default_rng(8)
         resid = rng.normal(0.0, 1.0, (6, 40)) * np.arange(1, 7)[:, None]
         start = np.median(np.abs(resid), axis=1)
-        batch = regression._residual_scales(resid, start)
+        batch = scaleloc.residual_scales(resid, start)
         for i in range(6):
             row = slice(i, i + 1)
-            one = regression._residual_scales(resid[row], start[row])
+            one = scaleloc.residual_scales(resid[row], start[row])
             assert one[0] == batch[i]
             assert np.mean(_RHO0.rho(resid[i] / batch[i])) == pytest.approx(
                 SCALE_B_TARGET, abs=1e-12

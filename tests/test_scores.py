@@ -1,4 +1,4 @@
-"""Tests for the score-function families."""
+"""Tests for the bisquare score."""
 
 import numpy as np
 import pytest
@@ -10,19 +10,14 @@ from robmarg import (
     ScoreFamily,
     location_bisquare,
     scale_bisquare,
-    score_eval,
 )
 
 
 class TestValidation:
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown score family"):
-            ScoreFamily("cauchy", 1.0)
-
     def test_nonpositive_c(self):
         for c in (0.0, -1.0):
             with pytest.raises(ValueError, match="positive"):
-                ScoreFamily("bisquare", c)
+                ScoreFamily(c)
 
 
 class TestBisquare:
@@ -30,18 +25,20 @@ class TestBisquare:
         # Taylor expansion of 3t^2 - 3t^4 + t^6 at t = u/c:
         # rho(0) = 0, psi(0) = 0, psi'(0) = 6/c^2
         for c in (1.0, 2.5, 4.685):
-            sf = ScoreFamily("bisquare", c)
-            assert score_eval(sf, 0.0) == (0.0, 0.0, pytest.approx(6.0 / c**2))
+            sf = ScoreFamily(c)
+            assert (sf.rho(0.0), sf.psi(0.0), sf.psi_prime(0.0)) == (
+                0.0, 0.0, pytest.approx(6.0 / c**2)
+            )
 
     def test_interior_value(self):
         # c=1, u=0.5: 3(0.25) - 3(0.0625) + 0.015625 = 0.578125
-        sf = ScoreFamily("bisquare", 1.0)
+        sf = ScoreFamily(1.0)
         assert sf.rho(0.5) == pytest.approx(0.578125, abs=1e-15)
 
     def test_saturation(self):
-        sf = ScoreFamily("bisquare", 4.685)
-        assert score_eval(sf, 10.0) == (1.0, 0.0, 0.0)
-        assert score_eval(sf, -10.0) == (1.0, 0.0, 0.0)
+        sf = ScoreFamily(4.685)
+        for u in (10.0, -10.0):
+            assert (sf.rho(u), sf.psi(u), sf.psi_prime(u)) == (1.0, 0.0, 0.0)
         assert sf.rho(4.685) == 1.0
 
     def test_bounded_between_zero_and_one(self):
@@ -52,43 +49,19 @@ class TestBisquare:
         assert np.all(r[np.abs(u) >= sf.c] == 1.0)
 
 
-class TestOtherFamilies:
-    def test_square(self):
-        sf = ScoreFamily("square")
-        assert score_eval(sf, 3.0) == (9.0, 6.0, 2.0)
-
-    def test_absolute(self):
-        sf = ScoreFamily("absolute")
-        assert score_eval(sf, -2.0) == (2.0, -1.0, 0.0)
-        assert sf.psi(0.0) == 0.0
-
-    def test_huber(self):
-        sf = ScoreFamily("huber", 1.0)
-        # inside: quadratic; outside: linear with slope 2/c
-        assert score_eval(sf, 0.5) == (0.25, 1.0, 2.0)
-        assert score_eval(sf, 2.0) == (3.0, 2.0, 0.0)
-        assert sf.psi(-2.0) == -2.0
-
-
 class TestPresets:
     def test_registry_constants(self):
         assert LOCATION_BISQUARE_C == 4.685
         assert SCALE_BISQUARE_C0 == 1.54764
         assert SCALE_B_TARGET == 0.5
-        assert location_bisquare() == ScoreFamily("bisquare", 4.685)
-        assert scale_bisquare() == ScoreFamily("bisquare", 1.54764)
+        assert location_bisquare() == ScoreFamily(4.685)
+        assert scale_bisquare() == ScoreFamily(1.54764)
 
 
 @pytest.mark.parametrize(
     "sf",
-    [
-        location_bisquare(),
-        scale_bisquare(),
-        ScoreFamily("huber", 1.345),
-        ScoreFamily("square"),
-        ScoreFamily("absolute"),
-    ],
-    ids=lambda sf: f"{sf.family}-{sf.c}",
+    [location_bisquare(), scale_bisquare()],
+    ids=lambda sf: f"bisquare-{sf.c}",
 )
 class TestSymmetry:
     def test_rho_even(self, sf):
@@ -106,8 +79,8 @@ class TestSymmetry:
 
 @pytest.mark.parametrize(
     "sf",
-    [location_bisquare(), scale_bisquare(), ScoreFamily("huber", 1.345)],
-    ids=lambda sf: f"{sf.family}-{sf.c}",
+    [location_bisquare(), scale_bisquare()],
+    ids=lambda sf: f"bisquare-{sf.c}",
 )
 def test_psi_matches_rho_derivative(sf):
     h = 1e-5
@@ -118,8 +91,8 @@ def test_psi_matches_rho_derivative(sf):
 
 @pytest.mark.parametrize(
     "sf",
-    [location_bisquare(), scale_bisquare(), ScoreFamily("huber", 2.0)],
-    ids=lambda sf: f"{sf.family}-{sf.c}",
+    [location_bisquare(), scale_bisquare()],
+    ids=lambda sf: f"bisquare-{sf.c}",
 )
 def test_irwls_weight_is_psi_over_u(sf):
     u = np.concatenate([np.linspace(-3 * sf.c, 3 * sf.c, 999), [1e-9]])

@@ -6,17 +6,23 @@ For each size n in ``SIZES`` it draws one benchmark sample
 (``generate_sample(n, 1)``: MH missingness, no contamination) and times,
 each after one untimed call:
 
-* ``REPEATS`` fits of each model with ``fit_mm`` at seed 0, split into the
-  S-search, the polish and the M-step by timing the private helpers of
-  ``robmarg.regression`` that run them; ``other_ms`` is the rest of the
-  call (input checks and bookkeeping); the record holds the median of each;
+* ``fit_mm`` for each model at seed 0, split into the S-search, the polish
+  and the M-step by timing the private helpers of ``robmarg.regression``
+  that run them; ``other_ms`` is the rest of the call (input checks and
+  bookkeeping);
 * the kernel layers (``KERNEL_LAYERS``): ``auto_bandwidth``, the kernel
   propensity's ``predict`` on all n rows, ``estimate_aipw`` at
   a_n = n^(-1/3), and ``plugin_var_ipw(variant="kernel")`` at the AIPW
   M-location and scale, all under the propensity fitted at the
-  cross-validated bandwidth; a sample repeats the call until it fills
-  ``SAMPLE_S``, samples go on for ``LAYER_S`` (at least ``REPEATS`` of
-  them), and the record holds the least time per call.
+  cross-validated bandwidth;
+* the summary layers (``SUMMARY_LAYERS``): ``functional_summary`` of the
+  conv estimate (``exp_linear`` model, logistic propensity) with the MAD
+  and with the S-scale.
+
+Every layer is timed the same way: a sample repeats the call until it
+fills ``SAMPLE_S``, samples go on for ``LAYER_S`` (at least ``REPEATS`` of
+them), and the record holds the least time per call, with the ``fit_mm``
+stage split taken from that same sample.
 
 The record also holds the fit's work counters, the fitted values, and short
 hashes of the outputs at 6 significant digits, so that two records can show
@@ -35,16 +41,16 @@ import json
 import math
 import os
 import platform
-import statistics
 import sys
 import time
+import warnings
 
 import numpy as np
 
 from robmarg import regression
 from robmarg.inference import plugin_var_ipw
-from robmarg.marginal import estimate_aipw
-from robmarg.propensity import auto_bandwidth, kernel_propensity
+from robmarg.marginal import estimate_aipw, estimate_conv, functional_summary
+from robmarg.propensity import auto_bandwidth, fit_logistic, kernel_propensity
 from robmarg.scores import location_bisquare
 from robmarg.simulation import generate_sample
 
@@ -68,6 +74,7 @@ SAMPLE_S = 0.05
 LAYER_S = 1.0
 KERNEL_LAYERS = ("auto_bandwidth", "kernel_predict", "estimate_aipw",
                  "plugin_var_ipw_kernel")
+SUMMARY_LAYERS = {"conv_summary_mad": "mad", "conv_summary_s": "s"}
 SF = location_bisquare()
 
 
@@ -94,24 +101,31 @@ def _hash(values) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _least_ms(call):
-    """Least time per call over the samples taken after an untimed call, and
-    the last call's result.  A sample runs the call as many times as fill
+def _least_ms(call, clock=None):
+    """Least time per call over the samples taken after an untimed call, the
+    time per call of each stage in ``clock`` during that sample, and the
+    last call's result.  A sample runs the call as many times as fill
     ``SAMPLE_S`` (at least once); sampling goes on for at least ``REPEATS``
     samples and ``LAYER_S`` seconds.  On a shared host the load comes and
     goes within seconds, and the least sample is the one it disturbed
     least."""
+    clock = {} if clock is None else clock
     start = time.perf_counter()
     result = call()
     number = max(1, math.ceil(SAMPLE_S / (time.perf_counter() - start)))
-    times = []
+    best, samples = None, 0
     begin = time.perf_counter()
-    while len(times) < REPEATS or time.perf_counter() - begin < LAYER_S:
+    while samples < REPEATS or time.perf_counter() - begin < LAYER_S:
+        for stage in clock:
+            clock[stage] = 0.0
         start = time.perf_counter()
         for _ in range(number):
             result = call()
-        times.append(1e3 * (time.perf_counter() - start) / number)
-    return round(min(times), 4), result
+        ms = 1e3 * (time.perf_counter() - start) / number
+        samples += 1
+        if best is None or ms < best[0]:
+            best = (ms, {k: 1e3 * v / number for k, v in clock.items()})
+    return round(best[0], 4), best[1], result
 
 
 def _kernel_outputs(layer: str, result) -> list[float]:
@@ -139,12 +153,36 @@ def bench_kernels() -> tuple[list[dict], str]:
                 data, pf, est.theta_m, est.scale, SF, variant="kernel"),
         }
         for layer in KERNEL_LAYERS:
-            ms, result = _least_ms(calls[layer])
+            ms, _, result = _least_ms(calls[layer])
             values = _kernel_outputs(layer, result)
             row = {"n": n, "layer": layer, "ms": ms,
                    "output_hash": _hash(values)}
             if len(values) <= 4:
                 row["outputs"] = values
+            rows.append(row)
+            digest.update(row["output_hash"].encode())
+            print(f"n={n:5d} {layer:36s} {ms:9.2f} ms", file=sys.stderr)
+    return rows, digest.hexdigest()[:16]
+
+
+def bench_summaries() -> tuple[list[dict], str]:
+    rows, digest = [], hashlib.sha256()
+    model = regression.exp_linear_model()
+    for n in SIZES:
+        data, _ = generate_sample(n, 1)
+        fit = regression.fit_mm(model, data, seed=0)
+        pf = fit_logistic(data.z, data.delta)
+        with warnings.catch_warnings():
+            # Past 2000 complete cases the conv grid is reduced, with a
+            # warning that is expected here.
+            warnings.simplefilter("ignore")
+            dist = estimate_conv(data, pf, model, fit, SF).distribution
+        for layer, method in SUMMARY_LAYERS.items():
+            ms, _, summ = _least_ms(
+                lambda: functional_summary(dist, SF, method))
+            values = [summ.scale, summ.mean, summ.median, summ.m_est]
+            row = {"n": n, "layer": layer, "atoms": dist.atoms.size,
+                   "ms": ms, "output_hash": _hash(values), "outputs": values}
             rows.append(row)
             digest.update(row["output_hash"].encode())
             print(f"n={n:5d} {layer:36s} {ms:9.2f} ms", file=sys.stderr)
@@ -159,31 +197,18 @@ def bench() -> dict:
         data, _ = generate_sample(n, 1)
         for name, (make_model, weights) in MODELS.items():
             model = make_model()
-            keys = ("fit", *STAGES, "other")
-            samples = {f"{key}_ms": [] for key in keys}
-            for rep in range(REPEATS + 1):
-                for stage in clock:
-                    clock[stage] = 0.0
-                start = time.perf_counter()
-                fit = regression.fit_mm(
-                    model, data, covariate_weights=weights, seed=0
-                )
-                total = time.perf_counter() - start
-                if rep == 0:
-                    continue
-                samples["fit_ms"].append(1e3 * total)
-                for stage in STAGES:
-                    samples[f"{stage}_ms"].append(1e3 * clock[stage])
-                samples["other_ms"].append(
-                    1e3 * (total - sum(clock.values()))
-                )
+            ms, split, fit = _least_ms(
+                lambda: regression.fit_mm(
+                    model, data, covariate_weights=weights, seed=0),
+                clock,
+            )
             values = [float(v) for v in fit.beta] + [fit.residual_scale]
             digest.update(" ".join("%.6g" % v for v in values).encode())
             row = {"n": n, "model": name, "complete_cases":
-                   fit.complete_case_count}
+                   fit.complete_case_count, "fit_ms": ms}
             row.update(
-                {k: round(statistics.median(v), 3) for k, v in samples.items()}
-            )
+                {f"{stage}_ms": round(split[stage], 4) for stage in STAGES})
+            row["other_ms"] = round(ms - sum(split.values()), 4)
             row.update({c: getattr(fit, c) for c in COUNTERS})
             row["beta"] = [float(v) for v in fit.beta]
             row["residual_scale"] = fit.residual_scale
@@ -194,6 +219,7 @@ def bench() -> dict:
                 file=sys.stderr,
             )
     kernel_rows, kernel_hash = bench_kernels()
+    summary_rows, summary_hash = bench_summaries()
     return {
         "repeats": REPEATS,
         "machine": {
@@ -206,6 +232,8 @@ def bench() -> dict:
         "fit_mm": rows,
         "kernel_output_hash": kernel_hash,
         "kernel_layers": kernel_rows,
+        "summary_output_hash": summary_hash,
+        "summary_layers": summary_rows,
     }
 
 
