@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -28,13 +29,7 @@ from .marginal import (
     estimate_conv,
     estimate_ipw,
 )
-from .propensity import (
-    DEFAULT_FLOOR,
-    auto_bandwidth,
-    constant_propensity,
-    fit_logistic,
-    kernel_propensity,
-)
+from .propensity import DEFAULT_FLOOR, fit_propensity
 from .regression import (
     exp_linear_model,
     fit_mm,
@@ -44,6 +39,7 @@ from .regression import (
 from .scores import location_bisquare
 from .simulation import (
     ESTIMATORS,
+    PUBLISHED_TARGETS,
     ScenarioConfig,
     run_scenario,
     target_values,
@@ -61,17 +57,77 @@ _MODEL_IDS = {
 _WEIGHT_IDS = {None: None, "hard_rejection": hard_rejection_weights}
 _CLI_PROPENSITIES = ("logistic", "kernel", "constant")
 
-_SCENARIO_FIELDS = {
-    "n",
-    "reps",
-    "seed",
-    "contamination",
-    "missing",
-    "propensity_method",
-    "regression_spec",
-    "estimators",
-    "functionals",
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """A JSON number of ``kind``; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _names(known=None):
+    """Test for a nonempty list of distinct strings, all in ``known``."""
+    return lambda v: (
+        isinstance(v, list) and v and all(isinstance(s, str) for s in v)
+        and len(set(v)) == len(v) and (known is None or set(v) <= set(known))
+    )
+
+
+# Field tables: name -> (default, test, message).  A missing field takes its
+# default, or is an error when the default is _REQUIRED; a given field must
+# pass its test (None: the value is checked elsewhere), or the error reads
+# "field NAME MESSAGE".  A name not in the table is an error.
+_REQUIRED = object()
+_NAME_LIST = (_REQUIRED, _names(),
+              "must be a nonempty list of distinct strings")
+_POSITIVE = (None, lambda v: v is None or (_is_number(v) and v > 0),
+             "must be a positive number")
+
+_ESTIMATE_FIELDS = {
+    "response": (_REQUIRED, lambda v: isinstance(v, str), "must be a string"),
+    "z": _NAME_LIST,
+    "covariates": _NAME_LIST,
+    "estimators": (ESTIMATORS, _names(ESTIMATORS),
+                   f"names unknown estimators or one twice; known: "
+                   f"{ESTIMATORS}"),
+    "propensities": (_CLI_PROPENSITIES, _names(_CLI_PROPENSITIES),
+                     f"names unknown propensities or one twice; known: "
+                     f"{_CLI_PROPENSITIES}"),
+    "models": ((), lambda v: isinstance(v, list), "must be a list"),
+    "a_n": _POSITIVE,
+    "kernel_bandwidth": _POSITIVE,
+    "floor": (DEFAULT_FLOOR, lambda v: _is_number(v) and 0 < v < 1,
+              "must lie in (0, 1)"),
+    "confidence_level": (0.95, lambda v: _is_number(v) and 0 < v < 1,
+                         "must lie strictly in (0, 1)"),
+    "jackknife": (True, lambda v: isinstance(v, bool), "must be a boolean"),
+    "jackknife_propensity": (None, None, ""),
+    "seed": (0, lambda v: _is_number(v, int), "must be an integer"),
+    "scale_method": ("mad", lambda v: v in SCALE_METHODS,
+                     f"must be one of {SCALE_METHODS}"),
 }
+_MODEL_FIELDS = {
+    "id": (_REQUIRED, lambda v: v in tuple(_MODEL_IDS),
+           f"names an unknown model id; known: {tuple(_MODEL_IDS)}"),
+    "label": (None, lambda v: isinstance(v, str), "must be a string"),
+    "weights": (None, lambda v: v in tuple(_WEIGHT_IDS),
+                f"names unknown model weights; known: {tuple(_WEIGHT_IDS)}"),
+}
+_SIMULATE_FIELDS = {
+    "scenarios": (_REQUIRED, lambda v: isinstance(v, list) and v,
+                  "must be a nonempty list"),
+    "targets": (None, lambda v: isinstance(v, dict), "must be an object"),
+    "workers": (1, lambda v: _is_number(v, int) and v >= 1,
+                "must be a positive integer"),
+}
+_TARGET_FIELDS = {
+    name: (value, _is_number, "must be a number")
+    for name, value in PUBLISHED_TARGETS.items()
+}
+# ScenarioConfig checks its own values.
+_SCENARIO_FIELDS = {
+    "id": (None, lambda v: isinstance(v, str) and v != "" and all(
+        ch.isalnum() or ch in "_-" for ch in v
+    ), "must use only letters, digits, '_' or '-'"),
+} | {f.name: (f.default, None, "") for f in dataclasses.fields(ScenarioConfig)}
 
 
 class InputError(ValueError):
@@ -156,100 +212,62 @@ def _read_csv_columns(path: str, columns: list[str]) -> dict[str, np.ndarray]:
     return {c: np.asarray(v, dtype=float) for c, v in values.items()}
 
 
-def _require(config: dict, key: str, kind, what: str):
-    if key not in config:
-        raise InputError(f"{what}: missing field {key!r}")
-    value = config[key]
-    if not isinstance(value, kind):
-        raise InputError(f"{what}: field {key!r} has the wrong type")
-    return value
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    """A JSON number of ``kind``; ``true`` and ``false`` are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _string_list(config: dict, key: str, what: str, default=None) -> list[str]:
-    if key not in config and default is not None:
-        return list(default)
-    value = _require(config, key, list, what)
-    if not value or not all(isinstance(v, str) for v in value):
-        raise InputError(f"{what}: field {key!r} must be a nonempty "
-                         "list of strings")
-    return value
+def _check(doc, table: dict, what: str) -> dict:
+    """The fields of ``doc`` after checking it against a field table."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be an object")
+    unknown = [key for key in doc if key not in table]
+    if unknown:
+        raise InputError(f"{what}: unknown field {unknown[0]!r}")
+    fields = {}
+    for key, (default, test, message) in table.items():
+        if key not in doc:
+            if default is _REQUIRED:
+                raise InputError(f"{what}: missing field {key!r}")
+            fields[key] = default
+        elif test is None or test(doc[key]):
+            fields[key] = doc[key]
+        else:
+            raise InputError(f"{what}: field {key!r} {message}")
+    return fields
 
 
 def _build_estimate_settings(config: dict) -> dict:
     what = "estimate config"
-    response = _require(config, "response", str, what)
-    z_names = _string_list(config, "z", what)
-    covariates = _string_list(config, "covariates", what)
-    for name in z_names:
+    settings = _check(config, _ESTIMATE_FIELDS, what)
+    models = settings["models"] = [
+        _check(entry, _MODEL_FIELDS, f"{what}: model #{k + 1}")
+        for k, entry in enumerate(settings["models"])
+    ]
+    labels = set()
+    for model in models:
+        if model["label"] is None:
+            model["label"] = model["id"]
+        if model["label"] in labels:
+            raise InputError(
+                f"{what}: two models are labelled {model['label']!r}; give "
+                "each model a distinct 'label'"
+            )
+        labels.add(model["label"])
+    covariates = settings["covariates"]
+    for name in settings["z"]:
         if name not in covariates:
             raise InputError(
                 f"{what}: z column {name!r} is not in 'covariates'"
             )
-    estimators = _string_list(config, "estimators", what, default=ESTIMATORS)
-    bad = [e for e in estimators if e not in ESTIMATORS]
-    if bad:
-        raise InputError(f"{what}: unknown estimators {bad!r}")
-    propensities = _string_list(
-        config, "propensities", what, default=_CLI_PROPENSITIES
-    )
-    bad = [p for p in propensities if p not in _CLI_PROPENSITIES]
-    if bad:
-        raise InputError(f"{what}: unknown propensities {bad!r}")
-
-    models = []
-    labels = set()
-    for entry in config.get("models", []):
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise InputError(f"{what}: each model needs an 'id'")
-        mid = entry["id"]
-        if mid not in _MODEL_IDS:
-            raise InputError(f"{what}: unknown model id {mid!r}")
-        weights = entry.get("weights")
-        if weights not in _WEIGHT_IDS:
-            raise InputError(f"{what}: unknown model weights {weights!r}")
-        label = str(entry.get("label", mid))
-        if label in labels:
-            raise InputError(
-                f"{what}: two models are labelled {label!r}; give each "
-                "model a distinct 'label'"
-            )
-        labels.add(label)
-        models.append({"id": mid, "label": label, "weights": weights})
     if models and len(covariates) != 2:
         raise InputError(
             f"{what}: the regression models need exactly 2 'covariates', "
             f"got {len(covariates)}"
         )
+    estimators = settings["estimators"]
     if "conv" in estimators and not models:
         raise InputError(
             f"{what}: the conv estimator needs at least one entry in 'models'"
         )
-
-    a_n = config.get("a_n")
-    if a_n is not None and (not _is_number(a_n) or a_n <= 0):
-        raise InputError(f"{what}: field 'a_n' must be a positive number")
-    bandwidth = config.get("kernel_bandwidth")
-    if bandwidth is not None and (not _is_number(bandwidth) or bandwidth <= 0):
-        raise InputError(
-            f"{what}: field 'kernel_bandwidth' must be a positive number"
-        )
-    floor = config.get("floor", DEFAULT_FLOOR)
-    if not _is_number(floor) or not 0 < floor < 1:
-        raise InputError(f"{what}: field 'floor' must lie in (0, 1)")
-    level = config.get("confidence_level", 0.95)
-    if not _is_number(level) or not 0 < level < 1:
-        raise InputError(
-            f"{what}: field 'confidence_level' must lie strictly in (0, 1)"
-        )
-    jackknife = config.get("jackknife", True)
-    if not isinstance(jackknife, bool):
-        raise InputError(f"{what}: field 'jackknife' must be a boolean")
-    jk_prop = config.get("jackknife_propensity")
+    settings["estimators"] = [e for e in ESTIMATORS if e in estimators]
+    propensities = settings["propensities"]
+    jk_prop = settings["jackknife_propensity"]
     if jk_prop is None:
         jk_prop = "kernel" if "kernel" in propensities else propensities[0]
     if jk_prop not in propensities:
@@ -257,31 +275,8 @@ def _build_estimate_settings(config: dict) -> dict:
             f"{what}: 'jackknife_propensity' must be one of the requested "
             "propensities"
         )
-    seed = config.get("seed", 0)
-    if not _is_number(seed, int):
-        raise InputError(f"{what}: field 'seed' must be an integer")
-    scale_method = config.get("scale_method", "mad")
-    if scale_method not in SCALE_METHODS:
-        raise InputError(
-            f"{what}: field 'scale_method' must be one of {SCALE_METHODS!r}"
-        )
-
-    return {
-        "response": response,
-        "z": z_names,
-        "covariates": covariates,
-        "estimators": [e for e in ESTIMATORS if e in estimators],
-        "propensities": propensities,
-        "models": models,
-        "a_n": a_n,
-        "kernel_bandwidth": bandwidth,
-        "floor": float(floor),
-        "confidence_level": float(level),
-        "jackknife": jackknife,
-        "jackknife_propensity": jk_prop,
-        "seed": seed,
-        "scale_method": scale_method,
-    }
+    settings["jackknife_propensity"] = jk_prop
+    return settings
 
 
 def _build_dataset(table: dict[str, np.ndarray], settings: dict) -> ObservedDataset:
@@ -300,17 +295,6 @@ def _build_dataset(table: dict[str, np.ndarray], settings: dict) -> ObservedData
         return ObservedDataset(y=y, x=x, z_index=z_index, delta=delta)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _fit_cli_propensity(method: str, data: ObservedDataset, settings: dict):
-    if method == "logistic":
-        return fit_logistic(data.z, data.delta, floor=settings["floor"])
-    if method == "kernel":
-        b_n = settings["kernel_bandwidth"]
-        if b_n is None:
-            b_n = auto_bandwidth(data.z, data.delta)
-        return kernel_propensity(data.z, data.delta, b_n, floor=settings["floor"])
-    return constant_propensity(data.delta, floor=settings["floor"])
 
 
 def _fit_model(spec: dict, data: ObservedDataset, settings: dict):
@@ -340,21 +324,18 @@ def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
         a_n = data.n ** (-1.0 / 3.0)
     settings["a_n_resolved"] = a_n
 
-    fits = {m["label"]: _fit_model(m, data, settings) for m in settings["models"]}
-    # Each propensity fit is deterministic, so one per dataset serves every
-    # estimator and model.
+    # Each fit is deterministic, so one per dataset serves every estimator
+    # and model.
+    models = settings["models"] if "conv" in settings["estimators"] else []
+    fits = {m["label"]: _fit_model(m, data, settings) for m in models}
     pfs = {
-        prop: _fit_cli_propensity(prop, data, settings)
+        prop: fit_propensity(prop, data.z, data.delta, settings["floor"],
+                             settings["kernel_bandwidth"])
         for prop in settings["propensities"]
     }
     entries = []
     for est_name in settings["estimators"]:
-        variants = (
-            [m["label"] for m in settings["models"]]
-            if est_name == "conv"
-            else [None]
-        )
-        for label in variants:
+        for label in list(fits) if est_name == "conv" else [None]:
             for prop in settings["propensities"]:
                 est = _estimate(est_name, data, pfs[prop], settings,
                                 fits.get(label))
@@ -382,42 +363,38 @@ def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
     return entries
 
 
-def _jackknife_theta(entry: dict, settings: dict):
-    """Closure recomputing the entry's M-location on a leave-one-out dataset."""
-    spec = next(
-        (m for m in settings["models"] if m["label"] == entry["model"]), None
-    )
-
-    def rerun(d: ObservedDataset) -> float:
-        pf = _fit_cli_propensity(entry["propensity"], d, settings)
-        model_fit = _fit_model(spec, d, settings) if spec else None
-        return _estimate(entry["estimator"], d, pf, settings, model_fit).theta_m
-
-    return rerun
-
-
 def _attach_jackknife(
     entries: list[dict], data: ObservedDataset, settings: dict
 ) -> None:
     """Jackknife SE and CI for each estimator under the designated propensity.
 
     The convolution estimator is jackknifed under its first configured
-    model only; the others have exactly one variant.
+    model only; the others have exactly one variant.  Each leave-one-out
+    dataset is estimated once for all of them, with the full data's a_n,
+    so one propensity fit and one model fit serve every jackknifed entry.
     """
     if not settings["jackknife"]:
         return
-    jk_prop = settings["jackknife_propensity"]
-    first_label = settings["models"][0]["label"] if settings["models"] else None
-    for entry in entries:
-        if entry["propensity"] != jk_prop:
-            continue
-        if entry["estimator"] == "conv" and entry["model"] != first_label:
-            continue
-        ve = jackknife_se(_jackknife_theta(entry, settings), data)
+    rerun = dict(
+        settings,
+        a_n=settings["a_n_resolved"],
+        propensities=[settings["jackknife_propensity"]],
+        models=settings["models"][:1],
+    )
+    labels = [None] + [m["label"] for m in rerun["models"]]
+    jackknifed = [
+        e for e in entries
+        if e["propensity"] in rerun["propensities"] and e["model"] in labels
+    ]
+    ve = jackknife_se(
+        lambda d: [e["theta_m"] for e in _estimate_entries(d, rerun)], data
+    )
+    for entry, se in zip(jackknifed, ve.se):
         lo, hi = confidence_interval(
-            entry["theta_m"], ve, settings["confidence_level"]
+            entry["theta_m"], dataclasses.replace(ve, se=se),
+            settings["confidence_level"],
         )
-        entry["se"] = ve.se
+        entry["se"] = se
         entry["ci"] = [lo, hi]
         entry["jackknife_n"] = ve.n_effective
 
@@ -500,43 +477,16 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _parse_scenarios(config: dict) -> list[tuple[str, ScenarioConfig]]:
+def _parse_scenarios(scenarios: list) -> list[tuple[str, ScenarioConfig]]:
     what = "simulate config"
-    scenarios = config.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        raise InputError(f"{what}: 'scenarios' must be a nonempty list")
     parsed = []
     seen = set()
     for k, entry in enumerate(scenarios):
-        if not isinstance(entry, dict):
-            raise InputError(f"{what}: scenario #{k + 1} must be an object")
-        sid = entry.get("id", f"scenario{k + 1}")
-        if not isinstance(sid, str) or not sid or not all(
-            ch.isalnum() or ch in "_-" for ch in sid
-        ):
-            raise InputError(
-                f"{what}: scenario #{k + 1} field 'id' must use only "
-                "letters, digits, '_' or '-'"
-            )
+        fields = _check(entry, _SCENARIO_FIELDS, f"{what}: scenario #{k + 1}")
+        sid = fields.pop("id") or f"scenario{k + 1}"
         if sid in seen:
             raise InputError(f"{what}: duplicate scenario id {sid!r}")
         seen.add(sid)
-        fields = {}
-        for key, value in entry.items():
-            if key == "id":
-                continue
-            if key not in _SCENARIO_FIELDS:
-                raise InputError(
-                    f"{what}: scenario {sid!r}: unknown field {key!r}"
-                )
-            if key in ("estimators", "functionals"):
-                if not isinstance(value, list):
-                    raise InputError(
-                        f"{what}: scenario {sid!r}: field {key!r} must be "
-                        "a list"
-                    )
-                value = tuple(value)
-            fields[key] = value
         try:
             cfg = ScenarioConfig(**fields)
         except (TypeError, ValueError) as exc:
@@ -546,15 +496,12 @@ def _parse_scenarios(config: dict) -> list[tuple[str, ScenarioConfig]]:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_json(args.config, "simulate config")
-    scenarios = _parse_scenarios(config)
-    targets = config.get("targets")
-    if targets is not None and not isinstance(targets, dict):
-        raise InputError("simulate config: 'targets' must be an object")
-    workers = config.get("workers", 1)
-    if not _is_number(workers, int) or workers < 1:
-        raise InputError("simulate config: 'workers' must be a positive "
-                         "integer")
+    what = "simulate config"
+    config = _check(_load_json(args.config, what), _SIMULATE_FIELDS, what)
+    scenarios = _parse_scenarios(config["scenarios"])
+    targets = _check(config["targets"] or {}, _TARGET_FIELDS,
+                     f"{what}: 'targets'")
+    workers = config["workers"]
 
     os.makedirs(args.out, exist_ok=True)
     combined = StringIO()

@@ -44,14 +44,15 @@ _JACKKNIFE_WARN_S = 60.0
 class VarianceEstimate:
     """A standard error in response units with its provenance."""
 
-    se: float
+    se: float | tuple[float, ...]
     method: str
     n_effective: int
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown variance method: {self.method!r}")
-        if not (np.isfinite(self.se) and self.se >= 0.0):
+        se = np.asarray(self.se, dtype=float)
+        if not (np.all(np.isfinite(se)) and np.all(se >= 0.0)):
             raise ValueError("se must be finite and nonnegative")
         if self.n_effective < 1:
             raise ValueError("n_effective must be at least 1")
@@ -73,14 +74,16 @@ def jackknife_se(
 ) -> VarianceEstimate:
     """Leave-one-out jackknife standard error of a full pipeline.
 
-    ``estimator`` maps a dataset to a scalar and is recomputed on each of
-    the n delete-one datasets, so every data-dependent stage (propensity
-    fit, regression fit, scale) contributes to the spread.  A leave-one-out
-    replicate that raises is skipped; more than 5% skipped draws a warning.
-    The first refit is timed, and a warning gives the projected total when
-    n times that time exceeds 60 s.
+    ``estimator`` maps a dataset to a scalar, or to a vector of estimates,
+    and is recomputed on each of the n delete-one datasets, so every
+    data-dependent stage (propensity fit, regression fit, scale) contributes
+    to the spread.  A leave-one-out replicate that raises is skipped for
+    every component; more than 5% skipped draws a warning.  The first refit
+    is timed, and a warning gives the projected total when n times that time
+    exceeds 60 s.
     se = sqrt(((m-1)/m) * sum (theta_(i) - mean)^2) over the m retained
-    replicates.
+    replicates, for each component; a vector estimator gets a tuple of them
+    with the one shared m.
     """
     n = data.n
     values = []
@@ -88,8 +91,11 @@ def jackknife_se(
     start = perf_counter()
     for i in range(n):
         try:
-            reduced = _drop_row(data, i)
-            values.append(float(estimator(reduced)))
+            theta = estimator(_drop_row(data, i))
+            values.append(
+                float(theta) if np.ndim(theta) == 0
+                else tuple(float(v) for v in theta)
+            )
         except Exception:
             failures += 1
         if i == 0:
@@ -110,9 +116,16 @@ def jackknife_se(
             f"jackknife skipped {failures} of {n} leave-one-out fits",
             stacklevel=2,
         )
-    center = math.fsum(values) / m
-    ss = math.fsum((v - center) ** 2 for v in values)
-    se = math.sqrt((m - 1) / m * ss)
+
+    def spread(column) -> float:
+        center = math.fsum(column) / m
+        ss = math.fsum((v - center) ** 2 for v in column)
+        return math.sqrt((m - 1) / m * ss)
+
+    if isinstance(values[0], tuple):
+        se = tuple(spread(column) for column in zip(*values))
+    else:
+        se = spread(values)
     return VarianceEstimate(se=se, method="jackknife", n_effective=m)
 
 

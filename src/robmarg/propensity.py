@@ -22,6 +22,7 @@ __all__ = [
     "kernel_propensity",
     "cv_bandwidth",
     "auto_bandwidth",
+    "fit_propensity",
     "constant_propensity",
     "known_propensity",
     "DEFAULT_FLOOR",
@@ -299,3 +300,23 @@ def auto_bandwidth(z, delta) -> float:
     spread = max(float(np.std(zm[:, 0])), 1e-8)
     grid = spread * n ** (-0.2) * np.geomspace(0.3, 3.0, 8)
     return cv_bandwidth(zm, delta, grid)
+
+
+def fit_propensity(
+    method: str,
+    z,
+    delta,
+    floor: float = DEFAULT_FLOOR,
+    bandwidth: float | None = None,
+) -> PropensityFit:
+    """Fit the propensity named by ``method``: "logistic", "kernel" (at
+    ``bandwidth``, or at ``auto_bandwidth`` when it is None) or "constant"."""
+    if method == "logistic":
+        return fit_logistic(z, delta, floor=floor)
+    if method == "kernel":
+        if bandwidth is None:
+            bandwidth = auto_bandwidth(z, delta)
+        return kernel_propensity(z, delta, bandwidth, floor=floor)
+    if method == "constant":
+        return constant_propensity(delta, floor=floor)
+    raise ValueError(f"unknown propensity method: {method!r}")

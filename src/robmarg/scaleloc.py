@@ -136,13 +136,19 @@ def s_scale(ws: WeightedSample, rho0: ScoreFamily, b: float) -> ScaleFit:
     Raises
     ------
     ValueError
-        If all atoms coincide ("degenerate scale") or b is not in (0, 1).
+        If b is not in (0, 1), or "degenerate scale" if one atom value
+        carries at least 1 - b of the weight: at that location avg rho0
+        stays at most b for every s, so the smallest dispersion is 0.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie strictly between 0 and 1")
-    y, w = _positive_part(ws)
-    if y.size < 2 or np.all(y == y[0]):
+    # The weight share of each distinct atom value, read off the sorted
+    # table that the median below uses too.
+    sa, cw = ws._sorted
+    shares = np.diff(cw[np.append(sa[1:] != sa[:-1], True)], prepend=0.0)
+    if shares.max() >= 1.0 - b:
         raise ValueError("degenerate scale")
+    y, w = _positive_part(ws)
     sw = float(w.sum())
 
     a = weighted_quantile(ws, 0.5)

@@ -25,14 +25,7 @@ from .marginal import (
     estimate_ipw,
     functional_summary,
 )
-from .propensity import (
-    PropensityFit,
-    auto_bandwidth,
-    constant_propensity,
-    fit_logistic,
-    kernel_propensity,
-    known_propensity,
-)
+from .propensity import PropensityFit, fit_propensity, known_propensity
 from .regression import exp_linear_model, fit_mm, linear_model
 from .scores import ScoreFamily, location_bisquare
 from .weighted import WeightedSample
@@ -217,6 +210,9 @@ class ScenarioConfig:
     functionals: tuple[str, ...] = FUNCTIONALS
 
     def __post_init__(self):
+        for name in ("estimators", "functionals"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list")
         for name in ("n", "reps", "seed"):
             value = getattr(self, name)
             integral = isinstance(value, numbers.Integral)
@@ -345,12 +341,7 @@ def _classical(y: np.ndarray, sf: ScoreFamily) -> FunctionalSummary:
 def _fit_propensity(cfg: ScenarioConfig, data: ObservedDataset) -> PropensityFit:
     if cfg.propensity_method == "true_p":
         return true_propensity(cfg.missing)
-    if cfg.propensity_method == "logistic":
-        return fit_logistic(data.z, data.delta)
-    if cfg.propensity_method == "kernel":
-        b_n = auto_bandwidth(data.z, data.delta)
-        return kernel_propensity(data.z, data.delta, b_n)
-    return constant_propensity(data.delta)
+    return fit_propensity(cfg.propensity_method, data.z, data.delta)
 
 
 def _one_rep(cfg: ScenarioConfig, j: int, sf: ScoreFamily) -> dict:

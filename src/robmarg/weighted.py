@@ -156,17 +156,18 @@ def weighted_quantile(ws: WeightedSample, q) -> float | np.ndarray:
 def kolmogorov_distance(ws1: WeightedSample, ws2: WeightedSample) -> float:
     """Sup-distance between the CDFs of two weighted samples.
 
-    The supremum of |F1 - F2| over the whole line is attained either at an
-    atom of one of the samples or immediately to its left, so it suffices to
-    compare the two CDFs at every atom of both samples and at the left limits
-    there.
+    Between consecutive atoms of one sample its CDF is constant and the
+    other CDF is monotone, so |F1 - F2| is largest at an end of each such
+    interval: at an atom or at the left limit there.  It suffices to compare
+    the two CDFs at the atoms of the sample with fewer atoms and at the left
+    limits there.
     """
     sa1, pad1 = ws1._cdf_table
     sa2, pad2 = ws2._cdf_table
+    pts = sa1 if sa1.size <= sa2.size else sa2
     d = 0.0
-    for pts in (sa1, sa2):
-        for side in ("right", "left"):
-            f1 = pad1[np.searchsorted(sa1, pts, side=side)]
-            f2 = pad2[np.searchsorted(sa2, pts, side=side)]
-            d = max(d, float(np.max(np.abs(f1 - f2))))
+    for side in ("right", "left"):
+        f1 = pad1[np.searchsorted(sa1, pts, side=side)]
+        f2 = pad2[np.searchsorted(sa2, pts, side=side)]
+        d = max(d, float(np.max(np.abs(f1 - f2))))
     return d

@@ -6,8 +6,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from robmarg import cli
+from robmarg import cli, propensity
 from robmarg.cli import main
+from robmarg.inference import confidence_interval, jackknife_se
 
 DATA_DIR = resources.files("robmarg") / "data"
 AIRQ = str(DATA_DIR / "airquality.csv")
@@ -48,6 +49,55 @@ def toy_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def settings_and_data(config, path):
+    settings = cli._build_estimate_settings(config)
+    columns = [settings["response"]] + [
+        c for c in settings["covariates"] if c != settings["response"]
+    ]
+    return settings, cli._build_dataset(
+        cli._read_csv_columns(path, columns), settings
+    )
+
+
+def reference_attach_jackknife(entries, data, settings):
+    """The jackknife as it ran before one leave-one-out pass served every
+    entry: each jackknifed entry refits its own propensity and model on
+    every leave-one-out dataset, and skips the sets where it alone fails."""
+    jk_prop = settings["jackknife_propensity"]
+    first_label = settings["models"][0]["label"] if settings["models"] else None
+
+    def jackknife_theta(entry):
+        spec = next(
+            (m for m in settings["models"] if m["label"] == entry["model"]),
+            None,
+        )
+
+        def rerun(d):
+            pf = propensity.fit_propensity(
+                entry["propensity"], d.z, d.delta, settings["floor"],
+                settings["kernel_bandwidth"],
+            )
+            model_fit = cli._fit_model(spec, d, settings) if spec else None
+            return cli._estimate(
+                entry["estimator"], d, pf, settings, model_fit
+            ).theta_m
+
+        return rerun
+
+    for entry in entries:
+        if entry["propensity"] != jk_prop:
+            continue
+        if entry["estimator"] == "conv" and entry["model"] != first_label:
+            continue
+        ve = jackknife_se(jackknife_theta(entry), data)
+        lo, hi = confidence_interval(
+            entry["theta_m"], ve, settings["confidence_level"]
+        )
+        entry["se"] = ve.se
+        entry["ci"] = [lo, hi]
+        entry["jackknife_n"] = ve.n_effective
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +203,44 @@ class TestEstimateJackknife:
             assert e["se"] > 0
             assert e["jackknife_n"] == 153
 
+    @pytest.mark.parametrize("case", ["ozone", "toy"])
+    def test_one_pass_matches_per_entry_jackknife(self, tmp_path, case):
+        if case == "ozone":
+            config = dict(OZONE_CONFIG, propensities=["constant"],
+                          jackknife_propensity="constant")
+            path = AIRQ
+        else:
+            config = toy_config(a_n=None, jackknife=True)
+            path = toy_csv(tmp_path)
+        settings, data = settings_and_data(config, path)
+        entries = cli._estimate_entries(data, settings)
+        expected = [dict(e) for e in entries]
+        reference_attach_jackknife(expected, data, settings)
+        cli._attach_jackknife(entries, data, settings)
+        assert sum(e["se"] is not None for e in entries) == 3
+        for got, want in zip(entries, expected):
+            for field in ("se", "ci", "jackknife_n"):
+                assert got[field] == want[field]
+
+    def test_failed_set_is_skipped_for_every_entry(self, tmp_path,
+                                                   monkeypatch):
+        settings, data = settings_and_data(
+            toy_config(jackknife=True), toy_csv(tmp_path)
+        )
+        entries = cli._estimate_entries(data, settings)
+        real = cli.estimate_conv
+        calls = []
+
+        def fails_once(d, *args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise ValueError("no convergence")
+            return real(d, *args)
+
+        monkeypatch.setattr(cli, "estimate_conv", fails_once)
+        cli._attach_jackknife(entries, data, settings)
+        assert [e["jackknife_n"] for e in entries] == [data.n - 1] * 3
+
 
 class TestPropensityFitPerDataset:
     def test_one_fit_serves_every_entry(self, monkeypatch):
@@ -164,13 +252,13 @@ class TestPropensityFitPerDataset:
         ]
         data = cli._build_dataset(cli._read_csv_columns(AIRQ, columns), settings)
         calls = []
-        real = cli.auto_bandwidth
+        real = propensity.auto_bandwidth
 
         def counted(z, delta):
             calls.append(1)
             return real(z, delta)
 
-        monkeypatch.setattr(cli, "auto_bandwidth", counted)
+        monkeypatch.setattr(propensity, "auto_bandwidth", counted)
         entries = cli._estimate_entries(data, settings)
         assert "kernel" in settings["propensities"]
         assert len(calls) == 1
@@ -379,6 +467,31 @@ class TestEstimateInputErrors:
             fragment, capsys,
         )
 
+    @pytest.mark.parametrize(
+        "overrides,fragment",
+        [({"jacknife": False}, "unknown field 'jacknife'"),
+         ({"scale_methd": "s"}, "unknown field 'scale_methd'"),
+         ({"models": [{"id": "linear", "wieghts": "hard_rejection"}]},
+          "model #1: unknown field 'wieghts'"),
+         ({"propensities": ["constant", "constant"]},
+          "field 'propensities'"),
+         ({"models": [{"id": "linear", "label": 5}]},
+          "model #1: field 'label' must be a string"),
+         ({"estimators": ["ipw", "aipw", "ipw"]}, "field 'estimators'"),
+         ({"z": ["x1", "x1"]}, "field 'z'"),
+         ({"covariates": ["x1", "x2", "x1"]}, "field 'covariates'")],
+        ids=["jacknife", "scale_methd", "wieghts", "repeated_propensity",
+             "numeric_label", "repeated_estimator", "repeated_z",
+             "repeated_covariate"],
+    )
+    def test_bad_config_names_field(self, tmp_path, capsys, overrides,
+                                    fragment):
+        self.run_expecting_error(
+            tmp_path, toy_csv(tmp_path),
+            write_config(tmp_path, toy_config(**overrides)),
+            fragment, capsys,
+        )
+
     @pytest.mark.parametrize("covariates", [["x1"], ["x1", "x2", "x3"]])
     def test_models_need_exactly_two_covariates(
         self, tmp_path, capsys, covariates
@@ -527,6 +640,27 @@ class TestSimulate:
         assert "'workers' must be a positive integer" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "extra,fragment",
+        [({"worker": 4}, "unknown field 'worker'"),
+         ({"targets": {"mena": 1.0}}, "'targets': unknown field 'mena'"),
+         ({"targets": {"mean": "x"}},
+          "'targets': field 'mean' must be a number"),
+         ({"targets": {"mean": True}},
+          "'targets': field 'mean' must be a number")],
+        ids=["worker", "mena", "string_target", "boolean_target"],
+    )
+    def test_bad_config_names_field(self, tmp_path, capsys, extra, fragment):
+        self.simulate_config(tmp_path)
+        doc = json.loads((tmp_path / "sim.json").read_text())
+        doc.update(extra)
+        code = main(
+            ["simulate", "--config", write_config(tmp_path, doc, "bad.json"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert fragment in capsys.readouterr().err
 
     def test_duplicate_ids_rejected(self, tmp_path, capsys):
         doc = {

@@ -258,12 +258,12 @@ class TestAIPW:
             assert abs(est.signed_weights.sum() - 1.0) < 1e-10
 
     def test_negative_weights_floored_and_flagged(self):
-        # a tiny-propensity observed row spreads its large negative IPW
-        # deficit (1 - zeta) over its kernel neighbors, driving a nearby
+        # tiny-propensity observed rows spread their large negative IPW
+        # deficits (1 - zeta) over their kernel neighbors, driving a nearby
         # moderate-propensity row's composite weight below zero
-        y = np.array([1.0, 2.0, 3.0, np.nan, 10.0, 11.0])
-        x1 = np.array([0.0, 0.05, 0.1, 0.5, 0.9, 0.95])
-        delta = np.array([1, 1, 1, 0, 1, 1])
+        y = np.array([1.0, 2.0, 3.0, np.nan, 10.0, 11.0, 12.0])
+        x1 = np.array([0.0, 0.05, 0.1, 0.5, 0.9, 0.95, 0.93])
+        delta = np.array([1, 1, 1, 0, 1, 1, 1])
         data = ObservedDataset(
             y=y,
             x=np.column_stack([x1, np.where(delta == 1, 0.0, np.nan)]),
@@ -275,8 +275,8 @@ class TestAIPW:
             return np.where(z[..., 0] > 0.925, 0.02, 0.9)
 
         pf = known_propensity(p_fn, k=1, floor=0.01)
-        # the floored weights concentrate on one atom, so the weighted MAD
-        # degenerates to zero; the smooth S-scale handles this fixture
+        # the floored weights concentrate on the two tiny-propensity atoms;
+        # neither holds half the weight, so the S-scale is positive
         est = estimate_aipw(data, pf, a_n=0.2, sf=SF, scale_method="s")
         assert est.negative_weights_floored
         assert np.all(est.distribution.weights >= 0.0)
@@ -285,9 +285,9 @@ class TestAIPW:
         assert abs(est.signed_weights.sum() - 1.0) < 1e-10
 
     def test_signed_cdf_sample_is_a_distribution(self):
-        y = np.array([1.0, 2.0, 3.0, np.nan, 10.0, 11.0])
-        x1 = np.array([0.0, 0.05, 0.1, 0.5, 0.9, 0.95])
-        delta = np.array([1, 1, 1, 0, 1, 1])
+        y = np.array([1.0, 2.0, 3.0, np.nan, 10.0, 11.0, 12.0])
+        x1 = np.array([0.0, 0.05, 0.1, 0.5, 0.9, 0.95, 0.93])
+        delta = np.array([1, 1, 1, 0, 1, 1, 1])
         data = ObservedDataset(
             y=y,
             x=np.column_stack([x1, np.where(delta == 1, 0.0, np.nan)]),

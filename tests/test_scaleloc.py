@@ -114,6 +114,17 @@ class TestSScale:
         with pytest.raises(ValueError, match="degenerate scale"):
             s_scale(ws([1.0, 2.0], [1.0, 0.0]), scale_bisquare(), 0.5)
 
+    @pytest.mark.parametrize(
+        "atoms,weights",
+        [([0.1257, -0.1321], [0.051, 0.027]),
+         ([0.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0])],
+    )
+    def test_heavy_atom_is_degenerate(self, atoms, weights):
+        # One atom value holds at least 1 - b of the weight, so avg rho0 at
+        # that location never exceeds b and the S-scale has no positive root.
+        with pytest.raises(ValueError, match="degenerate scale"):
+            s_scale(ws(atoms, weights), scale_bisquare(), 0.5)
+
     def test_b_range(self):
         sample = ws([1.0, 2.0, 3.0])
         for b in (0.0, 1.0, 1.5, -0.1):
@@ -315,6 +326,16 @@ def weighted_samples(draw):
 @settings(max_examples=300, deadline=None)
 def test_s_scale_matches_reference(sample):
     rho0 = scale_bisquare()
+    # When one atom value carries a share m >= 1 - b of the weight, avg rho0
+    # at that location rises only to 1 - m <= b as s falls, so the identity
+    # has no positive root: the scale is degenerate.
+    keep = sample.weights > 0
+    _, value = np.unique(sample.atoms[keep], return_inverse=True)
+    heaviest = np.bincount(value, sample.weights[keep]).max()
+    if heaviest >= (1.0 - SCALE_B_TARGET) * sample.weights[keep].sum():
+        with pytest.raises(ValueError, match="degenerate scale"):
+            s_scale(sample, rho0, SCALE_B_TARGET)
+        return
     try:
         ref = reference_s_scale(sample, rho0, SCALE_B_TARGET)
     except ValueError as exc:
@@ -334,12 +355,7 @@ def test_s_scale_matches_reference(sample):
         # must then come at least as close to the identity.
         ref_gap = abs(d_n(sample, rho0, ref_scale, ref_location) - 0.5)
         assert gap <= ref_gap
-    # When one atom value carries a share m >= 1/2 of the weight, avg rho0
-    # at that location rises only to 1 - m <= b as s falls, so the identity
-    # has no root and both solvers drive the scale toward 0.
-    _, value = np.unique(sample.atoms, return_inverse=True)
-    if np.bincount(value, sample.weights).max() < 0.5 * sample.total:
-        assert gap <= 1e-12
+    assert gap <= 1e-12
 
 
 def test_s_scale_degenerate_errors_match_reference():

@@ -127,6 +127,49 @@ class TestKolmogorov:
         assert kolmogorov_distance(a, b) == 0.0
 
 
+def reference_kolmogorov_distance(ws1, ws2):
+    """The distance as computed before it looked at one sample's atoms only:
+    both CDFs at every atom of both samples and at the left limits there."""
+    sa1, pad1 = ws1._cdf_table
+    sa2, pad2 = ws2._cdf_table
+    d = 0.0
+    for pts in (sa1, sa2):
+        for side in ("right", "left"):
+            f1 = pad1[np.searchsorted(sa1, pts, side=side)]
+            f2 = pad2[np.searchsorted(sa2, pts, side=side)]
+            d = max(d, float(np.max(np.abs(f1 - f2))))
+    return d
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two weighted samples of unequal sizes on a shared coarse grid, so
+    that atoms tie within and across samples, with some zero weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.integers(2, 40))
+    step = draw(st.floats(0.01, 10.0))
+    pair = []
+    for _ in range(2):
+        n = draw(st.integers(1, 60))
+        atoms = rng.integers(0, grid, n) * step
+        weights = rng.random(n) * (rng.random(n) > draw(st.floats(0.0, 0.5)))
+        weights[rng.integers(0, n)] += 0.5
+        pair.append(ws(atoms, weights))
+    return pair
+
+
+@given(sample_pairs())
+@settings(max_examples=300, deadline=None)
+def test_kolmogorov_matches_reference_exactly(pair):
+    ws1, ws2 = pair
+    assert kolmogorov_distance(ws1, ws2) == reference_kolmogorov_distance(
+        ws1, ws2
+    )
+    assert kolmogorov_distance(ws2, ws1) == reference_kolmogorov_distance(
+        ws2, ws1
+    )
+
+
 class TestSerialDot:
     # Sizes above OpenBLAS's threading thresholds (about 1e4 elements), where
     # ``@`` would hand the product to worker threads.

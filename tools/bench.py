@@ -17,7 +17,10 @@ each after one untimed call:
   cross-validated bandwidth;
 * the summary layers (``SUMMARY_LAYERS``): ``functional_summary`` of the
   conv estimate (``exp_linear`` model, logistic propensity) with the MAD
-  and with the S-scale.
+  and with the S-scale;
+* the jackknife layer: the CLI's ``_attach_jackknife`` on the packaged
+  ozone data and config (3 jackknifed entries, 153 leave-one-out sets),
+  timed once per sample, with the SEs and their hash.
 
 Every layer is timed the same way: a sample repeats the call until it
 fills ``SAMPLE_S``, samples go on for ``LAYER_S`` (at least ``REPEATS`` of
@@ -47,7 +50,7 @@ import warnings
 
 import numpy as np
 
-from robmarg import regression
+from robmarg import cli, regression
 from robmarg.inference import plugin_var_ipw
 from robmarg.marginal import estimate_aipw, estimate_conv, functional_summary
 from robmarg.propensity import auto_bandwidth, fit_logistic, kernel_propensity
@@ -76,6 +79,7 @@ KERNEL_LAYERS = ("auto_bandwidth", "kernel_predict", "estimate_aipw",
                  "plugin_var_ipw_kernel")
 SUMMARY_LAYERS = {"conv_summary_mad": "mad", "conv_summary_s": "s"}
 SF = location_bisquare()
+PACKAGE_DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 
 
 def _timed(func, stage: str, clock: dict):
@@ -189,6 +193,30 @@ def bench_summaries() -> tuple[list[dict], str]:
     return rows, digest.hexdigest()[:16]
 
 
+def bench_jackknife() -> dict:
+    with open(os.path.join(PACKAGE_DATA, "ozone_config.json"),
+              encoding="utf-8") as handle:
+        settings = cli._build_estimate_settings(json.load(handle))
+    columns = [settings["response"]] + [
+        c for c in settings["covariates"] if c != settings["response"]
+    ]
+    table = cli._read_csv_columns(
+        os.path.join(PACKAGE_DATA, "airquality.csv"), columns)
+    data = cli._build_dataset(table, settings)
+    entries = cli._estimate_entries(data, settings)
+
+    def call():
+        fresh = [dict(e) for e in entries]
+        cli._attach_jackknife(fresh, data, settings)
+        return [e["se"] for e in fresh if e["se"] is not None]
+
+    ms, _, ses = _least_ms(call)
+    print(f"n={data.n:5d} {'attach_jackknife':36s} {ms:9.2f} ms",
+          file=sys.stderr)
+    return {"n": data.n, "entries": len(ses), "ms": ms, "ses": ses,
+            "output_hash": _hash(ses)}
+
+
 def bench() -> dict:
     clock = dict.fromkeys(STAGES, 0.0)
     _install(clock)
@@ -234,6 +262,7 @@ def bench() -> dict:
         "kernel_layers": kernel_rows,
         "summary_output_hash": summary_hash,
         "summary_layers": summary_rows,
+        "jackknife_layer": bench_jackknife(),
     }
 
 
