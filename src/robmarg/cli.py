@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from io import StringIO
 
 import numpy as np
 
+from . import parallel
 from .dataset import ObservedDataset
 from .inference import confidence_interval, jackknife_se
 from .marginal import (
@@ -317,17 +319,30 @@ def _estimate(est_name: str, data: ObservedDataset, pf, settings: dict,
     return estimate_conv(data, pf, *model_fit, _SF, sm)
 
 
-def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
-    """All requested (estimator, propensity[, model]) marginal estimates."""
+def _fit_models(data: ObservedDataset, settings: dict) -> dict:
+    """label -> (model, fit) of each configured model, when conv needs them.
+
+    Each fit is deterministic, so one per dataset serves every estimator
+    and propensity.
+    """
+    models = settings["models"] if "conv" in settings["estimators"] else []
+    return {m["label"]: _fit_model(m, data, settings) for m in models}
+
+
+def _estimate_entries(data: ObservedDataset, settings: dict,
+                      fits: dict | None = None) -> list[dict]:
+    """All requested (estimator, propensity[, model]) marginal estimates.
+
+    ``fits`` holds the models' fits to ``data`` (from ``_fit_models``); the
+    models are fitted here when it is None.
+    """
     a_n = settings["a_n"]
     if a_n is None:
         a_n = data.n ** (-1.0 / 3.0)
     settings["a_n_resolved"] = a_n
 
-    # Each fit is deterministic, so one per dataset serves every estimator
-    # and model.
-    models = settings["models"] if "conv" in settings["estimators"] else []
-    fits = {m["label"]: _fit_model(m, data, settings) for m in models}
+    if fits is None:
+        fits = _fit_models(data, settings)
     pfs = {
         prop: fit_propensity(prop, data.z, data.delta, settings["floor"],
                              settings["kernel_bandwidth"])
@@ -363,8 +378,27 @@ def _estimate_entries(data: ObservedDataset, settings: dict) -> list[dict]:
     return entries
 
 
+def _jackknife_thetas(data: ObservedDataset, settings: dict,
+                      full_fit) -> list[float]:
+    """theta_m of every jackknifed entry on one leave-one-out set.
+
+    ``full_fit`` is the full data's fit of the first model, or None.  A set
+    with as many complete cases as that fit left out an incomplete row, so
+    ``fit_mm`` would see the same complete cases and seed and return the
+    same fit: it is reused.  Module level, so that worker processes can
+    unpickle it; they rebuild the model from ``_MODEL_IDS``.
+    """
+    fits = None
+    if (full_fit is not None
+            and int(data.delta.sum()) == full_fit.complete_case_count):
+        spec = settings["models"][0]
+        fits = {spec["label"]: (_MODEL_IDS[spec["id"]](), full_fit)}
+    return [e["theta_m"] for e in _estimate_entries(data, settings, fits)]
+
+
 def _attach_jackknife(
-    entries: list[dict], data: ObservedDataset, settings: dict
+    entries: list[dict], data: ObservedDataset, settings: dict,
+    fits: dict | None = None,
 ) -> None:
     """Jackknife SE and CI for each estimator under the designated propensity.
 
@@ -372,6 +406,9 @@ def _attach_jackknife(
     model only; the others have exactly one variant.  Each leave-one-out
     dataset is estimated once for all of them, with the full data's a_n,
     so one propensity fit and one model fit serve every jackknifed entry.
+    ``fits`` (from ``_fit_models`` on ``data``), when given, lends the first
+    model's fit to the sets that left out an incomplete row.  The sets run
+    across the available CPUs.
     """
     if not settings["jackknife"]:
         return
@@ -386,9 +423,12 @@ def _attach_jackknife(
         e for e in entries
         if e["propensity"] in rerun["propensities"] and e["model"] in labels
     ]
-    ve = jackknife_se(
-        lambda d: [e["theta_m"] for e in _estimate_entries(d, rerun)], data
-    )
+    full_fit = None
+    if fits and rerun["models"]:
+        full_fit = fits[rerun["models"][0]["label"]][1]
+    estimator = functools.partial(_jackknife_thetas, settings=rerun,
+                                  full_fit=full_fit)
+    ve = jackknife_se(estimator, data, workers=parallel.available_cpus())
     for entry, se in zip(jackknifed, ve.se):
         lo, hi = confidence_interval(
             entry["theta_m"], dataclasses.replace(ve, se=se),
@@ -434,8 +474,9 @@ def cmd_estimate(args) -> int:
     }
 
     try:
-        entries = _estimate_entries(data, settings)
-        _attach_jackknife(entries, data, settings)
+        fits = _fit_models(data, settings)
+        entries = _estimate_entries(data, settings, fits)
+        _attach_jackknife(entries, data, settings, fits)
     except InputError:
         raise
     except Exception as exc:

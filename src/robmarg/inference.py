@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
 from time import perf_counter
 from typing import Callable
@@ -22,6 +23,7 @@ import numpy as np
 from .dataset import ObservedDataset
 from .marginal import SCALE_METHODS
 from .kernels import SortedWindow
+from .parallel import ordered_map
 from .propensity import PropensityFit
 from .scaleloc import mad_scale, s_scale
 from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
@@ -69,8 +71,21 @@ def _drop_row(data: ObservedDataset, i: int) -> ObservedDataset:
     )
 
 
+def _replicate(estimator, data: ObservedDataset, i: int):
+    """The estimate without row i, as floats; None when the estimator raises."""
+    try:
+        theta = estimator(_drop_row(data, i))
+    except Exception:
+        return None
+    if np.ndim(theta) == 0:
+        return float(theta)
+    return tuple(float(v) for v in theta)
+
+
 def jackknife_se(
-    estimator: Callable[[ObservedDataset], float], data: ObservedDataset
+    estimator: Callable[[ObservedDataset], float],
+    data: ObservedDataset,
+    workers: int = 1,
 ) -> VarianceEstimate:
     """Leave-one-out jackknife standard error of a full pipeline.
 
@@ -80,32 +95,30 @@ def jackknife_se(
     to the spread.  A leave-one-out replicate that raises is skipped for
     every component; more than 5% skipped draws a warning.  The first refit
     is timed, and a warning gives the projected total when n times that time
-    exceeds 60 s.
+    exceeds 60 s.  With ``workers`` > 1 the other refits may run in that
+    many processes (``parallel.ordered_map``); ``estimator`` must then
+    pickle, and the result is the same bit for bit.
     se = sqrt(((m-1)/m) * sum (theta_(i) - mean)^2) over the m retained
     replicates, for each component; a vector estimator gets a tuple of them
     with the one shared m.
     """
     n = data.n
-    values = []
-    failures = 0
     start = perf_counter()
-    for i in range(n):
-        try:
-            theta = estimator(_drop_row(data, i))
-            values.append(
-                float(theta) if np.ndim(theta) == 0
-                else tuple(float(v) for v in theta)
+
+    def warn_if_slow():
+        projected = n * (perf_counter() - start)
+        if projected > _JACKKNIFE_WARN_S:
+            warnings.warn(
+                f"jackknife: {n} leave-one-out refits projected to take "
+                f"about {projected:.0f} s",
+                stacklevel=4,
             )
-        except Exception:
-            failures += 1
-        if i == 0:
-            projected = n * (perf_counter() - start)
-            if projected > _JACKKNIFE_WARN_S:
-                warnings.warn(
-                    f"jackknife: {n} leave-one-out refits projected to take "
-                    f"about {projected:.0f} s",
-                    stacklevel=2,
-                )
+
+    replicates = ordered_map(
+        partial(_replicate, estimator, data), range(n), workers, warn_if_slow
+    )
+    values = [v for v in replicates if v is not None]
+    failures = n - len(values)
     m = len(values)
     if m < 2:
         raise ValueError(

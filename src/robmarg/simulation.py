@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -25,6 +25,7 @@ from .marginal import (
     estimate_ipw,
     functional_summary,
 )
+from .parallel import ordered_map
 from .propensity import PropensityFit, fit_propensity, known_propensity
 from .regression import exp_linear_model, fit_mm, linear_model
 from .scores import ScoreFamily, location_bisquare
@@ -234,18 +235,15 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown regression_spec: {self.regression_spec!r}"
             )
-        est = tuple(e for e in ESTIMATORS if e in self.estimators)
-        unknown = set(self.estimators) - set(ESTIMATORS)
-        if unknown or not est:
-            raise ValueError(f"unknown or empty estimators: {self.estimators!r}")
-        fun = tuple(f for f in FUNCTIONALS if f in self.functionals)
-        unknown = set(self.functionals) - set(FUNCTIONALS)
-        if unknown or not fun:
-            raise ValueError(
-                f"unknown or empty functionals: {self.functionals!r}"
-            )
-        object.__setattr__(self, "estimators", est)
-        object.__setattr__(self, "functionals", fun)
+        for name, known in (("estimators", ESTIMATORS),
+                            ("functionals", FUNCTIONALS)):
+            given = getattr(self, name)
+            if not given or not set(given) <= set(known):
+                raise ValueError(f"unknown or empty {name}: {given!r}")
+            if len(set(given)) != len(given):
+                raise ValueError(f"{name} names one twice: {given!r}")
+            canonical = tuple(k for k in known if k in given)
+            object.__setattr__(self, name, canonical)
 
     def to_dict(self) -> dict:
         return {
@@ -383,6 +381,14 @@ def _one_rep(cfg: ScenarioConfig, j: int, sf: ScoreFamily) -> dict:
     }
 
 
+def _rep_or_none(cfg: ScenarioConfig, sf: ScoreFamily, j: int) -> dict | None:
+    """Replication j, or None when its estimation raises."""
+    try:
+        return _one_rep(cfg, j, sf)
+    except Exception:
+        return None
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     targets: dict | None = None,
@@ -392,35 +398,18 @@ def run_scenario(
     """Run a scenario's replications and aggregate the summary measures.
 
     Replication j uses the RNG stream seeded by ``cfg.seed ^ j``, so the
-    table is bit-identical for a given config no matter how many workers
-    execute the replications.  Replications whose estimation raises are
-    recorded and excluded; the run aborts if more than 2% fail.  Bias is
-    measured against ``targets`` (default: the long-run PUBLISHED_TARGETS),
-    sd is the population-form standard deviation over replications, and
-    mse = bias^2 + sd^2 exactly.
+    table is bit-identical for a given config no matter how many worker
+    processes (``parallel.ordered_map``) execute the replications.
+    Replications whose estimation raises are recorded and excluded; the run
+    aborts if more than 2% fail.  Bias is measured against ``targets``
+    (default: the long-run PUBLISHED_TARGETS), sd is the population-form
+    standard deviation over replications, and mse = bias^2 + sd^2 exactly.
     """
     tgt = dict(PUBLISHED_TARGETS)
     if targets is not None:
         tgt.update(targets)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-
-    results: list[dict | None] = [None] * cfg.reps
-
-    def work(j: int):
-        try:
-            return _one_rep(cfg, j, sf)
-        except Exception:
-            return None
-
-    if workers == 1:
-        for j in range(cfg.reps):
-            results[j] = work(j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for j, res in enumerate(pool.map(work, range(cfg.reps))):
-                results[j] = res
-
+    results = ordered_map(partial(_rep_or_none, cfg, sf), range(cfg.reps),
+                          workers)
     kept = [r for r in results if r is not None]
     failures = cfg.reps - len(kept)
     if failures > 0.02 * cfg.reps:

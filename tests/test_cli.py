@@ -1,12 +1,13 @@
 """End-to-end tests of the batch command-line interface."""
 
 import json
+import multiprocessing
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from robmarg import cli, propensity
+from robmarg import cli, parallel, propensity
 from robmarg.cli import main
 from robmarg.inference import confidence_interval, jackknife_se
 
@@ -238,8 +239,64 @@ class TestEstimateJackknife:
             return real(d, *args)
 
         monkeypatch.setattr(cli, "estimate_conv", fails_once)
+        # The patch reaches the calling process only.
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         cli._attach_jackknife(entries, data, settings)
         assert [e["jackknife_n"] for e in entries] == [data.n - 1] * 3
+
+
+@pytest.fixture(scope="module")
+def ozone_jackknife_runs():
+    """The packaged ozone jackknife (kernel propensity) three ways: refitting
+    every set in-process, reusing the full data's fit in-process, and
+    reusing it in a pool of two workers; with the fit_mm calls made in the
+    calling process."""
+    settings, data = settings_and_data(dict(OZONE_CONFIG), AIRQ)
+    assert settings["jackknife"]
+    assert settings["jackknife_propensity"] == "kernel"
+    runs = {}
+    for name, cpus, reuse in (("refit", 1, False), ("reuse", 1, True),
+                              ("pool", 2, True)):
+        calls = []
+        real = cli.fit_mm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "fit_mm", counted)
+            mp.setattr(parallel, "available_cpus", lambda: cpus)
+            mp.setattr(parallel, "_START_FACTOR", 0.0)
+            fits = cli._fit_models(data, settings)
+            entries = cli._estimate_entries(data, settings, fits)
+            cli._attach_jackknife(entries, data, settings,
+                                  fits if reuse else None)
+        runs[name] = (entries, len(calls))
+    return runs
+
+
+class TestJackknifeWork:
+    @staticmethod
+    def assert_same_jackknife(got, want):
+        assert sum(e["se"] is not None for e in want) == 3
+        for a, b in zip(got, want):
+            for field in ("se", "ci", "jackknife_n"):
+                assert a[field] == b[field]
+
+    def test_reused_full_fit_is_exact(self, ozone_jackknife_runs):
+        refit, refit_calls = ozone_jackknife_runs["refit"]
+        reuse, reuse_calls = ozone_jackknife_runs["reuse"]
+        self.assert_same_jackknife(reuse, refit)
+        # 2 full-data fits, then one per set; 42 of the 153 sets leave out
+        # an incomplete row and reuse the full data's fit.
+        assert refit_calls == 2 + 153
+        assert reuse_calls == 2 + 153 - 42
+
+    def test_pool_matches_in_process(self, ozone_jackknife_runs):
+        self.assert_same_jackknife(ozone_jackknife_runs["pool"][0],
+                                   ozone_jackknife_runs["reuse"][0])
+        assert multiprocessing.active_children() == []
 
 
 class TestPropensityFitPerDataset:
@@ -627,6 +684,20 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err
         assert f"scenario 'smoke': {field} must be an integer" in err
+
+    @pytest.mark.parametrize("field", ["estimators", "functionals"])
+    def test_repeated_name_is_an_input_error(self, tmp_path, capsys, field):
+        names = {"estimators": ["ipw", "ipw"],
+                 "functionals": ["mean", "m_est", "mean"]}
+        code = main(
+            ["simulate", "--config",
+             self.simulate_config(tmp_path, **{field: names[field]}),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert f"scenario 'smoke': {field} names one twice" in (
+            capsys.readouterr().err
+        )
 
     def test_boolean_workers_rejected(self, tmp_path, capsys):
         self.simulate_config(tmp_path)

@@ -1,11 +1,12 @@
 """Tests for jackknife and plug-in variance estimation."""
 
+import multiprocessing
 import warnings
 
 import numpy as np
 import pytest
 
-from robmarg import inference
+from robmarg import inference, parallel
 from robmarg.dataset import ObservedDataset
 from robmarg.inference import (
     VarianceEstimate,
@@ -49,6 +50,17 @@ def gen_mar(n, seed, y_fn):
         z_index=(0,),
         delta=delta,
     )
+
+
+def mean_and_median_with_marker(d):
+    """Fails on the set that lost the marker value 777."""
+    if not np.any(d.y == 777.0):
+        raise ValueError("lost the marker")
+    return float(d.y.mean()), float(np.median(d.y))
+
+
+def always_fails(d):
+    raise RuntimeError("always fails")
 
 
 def skewed(x1, x2, eps):
@@ -169,6 +181,29 @@ class TestJackknife:
 
         ve = jackknife_se(pipeline, data)
         assert 0.0 < ve.se < 5.0
+
+
+class TestJackknifeInProcesses:
+    @pytest.fixture
+    def pool_always(self, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+
+    def test_failed_set_is_skipped_for_every_component(self, pool_always):
+        y = np.arange(40.0) ** 1.5
+        y[23] = 777.0
+        data = complete_dataset(y)
+        ve = jackknife_se(mean_and_median_with_marker, data, workers=2)
+        assert ve.n_effective == 39
+        assert len(ve.se) == 2
+        assert ve == jackknife_se(mean_and_median_with_marker, data)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_an_estimator_error(self, pool_always):
+        data = complete_dataset(np.arange(12.0))
+        with pytest.raises(ValueError, match="at least two successful"):
+            jackknife_se(always_fails, data, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestPluginVariance:

@@ -1,10 +1,12 @@
 """Tests for the Monte Carlo scenario laboratory."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from robmarg import parallel
 from robmarg.marginal import estimate_aipw, estimate_conv, estimate_ipw, functional_summary
 from robmarg.propensity import constant_propensity, kernel_propensity
 from robmarg.regression import exp_linear_model, fit_mm
@@ -152,6 +154,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="functionals"):
             ScenarioConfig(functionals=())
 
+    def test_rejects_repeated_names(self):
+        with pytest.raises(ValueError, match="estimators names one twice"):
+            ScenarioConfig(estimators=["ipw", "ipw"])
+        with pytest.raises(ValueError, match="functionals names one twice"):
+            ScenarioConfig(functionals=("mean", "mean", "median"))
+
     def test_canonical_ordering(self):
         cfg = ScenarioConfig(estimators=("aipw", "ipw"), functionals=("m_est", "mean"))
         assert cfg.estimators == ("ipw", "aipw")
@@ -168,6 +176,19 @@ class TestRunScenario:
         t2 = run_scenario(cfg, workers=4)
         assert t1.to_csv_text() == t2.to_csv_text()
         assert t1.to_json_text() == t2.to_json_text()
+
+    def test_process_pool_matches_one_worker(self, monkeypatch):
+        cfg = ScenarioConfig(
+            n=100, reps=7, seed=41, contamination="C0", missing="MH",
+            propensity_method="constant", estimators=("ipw", "aipw"),
+        )
+        t1 = run_scenario(cfg, workers=1)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+        t2 = run_scenario(cfg, workers=4)
+        assert t1.to_csv_text() == t2.to_csv_text()
+        assert t1.to_json_text() == t2.to_json_text()
+        assert multiprocessing.active_children() == []
 
     def test_mse_identity_and_table_shape(self):
         cfg = ScenarioConfig(

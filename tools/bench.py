@@ -20,7 +20,9 @@ each after one untimed call:
   and with the S-scale;
 * the jackknife layer: the CLI's ``_attach_jackknife`` on the packaged
   ozone data and config (3 jackknifed entries, 153 leave-one-out sets),
-  timed once per sample, with the SEs and their hash.
+  given the full data's model fits as ``robmarg estimate`` gives them and
+  run across the available CPUs as there, timed once per sample, with the
+  SEs and their hash.
 
 Every layer is timed the same way: a sample repeats the call until it
 fills ``SAMPLE_S``, samples go on for ``LAYER_S`` (at least ``REPEATS`` of
@@ -29,8 +31,8 @@ stage split taken from that same sample.
 
 The record also holds the fit's work counters, the fitted values, and short
 hashes of the outputs at 6 significant digits, so that two records can show
-that a speed-up kept the numbers, and the machine facts (CPU count, numpy
-and Python versions).
+that a speed-up kept the numbers, and the machine facts (CPU count, the
+CPUs this process may use, numpy and Python versions).
 
 This is a measuring tool, not a test: it is kept out of the test suite.
 """
@@ -50,7 +52,7 @@ import warnings
 
 import numpy as np
 
-from robmarg import cli, regression
+from robmarg import cli, parallel, regression
 from robmarg.inference import plugin_var_ipw
 from robmarg.marginal import estimate_aipw, estimate_conv, functional_summary
 from robmarg.propensity import auto_bandwidth, fit_logistic, kernel_propensity
@@ -203,11 +205,12 @@ def bench_jackknife() -> dict:
     table = cli._read_csv_columns(
         os.path.join(PACKAGE_DATA, "airquality.csv"), columns)
     data = cli._build_dataset(table, settings)
-    entries = cli._estimate_entries(data, settings)
+    fits = cli._fit_models(data, settings)
+    entries = cli._estimate_entries(data, settings, fits)
 
     def call():
         fresh = [dict(e) for e in entries]
-        cli._attach_jackknife(fresh, data, settings)
+        cli._attach_jackknife(fresh, data, settings, fits)
         return [e["se"] for e in fresh if e["se"] is not None]
 
     ms, _, ses = _least_ms(call)
@@ -252,6 +255,7 @@ def bench() -> dict:
         "repeats": REPEATS,
         "machine": {
             "nproc": os.cpu_count(),
+            "available_cpus": parallel.available_cpus(),
             "numpy": np.__version__,
             "python": platform.python_version(),
             "machine": platform.machine(),
