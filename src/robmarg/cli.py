@@ -299,86 +299,87 @@ def _build_dataset(table: dict[str, np.ndarray], settings: dict) -> ObservedData
         raise InputError(str(exc)) from exc
 
 
-def _fit_model(spec: dict, data: ObservedDataset, settings: dict):
-    model = _MODEL_IDS[spec["id"]]()
-    return model, fit_mm(
-        model,
-        data,
-        covariate_weights=_WEIGHT_IDS[spec["weights"]],
-        seed=settings["seed"],
-    )
-
-
-def _estimate(est_name: str, data: ObservedDataset, pf, settings: dict,
-              model_fit=None):
-    sm = settings["scale_method"]
-    if est_name == "ipw":
-        return estimate_ipw(data, pf, _SF, sm)
-    if est_name == "aipw":
-        return estimate_aipw(data, pf, settings["a_n_resolved"], _SF, sm)
-    return estimate_conv(data, pf, *model_fit, _SF, sm)
+def _a_n(settings: dict, data: ObservedDataset) -> float:
+    """AIPW's smoothing parameter: the configured one, else n^(-1/3) of the
+    full data; the jackknife keeps it for every leave-one-out set."""
+    a_n = settings["a_n"]
+    return data.n ** (-1.0 / 3.0) if a_n is None else a_n
 
 
 def _fit_models(data: ObservedDataset, settings: dict) -> dict:
-    """label -> (model, fit) of each configured model, when conv needs them.
+    """label -> fit of each configured model, when conv needs them.
 
     Each fit is deterministic, so one per dataset serves every estimator
     and propensity.
     """
     models = settings["models"] if "conv" in settings["estimators"] else []
-    return {m["label"]: _fit_model(m, data, settings) for m in models}
+    return {
+        m["label"]: fit_mm(_MODEL_IDS[m["id"]](), data,
+                           covariate_weights=_WEIGHT_IDS[m["weights"]],
+                           seed=settings["seed"])
+        for m in models
+    }
 
 
-def _estimate_entries(data: ObservedDataset, settings: dict,
-                      fits: dict | None = None) -> list[dict]:
-    """All requested (estimator, propensity[, model]) marginal estimates.
+def _entry_keys(settings: dict) -> list[tuple]:
+    """(estimator, model label, propensity) of each requested entry, in
+    report order; the model label is None for all but conv."""
+    labels = [m["label"] for m in settings["models"]]
+    return [
+        (est_name, label, prop)
+        for est_name in settings["estimators"]
+        for label in (labels if est_name == "conv" else [None])
+        for prop in settings["propensities"]
+    ]
 
-    ``fits`` holds the models' fits to ``data`` (from ``_fit_models``); the
-    models are fitted here when it is None.
+
+def _estimates(data: ObservedDataset, settings: dict, fits: dict,
+               a_n: float) -> dict:
+    """Key of ``_entry_keys`` -> marginal estimate on ``data``.
+
+    ``fits`` holds the models' fits to ``data`` (from ``_fit_models``); one
+    fit of each propensity serves every entry.
     """
-    a_n = settings["a_n"]
-    if a_n is None:
-        a_n = data.n ** (-1.0 / 3.0)
-    settings["a_n_resolved"] = a_n
-
-    if fits is None:
-        fits = _fit_models(data, settings)
     pfs = {
         prop: fit_propensity(prop, data.z, data.delta, settings["floor"],
                              settings["kernel_bandwidth"])
         for prop in settings["propensities"]
     }
-    entries = []
-    for est_name in settings["estimators"]:
-        for label in list(fits) if est_name == "conv" else [None]:
-            for prop in settings["propensities"]:
-                est = _estimate(est_name, data, pfs[prop], settings,
-                                fits.get(label))
-                entries.append(
-                    {
-                        "estimator": est_name,
-                        "model": label,
-                        "propensity": prop,
-                        "theta_mean": est.theta_mean,
-                        "theta_median": est.theta_median,
-                        "theta_m": est.theta_m,
-                        "scale": est.scale,
-                        "negative_weights_floored": bool(
-                            est.negative_weights_floored
-                        ),
-                        "converged": (
-                            fits[label][1].converged if label is not None
-                            else None
-                        ),
-                        "se": None,
-                        "ci": None,
-                        "jackknife_n": None,
-                    }
-                )
-    return entries
+    sm = settings["scale_method"]
+    estimates = {}
+    for est_name, label, prop in _entry_keys(settings):
+        if est_name == "ipw":
+            est = estimate_ipw(data, pfs[prop], _SF, sm)
+        elif est_name == "aipw":
+            est = estimate_aipw(data, pfs[prop], a_n, _SF, sm)
+        else:
+            est = estimate_conv(data, pfs[prop], fits[label], _SF, sm)
+        estimates[est_name, label, prop] = est
+    return estimates
 
 
-def _jackknife_thetas(data: ObservedDataset, settings: dict,
+def _report_entries(estimates: dict, fits: dict) -> list[dict]:
+    """The report's rows, one per estimate, before any jackknife."""
+    return [
+        {
+            "estimator": est_name,
+            "model": label,
+            "propensity": prop,
+            "theta_mean": est.theta_mean,
+            "theta_median": est.theta_median,
+            "theta_m": est.theta_m,
+            "scale": est.scale,
+            "negative_weights_floored": bool(est.negative_weights_floored),
+            "converged": fits[label].converged if label is not None else None,
+            "se": None,
+            "ci": None,
+            "jackknife_n": None,
+        }
+        for (est_name, label, prop), est in estimates.items()
+    ]
+
+
+def _jackknife_thetas(data: ObservedDataset, settings: dict, a_n: float,
                       full_fit) -> list[float]:
     """theta_m of every jackknifed entry on one leave-one-out set.
 
@@ -386,27 +387,26 @@ def _jackknife_thetas(data: ObservedDataset, settings: dict,
     with as many complete cases as that fit left out an incomplete row, so
     ``fit_mm`` would see the same complete cases and seed and return the
     same fit: it is reused.  Module level, so that worker processes can
-    unpickle it; they rebuild the model from ``_MODEL_IDS``.
+    unpickle it.
     """
-    fits = None
     if (full_fit is not None
             and int(data.delta.sum()) == full_fit.complete_case_count):
-        spec = settings["models"][0]
-        fits = {spec["label"]: (_MODEL_IDS[spec["id"]](), full_fit)}
-    return [e["theta_m"] for e in _estimate_entries(data, settings, fits)]
+        fits = {settings["models"][0]["label"]: full_fit}
+    else:
+        fits = _fit_models(data, settings)
+    estimates = _estimates(data, settings, fits, a_n)
+    return [est.theta_m for est in estimates.values()]
 
 
-def _attach_jackknife(
-    entries: list[dict], data: ObservedDataset, settings: dict,
-    fits: dict | None = None,
-) -> None:
+def _attach_jackknife(entries: list[dict], data: ObservedDataset,
+                      settings: dict, fits: dict, a_n: float) -> None:
     """Jackknife SE and CI for each estimator under the designated propensity.
 
     The convolution estimator is jackknifed under its first configured
     model only; the others have exactly one variant.  Each leave-one-out
-    dataset is estimated once for all of them, with the full data's a_n,
-    so one propensity fit and one model fit serve every jackknifed entry.
-    ``fits`` (from ``_fit_models`` on ``data``), when given, lends the first
+    dataset is estimated once for all of them, with the full data's
+    ``a_n``, so one propensity fit and one model fit serve every jackknifed
+    entry.  ``fits`` (from ``_fit_models`` on ``data``) lends the first
     model's fit to the sets that left out an incomplete row.  The sets run
     across the available CPUs.
     """
@@ -414,22 +414,18 @@ def _attach_jackknife(
         return
     rerun = dict(
         settings,
-        a_n=settings["a_n_resolved"],
         propensities=[settings["jackknife_propensity"]],
         models=settings["models"][:1],
     )
-    labels = [None] + [m["label"] for m in rerun["models"]]
-    jackknifed = [
-        e for e in entries
-        if e["propensity"] in rerun["propensities"] and e["model"] in labels
-    ]
     full_fit = None
-    if fits and rerun["models"]:
-        full_fit = fits[rerun["models"][0]["label"]][1]
-    estimator = functools.partial(_jackknife_thetas, settings=rerun,
+    if rerun["models"]:
+        full_fit = fits.get(rerun["models"][0]["label"])
+    estimator = functools.partial(_jackknife_thetas, settings=rerun, a_n=a_n,
                                   full_fit=full_fit)
     ve = jackknife_se(estimator, data, workers=parallel.available_cpus())
-    for entry, se in zip(jackknifed, ve.se):
+    rows = {(e["estimator"], e["model"], e["propensity"]): e for e in entries}
+    for key, se in zip(_entry_keys(rerun), ve.se):
+        entry = rows[key]
         lo, hi = confidence_interval(
             entry["theta_m"], dataclasses.replace(ve, se=se),
             settings["confidence_level"],
@@ -473,12 +469,11 @@ def cmd_estimate(args) -> int:
         name: int(np.sum(~np.isfinite(table[name]))) for name in columns
     }
 
+    a_n = _a_n(settings, data)
     try:
         fits = _fit_models(data, settings)
-        entries = _estimate_entries(data, settings, fits)
-        _attach_jackknife(entries, data, settings, fits)
-    except InputError:
-        raise
+        entries = _report_entries(_estimates(data, settings, fits, a_n), fits)
+        _attach_jackknife(entries, data, settings, fits, a_n)
     except Exception as exc:
         raise RuntimeError(f"estimation failed: {exc}") from exc
 
@@ -506,7 +501,7 @@ def cmd_estimate(args) -> int:
                 "scale_method",
             )
         }
-        | {"a_n": settings["a_n_resolved"]},
+        | {"a_n": a_n},
         "estimates": entries,
     }
     os.makedirs(args.out, exist_ok=True)
@@ -580,17 +575,7 @@ def cmd_targets(args) -> int:
     if args.n < 2:
         raise InputError("--n must be at least 2")
     tv = target_values(reps=args.reps, n=args.n, seed=args.seed)
-    doc = {
-        "mean": tv.mean,
-        "median": tv.median,
-        "m_est": tv.m_est,
-        "mean_se": tv.mean_se,
-        "median_se": tv.median_se,
-        "m_est_se": tv.m_est_se,
-        "reps": tv.reps,
-        "n": tv.n,
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(dataclasses.asdict(tv), indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out:
         _atomic_write(args.out, text)
@@ -634,6 +619,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if parallel.importing_main_in_worker():
+        print(
+            "abort: robmarg was called while a spawned worker process "
+            "imported the calling script; start it under "
+            "'if __name__ == \"__main__\":'",
+            file=sys.stderr,
+        )
+        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

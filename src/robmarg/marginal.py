@@ -28,7 +28,7 @@ import numpy as np
 from .dataset import ObservedDataset
 from .kernels import SortedWindow
 from .propensity import PropensityFit
-from .regression import RegressionFit, RegressionModel
+from .regression import RegressionFit, predict
 from .scaleloc import check_score_pair, m_location, mad_scale, s_scale
 from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
 from .weighted import WeightedSample, weighted_quantile
@@ -73,10 +73,10 @@ class MarginalEstimate:
     (c0 = 1.54764, b = 0.5) S-scale when scale_method="s" is requested;
     theta_m is the M-location for the score family the estimator was called
     with, started at the weighted median.  For the augmented estimator,
-    ``signed_atoms``/``signed_weights`` keep the pre-flooring weights (which
-    can be negative) so the estimated CDF can also be used in signed form,
-    and ``negative_weights_floored`` records whether flooring changed
-    anything.
+    ``signed_weights`` keeps the pre-flooring weights of the distribution's
+    atoms (they can be negative) so the estimated CDF can also be used in
+    signed form, and ``negative_weights_floored`` records whether flooring
+    changed anything.
     """
 
     distribution: WeightedSample
@@ -87,7 +87,6 @@ class MarginalEstimate:
     method: str
     propensity_tag: str
     negative_weights_floored: bool = False
-    signed_atoms: np.ndarray | None = field(default=None, compare=False)
     signed_weights: np.ndarray | None = field(default=None, compare=False)
 
 
@@ -165,7 +164,6 @@ def estimate_ipw(
 def estimate_conv(
     data: ObservedDataset,
     pf: PropensityFit,
-    model: RegressionModel,
     fit: RegressionFit,
     sf: ScoreFamily,
     scale_method: str = "mad",
@@ -174,15 +172,14 @@ def estimate_conv(
 
     Crosses the complete-case residuals (equal weights) with the fitted
     locations on complete cases (IPW weights): atoms mu_hat(x_j) + eps_i
-    carrying weight kappa_i * tau_j.  With more than 2000 complete cases the
-    location atoms are first reduced to the 2000 evenly spaced weighted
-    quantiles of their IPW-weighted law, deterministically, with a warning.
+    carrying weight kappa_i * tau_j, where mu_hat = predict(fit, .) needs a
+    converged fit.  With more than 2000 complete cases the location atoms
+    are first reduced to the 2000 evenly spaced weighted quantiles of their
+    IPW-weighted law, deterministically, with a warning.
     """
-    if not fit.converged:
-        raise ValueError("regression fit did not converge")
     obs = _observed(data)
     y_obs = data.y[obs]
-    mu = np.asarray(model.mean(data.x[obs], fit.beta), dtype=float)
+    mu = predict(fit, data.x[obs])
     eps = y_obs - mu
     p = np.asarray(pf.predict(data.z[obs]), dtype=float)
     tau = (1.0 / p) / (1.0 / p).sum()
@@ -274,7 +271,6 @@ def estimate_aipw(
         pf.method,
         scale_method,
         negative_weights_floored=floored,
-        signed_atoms=y_obs.copy(),
         signed_weights=signed,
     )
 
@@ -286,10 +282,10 @@ def signed_cdf_sample(est: MarginalEstimate) -> WeightedSample:
     [0, 1] and applying a running maximum gives the closest usable
     distribution, returned as a weighted sample for distance computations.
     """
-    if est.signed_atoms is None or est.signed_weights is None:
+    if est.signed_weights is None:
         raise ValueError("estimate carries no signed weights")
-    order = np.argsort(est.signed_atoms, kind="stable")
-    atoms = est.signed_atoms[order]
+    order = np.argsort(est.distribution.atoms, kind="stable")
+    atoms = est.distribution.atoms[order]
     cdf = np.cumsum(est.signed_weights[order])
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
     cdf[-1] = 1.0

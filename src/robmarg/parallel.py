@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 from time import perf_counter
 from typing import Callable, Sequence
 
-__all__ = ["available_cpus", "ordered_map"]
+__all__ = ["available_cpus", "importing_main_in_worker", "ordered_map"]
 
 # Starting a spawned worker (a fresh interpreter importing numpy and
 # robmarg) takes about 0.3 s on a 2-vCPU host, in parallel across workers.
@@ -36,6 +37,17 @@ _CHUNKS_PER_WORKER = 4
 def available_cpus() -> int:
     """Number of CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
+
+
+def importing_main_in_worker() -> bool:
+    """Whether this is a spawned worker running the caller's script as
+    ``__mp_main__``, which it does before it learns its parent process."""
+    main = sys.modules.get("__mp_main__")
+    if main is None or main.__name__ != "__mp_main__":
+        return False
+    import multiprocessing
+
+    return multiprocessing.parent_process() is None
 
 
 def _run_chunk(fn: Callable, chunk: Sequence) -> list:

@@ -202,9 +202,6 @@ def fit_logistic(z, delta, floor: float = DEFAULT_FLOOR) -> PropensityFit:
         if float(np.linalg.norm(gamma)) > _SEPARATION_NORM:
             raise ValueError("separation")
 
-    if float(np.linalg.norm(gamma)) > _SEPARATION_NORM:
-        raise ValueError("separation")
-
     def raw(mat):
         e = gamma[0] + mat @ gamma[1:]
         return 1.0 / (1.0 + np.exp(-e))

@@ -56,6 +56,8 @@ class RegressionModel:
     mean(x, beta) and gradient(x, beta) take an (m, 2) covariate matrix and
     return (m,) and (m, dim_beta) arrays.  ``mean`` must also broadcast
     over a (dim_beta, C, 1) stack of C coefficient vectors, giving (C, m).
+    The package's models use module-level functions, so that a model, and a
+    fit that carries it, pickles by reference.
     """
 
     id: str
@@ -67,16 +69,17 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Result of a simplified MM fit.
+    """Result of a simplified MM fit, with the model it fitted.
 
     ``s_step_beta`` keeps the polished S-step candidate the M-step started
     from, so the descent property of the second stage can be audited.
     ``candidates_solved`` (elemental candidates whose scale was solved after
     the screen), ``polish_steps`` (accepted descent steps on the S-scale)
     and ``m_iterations`` (M-step iterations) record the work the fit did;
-    like ``s_step_beta`` they take no part in equality.
+    like ``s_step_beta`` and ``model`` they take no part in equality.
     """
 
+    model: RegressionModel = field(compare=False)
     beta: np.ndarray
     residual_scale: float
     weights_used: np.ndarray | None
@@ -88,6 +91,39 @@ class RegressionFit:
     m_iterations: int | None = field(default=None, compare=False)
 
 
+def _exp_mean(x, beta):
+    b1, b2, b3 = beta
+    return b2 * x[:, 1] + b3 * np.exp(b1 * x[:, 0])
+
+
+def _exp_gradient(x, beta):
+    b1, _, b3 = beta
+    e = np.exp(b1 * x[:, 0])
+    return np.stack([b3 * x[:, 0] * e, x[:, 1], e], axis=1)
+
+
+def _exp_intercept_mean(x, beta):
+    b1, b2, b3, b4 = beta
+    return b1 * np.exp(b2 * x[:, 0]) + b3 + b4 * x[:, 1]
+
+
+def _exp_intercept_gradient(x, beta):
+    b1, b2, _, _ = beta
+    e = np.exp(b2 * x[:, 0])
+    return np.stack(
+        [e, b1 * x[:, 0] * e, np.ones(x.shape[0]), x[:, 1]], axis=1
+    )
+
+
+def _linear_mean(x, beta):
+    b1, b2, b3 = beta
+    return b1 * x[:, 0] + b2 * x[:, 1] + b3
+
+
+def _linear_gradient(x, beta):
+    return np.stack([x[:, 0], x[:, 1], np.ones(x.shape[0])], axis=1)
+
+
 def exp_linear_model(intercept: bool = False) -> RegressionModel:
     """Exponential-plus-linear mean.
 
@@ -95,49 +131,20 @@ def exp_linear_model(intercept: bool = False) -> RegressionModel:
     With intercept (4 parameters):     m(x, b) = b1*exp(b2*x1) + b3 + b4*x2.
     """
     if intercept:
-
-        def mean(x, beta):
-            b1, b2, b3, b4 = beta
-            return b1 * np.exp(b2 * x[:, 0]) + b3 + b4 * x[:, 1]
-
-        def gradient(x, beta):
-            b1, b2, _, _ = beta
-            e = np.exp(b2 * x[:, 0])
-            return np.stack(
-                [e, b1 * x[:, 0] * e, np.ones(x.shape[0]), x[:, 1]], axis=1
-            )
-
         return RegressionModel(
-            id="exp_linear", dim_beta=4, mean=mean, gradient=gradient,
-            variant="intercept",
+            id="exp_linear", dim_beta=4, mean=_exp_intercept_mean,
+            gradient=_exp_intercept_gradient, variant="intercept",
         )
-
-    def mean(x, beta):
-        b1, b2, b3 = beta
-        return b2 * x[:, 1] + b3 * np.exp(b1 * x[:, 0])
-
-    def gradient(x, beta):
-        b1, _, b3 = beta
-        e = np.exp(b1 * x[:, 0])
-        return np.stack([b3 * x[:, 0] * e, x[:, 1], e], axis=1)
-
     return RegressionModel(
-        id="exp_linear", dim_beta=3, mean=mean, gradient=gradient,
+        id="exp_linear", dim_beta=3, mean=_exp_mean, gradient=_exp_gradient,
         variant="no_intercept",
     )
 
 
 def linear_model() -> RegressionModel:
     """Linear mean m(x, b) = b1*x1 + b2*x2 + b3."""
-
-    def mean(x, beta):
-        b1, b2, b3 = beta
-        return b1 * x[:, 0] + b2 * x[:, 1] + b3
-
-    def gradient(x, beta):
-        return np.stack([x[:, 0], x[:, 1], np.ones(x.shape[0])], axis=1)
-
-    return RegressionModel(id="linear", dim_beta=3, mean=mean, gradient=gradient)
+    return RegressionModel(id="linear", dim_beta=3, mean=_linear_mean,
+                           gradient=_linear_gradient)
 
 
 def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
@@ -160,19 +167,17 @@ def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
     return np.where(t <= 2.0, 1.0, np.where(t < 3.0, mid, 0.0))
 
 
-def predict(model: RegressionModel, fit: RegressionFit, x) -> float | np.ndarray:
+def predict(fit: RegressionFit, x) -> float | np.ndarray:
     """Evaluate the fitted mean at one covariate vector or a matrix of them."""
     if not fit.converged:
         raise ValueError("regression fit did not converge")
     beta = np.asarray(fit.beta, dtype=float)
-    if beta.shape != (model.dim_beta,):
-        raise ValueError("dimension mismatch between fit and model")
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     mat = arr[None, :] if single else arr
     if mat.ndim != 2 or mat.shape[1] != 2:
         raise ValueError("dimension mismatch: expected 2 covariate columns")
-    out = model.mean(mat, beta)
+    out = fit.model.mean(mat, beta)
     return float(out[0]) if single else out
 
 
@@ -428,7 +433,8 @@ def fit_mm(
     Scales are solved by safeguarded Newton steps to 1e-10 relative.
     Stage 2 minimizes the bisquare (c = 4.685) objective at the stage-1
     scale by IRWLS Gauss-Newton with step halving, to tolerance 1e-8.  The
-    subset draw is deterministic given ``seed``.
+    subset draw is deterministic given ``seed``.  The fit carries ``model``,
+    so ``predict(fit, x)`` needs nothing else.
 
     ``covariate_weights``, when given, receives the complete-case covariate
     matrix and must return per-row weights in [0, 1] multiplying the M-step
@@ -467,6 +473,7 @@ def fit_mm(
     beta_m, converged, m_iterations = _m_step(model, yc, xc, w_cov, beta, s)
 
     return RegressionFit(
+        model=model,
         beta=beta_m,
         residual_scale=s,
         weights_used=None if covariate_weights is None else w_cov,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from io import StringIO
 
@@ -88,6 +88,15 @@ def _mu_true(x1, x2):
     return b2 * x2 + b3 * np.exp(b1 * x1)
 
 
+def _clean_draw(rng: np.random.Generator, n: int):
+    """x1, x2 and the clean response of n rows of the benchmark model, drawn
+    in that order (x1, x2, then eps)."""
+    x1 = rng.uniform(0.0, 1.0, n)
+    x2 = rng.normal(0.0, 1.0, n)
+    eps = rng.normal(0.0, 1.0, n)
+    return x1, x2, _mu_true(x1, x2) + eps
+
+
 def _mh_prob(z):
     return 1.0 / (1.0 + np.exp(-0.2 * z - 0.2))
 
@@ -147,10 +156,7 @@ def generate_sample(
         raise ValueError(f"unknown missing scheme: {missing!r}")
 
     rng = np.random.default_rng(seed)
-    x1 = rng.uniform(0.0, 1.0, n)
-    x2 = rng.normal(0.0, 1.0, n)
-    eps = rng.normal(0.0, 1.0, n)
-    y_clean = _mu_true(x1, x2) + eps
+    x1, x2, y_clean = _clean_draw(rng, n)
 
     y_complete = y_clean.copy()
     contaminated = np.zeros(n, dtype=bool)
@@ -245,19 +251,6 @@ class ScenarioConfig:
             canonical = tuple(k for k in known if k in given)
             object.__setattr__(self, name, canonical)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "reps": self.reps,
-            "seed": self.seed,
-            "contamination": self.contamination,
-            "missing": self.missing,
-            "propensity_method": self.propensity_method,
-            "regression_spec": self.regression_spec,
-            "estimators": list(self.estimators),
-            "functionals": list(self.functionals),
-        }
-
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -305,7 +298,7 @@ class SummaryTable:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "reps_used": self.reps_used,
             "failures": self.failures,
             "observed_fraction": self.observed_fraction,
@@ -355,7 +348,7 @@ def _one_rep(cfg: ScenarioConfig, j: int, sf: ScoreFamily) -> dict:
             else linear_model()
         )
         fit = fit_mm(model, data, seed=seed_j)
-        estimates["conv"] = estimate_conv(data, pf, model, fit, sf)
+        estimates["conv"] = estimate_conv(data, pf, fit, sf)
     if "ipw" in cfg.estimators:
         estimates["ipw"] = estimate_ipw(data, pf, sf)
     if "aipw" in cfg.estimators:
@@ -488,10 +481,7 @@ def target_values(
     for j in range(reps):
         rng = np.random.default_rng(seed ^ j)
         if sampler is None:
-            x1 = rng.uniform(0.0, 1.0, n)
-            x2 = rng.normal(0.0, 1.0, n)
-            eps = rng.normal(0.0, 1.0, n)
-            y = _mu_true(x1, x2) + eps
+            y = _clean_draw(rng, n)[2]
         else:
             y = np.asarray(sampler(rng, n), dtype=float)
         summ = _classical(y, sf)

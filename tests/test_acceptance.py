@@ -416,7 +416,7 @@ def test_criterion_10_property_suites():
     for name, est, law in (
         ("ipw", estimate_ipw(data, pf, SF), ref),
         ("aipw", estimate_aipw(data, pf, 150.0 ** (-1.0 / 3.0), SF), ref),
-        ("conv", estimate_conv(data, pf, model, fit, SF), conv_ref),
+        ("conv", estimate_conv(data, pf, fit, SF), conv_ref),
     ):
         gaps[name] = max(
             abs(est.theta_mean - ref.mean),

@@ -62,7 +62,16 @@ def settings_and_data(config, path):
     )
 
 
-def reference_attach_jackknife(entries, data, settings):
+def estimate_entries(data, settings):
+    """The report's rows before the jackknife, with the model fits and the
+    a_n they were made with, as ``robmarg estimate`` makes them."""
+    a_n = cli._a_n(settings, data)
+    fits = cli._fit_models(data, settings)
+    estimates = cli._estimates(data, settings, fits, a_n)
+    return cli._report_entries(estimates, fits), fits, a_n
+
+
+def reference_attach_jackknife(entries, data, settings, a_n):
     """The jackknife as it ran before one leave-one-out pass served every
     entry: each jackknifed entry refits its own propensity and model on
     every leave-one-out dataset, and skips the sets where it alone fails."""
@@ -70,20 +79,18 @@ def reference_attach_jackknife(entries, data, settings):
     first_label = settings["models"][0]["label"] if settings["models"] else None
 
     def jackknife_theta(entry):
-        spec = next(
-            (m for m in settings["models"] if m["label"] == entry["model"]),
-            None,
+        single = dict(
+            settings,
+            estimators=[entry["estimator"]],
+            propensities=[entry["propensity"]],
+            models=[m for m in settings["models"]
+                    if m["label"] == entry["model"]],
         )
 
         def rerun(d):
-            pf = propensity.fit_propensity(
-                entry["propensity"], d.z, d.delta, settings["floor"],
-                settings["kernel_bandwidth"],
-            )
-            model_fit = cli._fit_model(spec, d, settings) if spec else None
-            return cli._estimate(
-                entry["estimator"], d, pf, settings, model_fit
-            ).theta_m
+            fits = cli._fit_models(d, single)
+            (est,) = cli._estimates(d, single, fits, a_n).values()
+            return est.theta_m
 
         return rerun
 
@@ -204,20 +211,33 @@ class TestEstimateJackknife:
             assert e["se"] > 0
             assert e["jackknife_n"] == 153
 
-    @pytest.mark.parametrize("case", ["ozone", "toy"])
+    @pytest.mark.parametrize("case", ["ozone", "toy", "toy_two_models"])
     def test_one_pass_matches_per_entry_jackknife(self, tmp_path, case):
         if case == "ozone":
             config = dict(OZONE_CONFIG, propensities=["constant"],
                           jackknife_propensity="constant")
             path = AIRQ
-        else:
+        elif case == "toy":
             config = toy_config(a_n=None, jackknife=True)
             path = toy_csv(tmp_path)
+        else:
+            # The jackknifed rows are not the first of their estimator: the
+            # jackknife propensity comes second and the first model of two
+            # is jackknifed.  Blank responses make the logistic fit defined.
+            config = toy_config(
+                a_n=None, jackknife=True,
+                propensities=["constant", "logistic"],
+                jackknife_propensity="logistic",
+                models=[{"id": "linear", "label": "plain"},
+                        {"id": "linear", "label": "downweighted",
+                         "weights": "hard_rejection"}],
+            )
+            path = toy_csv(tmp_path, blank_rows=(3, 11, 24, 35))
         settings, data = settings_and_data(config, path)
-        entries = cli._estimate_entries(data, settings)
+        entries, fits, a_n = estimate_entries(data, settings)
         expected = [dict(e) for e in entries]
-        reference_attach_jackknife(expected, data, settings)
-        cli._attach_jackknife(entries, data, settings)
+        reference_attach_jackknife(expected, data, settings, a_n)
+        cli._attach_jackknife(entries, data, settings, fits, a_n)
         assert sum(e["se"] is not None for e in entries) == 3
         for got, want in zip(entries, expected):
             for field in ("se", "ci", "jackknife_n"):
@@ -228,7 +248,7 @@ class TestEstimateJackknife:
         settings, data = settings_and_data(
             toy_config(jackknife=True), toy_csv(tmp_path)
         )
-        entries = cli._estimate_entries(data, settings)
+        entries, fits, a_n = estimate_entries(data, settings)
         real = cli.estimate_conv
         calls = []
 
@@ -241,7 +261,7 @@ class TestEstimateJackknife:
         monkeypatch.setattr(cli, "estimate_conv", fails_once)
         # The patch reaches the calling process only.
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
-        cli._attach_jackknife(entries, data, settings)
+        cli._attach_jackknife(entries, data, settings, fits, a_n)
         assert [e["jackknife_n"] for e in entries] == [data.n - 1] * 3
 
 
@@ -268,10 +288,9 @@ def ozone_jackknife_runs():
             mp.setattr(cli, "fit_mm", counted)
             mp.setattr(parallel, "available_cpus", lambda: cpus)
             mp.setattr(parallel, "_START_FACTOR", 0.0)
-            fits = cli._fit_models(data, settings)
-            entries = cli._estimate_entries(data, settings, fits)
+            entries, fits, a_n = estimate_entries(data, settings)
             cli._attach_jackknife(entries, data, settings,
-                                  fits if reuse else None)
+                                  fits if reuse else {}, a_n)
         runs[name] = (entries, len(calls))
     return runs
 
@@ -316,7 +335,7 @@ class TestPropensityFitPerDataset:
             return real(z, delta)
 
         monkeypatch.setattr(propensity, "auto_bandwidth", counted)
-        entries = cli._estimate_entries(data, settings)
+        entries = estimate_entries(data, settings)[0]
         assert "kernel" in settings["propensities"]
         assert len(calls) == 1
         assert len(entries) == 12
@@ -330,7 +349,7 @@ class TestPropensityFitPerDataset:
                 models=[m for m in settings["models"]
                         if m["label"] == entry["model"]] or settings["models"],
             )
-            (refit,) = cli._estimate_entries(data, single)
+            (refit,) = estimate_entries(data, single)[0]
             assert refit == entry
         assert len(calls) == 1 + 4
 

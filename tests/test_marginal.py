@@ -145,13 +145,14 @@ class TestConv:
         data = gen_mar(150, 11)
         pf = fit_logistic(data.z, data.delta)
         fit = RegressionFit(
+            model=linear_model(),
             beta=np.array([0.0, 0.0, 7.5]),
             residual_scale=1.0,
             weights_used=None,
             complete_case_count=data.n_obs,
             converged=True,
         )
-        est = estimate_conv(data, pf, linear_model(), fit, SF)
+        est = estimate_conv(data, pf, fit, SF)
         y_obs = data.y[data.delta == 1]
         ref = functional_summary(
             WeightedSample(y_obs, np.full(y_obs.size, 1.0 / y_obs.size)), SF
@@ -170,6 +171,7 @@ class TestConv:
             delta=np.ones(3, dtype=int),
         )
         fit = RegressionFit(
+            model=linear_model(),
             beta=np.array([1.0, 0.0, 0.0]),
             residual_scale=1.0,
             weights_used=None,
@@ -183,7 +185,7 @@ class TestConv:
             )
 
         pf = known_propensity(p_fn, k=1)
-        est = estimate_conv(data, pf, linear_model(), fit, SF)
+        est = estimate_conv(data, pf, fit, SF)
         mu = np.array([0.5, 1.0, 2.0])
         eps = np.array([0.5, 1.0, 2.0])
         tau = np.array([2.0, 4.0, 1.0]) / 7.0
@@ -197,6 +199,7 @@ class TestConv:
         data = gen_mar(100, 2)
         pf = constant_propensity(data.delta)
         fit = RegressionFit(
+            model=linear_model(),
             beta=np.zeros(3),
             residual_scale=1.0,
             weights_used=None,
@@ -204,7 +207,7 @@ class TestConv:
             converged=False,
         )
         with pytest.raises(ValueError, match="did not converge"):
-            estimate_conv(data, pf, linear_model(), fit, SF)
+            estimate_conv(data, pf, fit, SF)
 
     def test_large_sample_grid_subsampling_warns_and_preserves_values(self):
         rng = np.random.default_rng(13)
@@ -213,6 +216,7 @@ class TestConv:
         data = complete_dataset(y)
         pf = unit_propensity()
         fit = RegressionFit(
+            model=linear_model(),
             beta=np.array([0.0, 0.0, 5.0]),
             residual_scale=1.0,
             weights_used=None,
@@ -220,7 +224,7 @@ class TestConv:
             converged=True,
         )
         with pytest.warns(UserWarning, match="convolution grid reduced"):
-            est = estimate_conv(data, pf, linear_model(), fit, SF)
+            est = estimate_conv(data, pf, fit, SF)
         # constant mean: subsampled grid atoms are all 5.0, so the collapse
         # to the empirical law survives the reduction exactly
         assert est.distribution.atoms.size == n * 2000
@@ -444,8 +448,8 @@ class TestEquivariance:
         d0, d1 = build(y), build(a * y + b)
         fit0 = fit_mm(linear_model(), d0, seed=0)
         fit1 = fit_mm(linear_model(), d1, seed=0)
-        est0 = estimate_conv(d0, pf, linear_model(), fit0, SF)
-        est1 = estimate_conv(d1, pf, linear_model(), fit1, SF)
+        est0 = estimate_conv(d0, pf, fit0, SF)
+        est1 = estimate_conv(d1, pf, fit1, SF)
         assert est1.theta_mean == pytest.approx(a * est0.theta_mean + b, abs=1e-6)
         assert est1.theta_m == pytest.approx(a * est0.theta_m + b, abs=1e-6)
         assert est1.theta_median == pytest.approx(
@@ -461,7 +465,7 @@ def test_estimators_agree_reasonably_on_mar_data():
 
     fit = fit_mm(exp_linear_model(), data, seed=0)
     est_i = estimate_ipw(data, pf, SF)
-    est_c = estimate_conv(data, pf, exp_linear_model(), fit, SF)
+    est_c = estimate_conv(data, pf, fit, SF)
     est_a = estimate_aipw(data, pf, float(800) ** (-1 / 3), SF)
     vals = [est_i.theta_m, est_c.theta_m, est_a.theta_m]
     assert max(vals) - min(vals) < 1.0

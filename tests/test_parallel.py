@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from robmarg import parallel
+from robmarg import cli, parallel
 from robmarg.parallel import ordered_map
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -94,3 +94,49 @@ def test_script_without_main_guard_aborts(tmp_path):
                           timeout=120)
     assert proc.returncode == 2
     assert "if __name__ == \"__main__\":" in proc.stderr
+
+
+def test_script_without_main_guard_that_does_not_exit(tmp_path, monkeypatch):
+    """A spawned worker imports the caller's script; a script that lacks the
+    guard and does not exit gets its estimate made once, in the caller, and
+    the workers' import of it stops at the CLI with the guard named."""
+    lines = ["y,x1,x2"] + [
+        f"{2.0 + 3.0 * (i % 7) + 0.1 * i},{i % 7},{0.5 * i}" for i in range(30)
+    ]
+    (tmp_path / "toy.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "config.json").write_text(
+        '{"response": "y", "z": ["x1"], "covariates": ["x1", "x2"], '
+        '"estimators": ["ipw"], "propensities": ["constant"]}'
+    )
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""\
+        from robmarg import cli, parallel
+        parallel.available_cpus = lambda: 2
+        parallel._START_FACTOR = 0.0
+        read = cli._read_csv_columns
+
+        def logged_read(*args):
+            with open("reads.log", "a") as log:
+                log.write("read\\n")
+            return read(*args)
+
+        cli._read_csv_columns = logged_read
+        cli.main(["estimate", "--data", "toy.csv",
+                  "--config", "config.json", "--out", "out"])
+    """))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "abort: estimation failed" not in proc.stderr
+    assert "if __name__ == \"__main__\":" in proc.stderr
+    assert (tmp_path / "reads.log").read_text() == "read\n"
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    assert cli.main(["estimate", "--data", "toy.csv", "--config",
+                     "config.json", "--out", "in_process"]) == 0
+    for name in ("report.json", "table.csv"):
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "in_process" / name).read_bytes())

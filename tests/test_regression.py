@@ -1,6 +1,7 @@
 """Tests for the simplified MM regression fits."""
 
 import dataclasses
+import pickle
 from importlib import resources
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robmarg import regression, scaleloc
+from robmarg.cli import _MODEL_IDS as MODEL_IDS
 from robmarg.cli import _read_csv_columns
 from robmarg.dataset import ObservedDataset
 from robmarg.regression import (
@@ -29,9 +31,10 @@ BETA_TRUE = np.array([2.0, 0.1, 5.0])
 MC_SD_N100 = np.array([0.0277, 0.1070, 0.1107])
 
 
-def make_fit(beta, converged=True):
+def make_fit(model, beta, converged=True):
     beta = np.asarray(beta, dtype=float)
     return RegressionFit(
+        model=model,
         beta=beta,
         residual_scale=1.0,
         weights_used=None,
@@ -84,44 +87,47 @@ def gauss_newton_least_squares(model, data, beta_start, iterations=100):
 
 class TestPredict:
     def test_linear_arithmetic(self):
-        model = linear_model()
-        fit = make_fit([1.0, 1.0, 0.0])
-        assert predict(model, fit, np.array([2.0, 3.0])) == pytest.approx(5.0)
+        fit = make_fit(linear_model(), [1.0, 1.0, 0.0])
+        assert predict(fit, np.array([2.0, 3.0])) == pytest.approx(5.0)
 
     def test_exp_arithmetic(self):
-        model = exp_linear_model()
-        fit = make_fit(BETA_TRUE)
-        assert predict(model, fit, np.array([0.0, 1.0])) == pytest.approx(5.1)
+        fit = make_fit(exp_linear_model(), BETA_TRUE)
+        assert predict(fit, np.array([0.0, 1.0])) == pytest.approx(5.1)
 
     def test_exp_intercept_arithmetic(self):
-        model = exp_linear_model(intercept=True)
         a, b, c, d = 3.5, 0.7, -1.25, 2.0
-        fit = make_fit([a, b, c, d])
-        assert predict(model, fit, np.array([0.0, 0.0])) == pytest.approx(a + c)
+        fit = make_fit(exp_linear_model(intercept=True), [a, b, c, d])
+        assert predict(fit, np.array([0.0, 0.0])) == pytest.approx(a + c)
 
     def test_matrix_input(self):
-        model = linear_model()
-        fit = make_fit([2.0, 0.0, 1.0])
-        out = predict(model, fit, np.array([[0.0, 0.0], [1.0, 0.0]]))
+        fit = make_fit(linear_model(), [2.0, 0.0, 1.0])
+        out = predict(fit, np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert np.allclose(out, [1.0, 3.0])
 
     def test_requires_convergence(self):
-        model = linear_model()
-        fit = make_fit([1.0, 1.0, 0.0], converged=False)
+        fit = make_fit(linear_model(), [1.0, 1.0, 0.0], converged=False)
         with pytest.raises(ValueError, match="did not converge"):
-            predict(model, fit, np.array([2.0, 3.0]))
-
-    def test_beta_dimension_mismatch(self):
-        model = exp_linear_model(intercept=True)  # wants 4 parameters
-        fit = make_fit([1.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            predict(model, fit, np.array([2.0, 3.0]))
+            predict(fit, np.array([2.0, 3.0]))
 
     def test_covariate_dimension_mismatch(self):
-        model = linear_model()
-        fit = make_fit([1.0, 1.0, 0.0])
+        fit = make_fit(linear_model(), [1.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            predict(model, fit, np.array([2.0, 3.0, 4.0]))
+            predict(fit, np.array([2.0, 3.0, 4.0]))
+
+    @pytest.mark.parametrize("model_id", sorted(MODEL_IDS))
+    def test_fit_pickles_with_its_model(self, model_id):
+        """A fit crosses a process boundary whole: its model pickles by
+        reference, and the round-tripped fit predicts the same floats."""
+        data, _ = generate_sample(200, 3)
+        fit = fit_mm(MODEL_IDS[model_id](), data, seed=0)
+        back = pickle.loads(pickle.dumps(fit))
+        assert back.model == fit.model
+        assert back.model.mean is fit.model.mean
+        assert back.model.gradient is fit.model.gradient
+        assert back.beta.tobytes() == fit.beta.tobytes()
+        want = predict(fit, data.x[data.delta == 1])
+        got = predict(back, data.x[data.delta == 1])
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -211,7 +217,7 @@ class TestFitQuality:
         )
         fit = fit_mm(exp_linear_model(intercept=True), data, seed=0)
         assert fit.converged
-        pred = predict(exp_linear_model(intercept=True), fit, data.x)
+        pred = predict(fit, data.x)
         truth = 4.0 * np.exp(0.8 * x1) + 2.0 + 0.7 * x2
         assert np.median(np.abs(pred - truth)) < 0.5
 

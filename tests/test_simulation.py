@@ -126,7 +126,7 @@ class TestM1Collapse:
         pf = true_propensity("M1")
         model = exp_linear_model(intercept=False)
         fit = fit_mm(model, data, seed=37)
-        est = estimate_conv(data, pf, model, fit, SF)
+        est = estimate_conv(data, pf, fit, SF)
         ref = classical(truth.y_complete)
         assert est.theta_mean == pytest.approx(ref.mean, abs=1e-8)
         assert est.theta_median == pytest.approx(ref.median, abs=0.5)

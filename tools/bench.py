@@ -182,7 +182,7 @@ def bench_summaries() -> tuple[list[dict], str]:
             # Past 2000 complete cases the conv grid is reduced, with a
             # warning that is expected here.
             warnings.simplefilter("ignore")
-            dist = estimate_conv(data, pf, model, fit, SF).distribution
+            dist = estimate_conv(data, pf, fit, SF).distribution
         for layer, method in SUMMARY_LAYERS.items():
             ms, _, summ = _least_ms(
                 lambda: functional_summary(dist, SF, method))
@@ -205,12 +205,14 @@ def bench_jackknife() -> dict:
     table = cli._read_csv_columns(
         os.path.join(PACKAGE_DATA, "airquality.csv"), columns)
     data = cli._build_dataset(table, settings)
+    a_n = cli._a_n(settings, data)
     fits = cli._fit_models(data, settings)
-    entries = cli._estimate_entries(data, settings, fits)
+    entries = cli._report_entries(
+        cli._estimates(data, settings, fits, a_n), fits)
 
     def call():
         fresh = [dict(e) for e in entries]
-        cli._attach_jackknife(fresh, data, settings, fits)
+        cli._attach_jackknife(fresh, data, settings, fits, a_n)
         return [e["se"] for e in fresh if e["se"] is not None]
 
     ms, _, ses = _least_ms(call)
