@@ -374,6 +374,7 @@ def _report_entries(estimates: dict, fits: dict) -> list[dict]:
             "se": None,
             "ci": None,
             "jackknife_n": None,
+            "jackknife_skipped": None,
         }
         for (est_name, label, prop), est in estimates.items()
     ]
@@ -433,6 +434,7 @@ def _attach_jackknife(entries: list[dict], data: ObservedDataset,
         entry["se"] = se
         entry["ci"] = [lo, hi]
         entry["jackknife_n"] = ve.n_effective
+        entry["jackknife_skipped"] = dict(ve.skipped)
 
 
 def _report_csv(entries: list[dict]) -> str:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import partial
 from statistics import NormalDist
 from time import perf_counter
@@ -44,11 +45,16 @@ _JACKKNIFE_WARN_S = 60.0
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """A standard error in response units with its provenance."""
+    """A standard error in response units with its provenance.
+
+    ``skipped`` counts a jackknife's skipped leave-one-out replicates by
+    reason ("Type: message").
+    """
 
     se: float | tuple[float, ...]
     method: str
     n_effective: int
+    skipped: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -72,11 +78,12 @@ def _drop_row(data: ObservedDataset, i: int) -> ObservedDataset:
 
 
 def _replicate(estimator, data: ObservedDataset, i: int):
-    """The estimate without row i, as floats; None when the estimator raises."""
+    """The estimate without row i, as floats; the reason ("Type: message")
+    when the estimator raises."""
     try:
         theta = estimator(_drop_row(data, i))
-    except Exception:
-        return None
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
     if np.ndim(theta) == 0:
         return float(theta)
     return tuple(float(v) for v in theta)
@@ -93,9 +100,9 @@ def jackknife_se(
     and is recomputed on each of the n delete-one datasets, so every
     data-dependent stage (propensity fit, regression fit, scale) contributes
     to the spread.  A leave-one-out replicate that raises is skipped for
-    every component; more than 5% skipped draws a warning.  The first refit
-    is timed, and a warning gives the projected total when n times that time
-    exceeds 60 s.  With ``workers`` > 1 the other refits may run in that
+    every component and counted by its reason in ``skipped``; more than 5%
+    skipped draws a warning.  The first refit is timed, and a warning gives
+    the projected total when n times that time exceeds 60 s.  With ``workers`` > 1 the other refits may run in that
     many processes (``parallel.ordered_map``); ``estimator`` must then
     pickle, and the result is the same bit for bit.
     se = sqrt(((m-1)/m) * sum (theta_(i) - mean)^2) over the m retained
@@ -117,16 +124,19 @@ def jackknife_se(
     replicates = ordered_map(
         partial(_replicate, estimator, data), range(n), workers, warn_if_slow
     )
-    values = [v for v in replicates if v is not None]
+    values = [v for v in replicates if not isinstance(v, str)]
+    skipped = dict(Counter(v for v in replicates if isinstance(v, str)))
     failures = n - len(values)
     m = len(values)
     if m < 2:
         raise ValueError(
-            "jackknife needs at least two successful leave-one-out fits"
+            "jackknife needs at least two successful leave-one-out fits; "
+            f"skipped: {skipped}"
         )
     if failures > 0.05 * n:
         warnings.warn(
-            f"jackknife skipped {failures} of {n} leave-one-out fits",
+            f"jackknife skipped {failures} of {n} leave-one-out fits: "
+            f"{skipped}",
             stacklevel=2,
         )
 
@@ -139,7 +149,8 @@ def jackknife_se(
         se = tuple(spread(column) for column in zip(*values))
     else:
         se = spread(values)
-    return VarianceEstimate(se=se, method="jackknife", n_effective=m)
+    return VarianceEstimate(se=se, method="jackknife", n_effective=m,
+                            skipped=skipped)
 
 
 def _scale_influence(

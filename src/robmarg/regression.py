@@ -1,14 +1,16 @@
 """Robust parametric regression on complete cases.
 
 Simplified MM estimation: an S-step searches elemental subsets for a
-candidate with the smallest residual S-scale and polishes it by Gauss-Newton
-descent on that scale, then an M-step reweights with a wider bisquare at the
-fixed scale.  The search screens the candidates at the best scale found so
-far and solves only those whose scale could be smaller; all S-scales come
-from the package's one S-scale solver, ``scaleloc.residual_scales``.  Two
-mean structures are supported, an exponential-plus-linear model in two
-variants and a plain linear model, plus an optional covariate downweighting
-hook for the M-step.
+candidate with the smallest residual S-scale and polishes it to the
+minimum of that scale, then an M-step minimizes a wider bisquare objective
+at the fixed scale.  The search screens the candidates at the best scale
+found so far and solves only those whose scale could be smaller; all
+S-scales come from the package's one S-scale solver,
+``scaleloc.residual_scales``.  Both descents take Newton steps where the
+Hessian is positive definite and IRWLS (Gauss-Newton) steps elsewhere,
+with step halving, and stop on their own.  Two mean structures are
+supported, an exponential-plus-linear model in two variants and a plain
+linear model, plus an optional covariate downweighting hook for the M-step.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ _RHO0 = scale_bisquare()
 _RHO_M = location_bisquare()
 
 _N_SUBSETS = 500
-_SN_ITER = 20
+_POLISH_ITER = 100
+_POLISH_SCALE_TOL = 1e-12
+_POLISH_STEP_TOL = 1e-10
 _M_ITER = 200
 _MAX_HALVINGS = 30
 _RIDGE = 1e-8
@@ -51,11 +55,13 @@ _SCREEN_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """A parametric mean structure with its gradient.
+    """A parametric mean structure with its first and second derivatives.
 
     mean(x, beta) and gradient(x, beta) take an (m, 2) covariate matrix and
-    return (m,) and (m, dim_beta) arrays.  ``mean`` must also broadcast
-    over a (dim_beta, C, 1) stack of C coefficient vectors, giving (C, m).
+    return (m,) and (m, dim_beta) arrays; curvature(x, beta, w) returns the
+    (dim_beta, dim_beta) matrix sum_i w_i Hessian_beta m(x_i, beta).
+    ``mean`` must also broadcast over a (dim_beta, C, 1) stack of C
+    coefficient vectors, giving (C, m).
     The package's models use module-level functions, so that a model, and a
     fit that carries it, pickles by reference.
     """
@@ -64,6 +70,8 @@ class RegressionModel:
     dim_beta: int
     mean: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(compare=False)
     gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(compare=False)
+    curvature: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] = (
+        field(compare=False))
     variant: str | None = None
 
 
@@ -74,9 +82,11 @@ class RegressionFit:
     ``s_step_beta`` keeps the polished S-step candidate the M-step started
     from, so the descent property of the second stage can be audited.
     ``candidates_solved`` (elemental candidates whose scale was solved after
-    the screen), ``polish_steps`` (accepted descent steps on the S-scale)
-    and ``m_iterations`` (M-step iterations) record the work the fit did;
-    like ``s_step_beta`` and ``model`` they take no part in equality.
+    the screen), ``polish_steps`` (accepted descent steps on the S-scale),
+    ``polish_converged`` (False only when the polish hit its step cap) and
+    ``m_iterations`` (M-step iterations) record the work the fit did; like
+    ``s_step_beta`` and ``model`` they take no part in equality.
+    ``converged`` is the M-step's.
     """
 
     model: RegressionModel = field(compare=False)
@@ -88,6 +98,7 @@ class RegressionFit:
     s_step_beta: np.ndarray | None = field(default=None, compare=False)
     candidates_solved: int | None = field(default=None, compare=False)
     polish_steps: int | None = field(default=None, compare=False)
+    polish_converged: bool | None = field(default=None, compare=False)
     m_iterations: int | None = field(default=None, compare=False)
 
 
@@ -100,6 +111,15 @@ def _exp_gradient(x, beta):
     b1, _, b3 = beta
     e = np.exp(b1 * x[:, 0])
     return np.stack([b3 * x[:, 0] * e, x[:, 1], e], axis=1)
+
+
+def _exp_curvature(x, beta, w):
+    b1, _, b3 = beta
+    wxe = w * x[:, 0] * np.exp(b1 * x[:, 0])
+    h = np.zeros((3, 3))
+    h[0, 0] = b3 * (wxe @ x[:, 0])
+    h[0, 2] = h[2, 0] = wxe.sum()
+    return h
 
 
 def _exp_intercept_mean(x, beta):
@@ -115,6 +135,15 @@ def _exp_intercept_gradient(x, beta):
     )
 
 
+def _exp_intercept_curvature(x, beta, w):
+    b1, b2, _, _ = beta
+    wxe = w * x[:, 0] * np.exp(b2 * x[:, 0])
+    h = np.zeros((4, 4))
+    h[0, 1] = h[1, 0] = wxe.sum()
+    h[1, 1] = b1 * (wxe @ x[:, 0])
+    return h
+
+
 def _linear_mean(x, beta):
     b1, b2, b3 = beta
     return b1 * x[:, 0] + b2 * x[:, 1] + b3
@@ -122,6 +151,10 @@ def _linear_mean(x, beta):
 
 def _linear_gradient(x, beta):
     return np.stack([x[:, 0], x[:, 1], np.ones(x.shape[0])], axis=1)
+
+
+def _linear_curvature(x, beta, w):
+    return np.zeros((3, 3))
 
 
 def exp_linear_model(intercept: bool = False) -> RegressionModel:
@@ -133,18 +166,20 @@ def exp_linear_model(intercept: bool = False) -> RegressionModel:
     if intercept:
         return RegressionModel(
             id="exp_linear", dim_beta=4, mean=_exp_intercept_mean,
-            gradient=_exp_intercept_gradient, variant="intercept",
+            gradient=_exp_intercept_gradient,
+            curvature=_exp_intercept_curvature, variant="intercept",
         )
     return RegressionModel(
         id="exp_linear", dim_beta=3, mean=_exp_mean, gradient=_exp_gradient,
-        variant="no_intercept",
+        curvature=_exp_curvature, variant="no_intercept",
     )
 
 
 def linear_model() -> RegressionModel:
     """Linear mean m(x, b) = b1*x1 + b2*x2 + b3."""
     return RegressionModel(id="linear", dim_beta=3, mean=_linear_mean,
-                           gradient=_linear_gradient)
+                           gradient=_linear_gradient,
+                           curvature=_linear_curvature)
 
 
 def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
@@ -194,6 +229,21 @@ def _solve_step(a: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.linalg.solve(a + _RIDGE * np.eye(g.size), g)
     except np.linalg.LinAlgError:
         return np.zeros_like(g)
+
+
+def _descent_step(hess, grad, jac, wts, r):
+    """The step both descents take: Newton, -hess^-1 grad, where ``hess``
+    is positive definite (its Cholesky factorization succeeds), else the
+    IRWLS step solving (J' W J) step = J' W r with W = diag(wts)."""
+    if np.all(np.isfinite(hess)) and np.all(np.isfinite(grad)):
+        try:
+            np.linalg.cholesky(hess)
+            step = np.linalg.solve(hess, -grad)
+            if np.all(np.isfinite(step)):
+                return step
+        except np.linalg.LinAlgError:
+            pass
+    return _solve_step(jac.T @ (jac * wts[:, None]), jac.T @ (wts * r))
 
 
 def _screened_scales(resid: np.ndarray) -> tuple[np.ndarray, int]:
@@ -333,27 +383,42 @@ def _s_search(model, yc, xc, rng, n_subsets):
 
 
 def _polish(model, yc, xc, beta, s, floor):
-    """Gauss-Newton descent on the S-scale, at most 20 accepted steps.
+    """Descent on the S-scale s(beta) to its minimum.
 
-    Each step halves until the candidate's scale falls below the current
-    one.  Since mean rho0(r/s) is non-increasing in s, that needs
+    s(beta) solves mean rho0(r/s) = b.  With u = r/s, J = dm/dbeta,
+    A = sum psi0(u) u and B = sum psi0(u) J, differentiating that identity
+    gives grad s = -B/A and, with D_i = (-J_i - u_i grad s)/s,
+    Hess s = -[sum psi0'(u) J D' + sum psi0(u) Hess m]/A
+             + B [sum (psi0'(u) u + psi0(u)) D]'/A^2, symmetrized.
+    ``_descent_step`` makes each step Newton or IRWLS.  The step halves
+    until the candidate's scale falls below the current one.  Since
+    mean rho0(r/s) is non-increasing in s, that needs
     mean rho0(r_new/s) < b, so a trial costs one rho0 pass and only a step
-    that passes it gets its scale solved.  Stops early once the scale
-    drops to ``floor``.  Returns the coefficients, the scale and the number
-    of accepted steps.
+    that passes it gets its scale solved.  Stops when no step is accepted,
+    when an accepted step lowers the scale by at most 1e-12 relative or
+    moves beta by at most 1e-10 (1 + |beta|_inf), or once the scale drops
+    to ``floor``.  Returns the coefficients, the scale, the number of
+    accepted steps and whether it stopped before the cap of 100 steps.
     """
-    steps = 0
-    for _ in range(_SN_ITER):
+    for steps in range(_POLISH_ITER):
         if s <= floor:
-            break
+            return beta, s, steps, True
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r = yc - model.mean(xc, beta)
-            wts = _RHO0.weight(r / s)
+            u = r / s
+            wts = _RHO0.weight(u)
             jac = model.gradient(xc, beta)
-        a = jac.T @ (jac * wts[:, None])
-        g = jac.T @ (wts * r)
-        step = _solve_step(a, g)
-        t, accepted = 1.0, False
+            psi = wts * u
+            dpsi = _RHO0.psi_prime(u)
+            a = float(psi @ u)
+            bv = jac.T @ psi
+            grad = -bv / a
+            d = (-jac - u[:, None] * grad) / s
+            hess = (np.outer(bv, (dpsi * u + psi) @ d) / a
+                    - jac.T @ (d * dpsi[:, None])
+                    - model.curvature(xc, beta, psi)) / a
+        step = _descent_step(0.5 * (hess + hess.T), grad, jac, wts, r)
+        t = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = beta + t * step
             with np.errstate(over="ignore", invalid="ignore"):
@@ -361,20 +426,28 @@ def _polish(model, yc, xc, beta, s, floor):
             if np.all(np.isfinite(r_new)) and np.mean(
                 _RHO0.rho(r_new / s)
             ) < SCALE_B_TARGET:
-                s_new = residual_scales(r_new[None, :], np.array([s]))[0]
+                s_new = float(residual_scales(r_new[None, :], np.array([s]))[0])
                 if s_new < s:
-                    beta, s, accepted = cand, float(s_new), True
-                    steps += 1
                     break
             t *= 0.5
-        if not accepted:
-            break
-    return beta, s, steps
+        else:
+            return beta, s, steps, True
+        small = (s - s_new <= _POLISH_SCALE_TOL * s
+                 or t * np.max(np.abs(step))
+                 <= _POLISH_STEP_TOL * (1.0 + np.max(np.abs(cand))))
+        beta, s = cand, s_new
+        if small:
+            return beta, s, steps + 1, True
+    return beta, s, _POLISH_ITER, False
 
 
 def _m_step(model, yc, xc, w_cov, beta, s):
-    """Bisquare M-step at the fixed scale ``s`` by IRWLS Gauss-Newton with
-    step halving.  Returns the coefficients, whether it converged and the
+    """Bisquare M-step at the fixed scale ``s``.
+
+    Minimizes sum w rho(r/s), whose gradient is -sum w psi(u) J/s and whose
+    Hessian is sum w psi'(u) J J'/s^2 - sum w psi(u) Hess m/s, with
+    ``_descent_step``'s Newton or IRWLS steps and step halving on the
+    objective.  Returns the coefficients, whether it converged and the
     number of iterations."""
 
     def objective(b):
@@ -390,11 +463,13 @@ def _m_step(model, yc, xc, w_cov, beta, s):
     for iterations in range(1, _M_ITER + 1):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r = yc - model.mean(xc, beta_m)
-            wts = w_cov * _RHO_M.weight(r / s)
+            u = r / s
+            wts = w_cov * _RHO_M.weight(u)
             jac = model.gradient(xc, beta_m)
-        a = jac.T @ (jac * wts[:, None])
-        g = jac.T @ (wts * r)
-        step = _solve_step(a, g)
+            wpsi = wts * u
+            hess = (jac.T @ (jac * (w_cov * _RHO_M.psi_prime(u))[:, None])
+                    / s - model.curvature(xc, beta_m, wpsi)) / s
+        step = _descent_step(hess, -(jac.T @ wpsi) / s, jac, wts, r)
         t, accepted = 1.0, False
         for _ in range(_MAX_HALVINGS):
             cand = beta_m + t * step
@@ -425,16 +500,19 @@ def fit_mm(
 
     Stage 1 searches ``n_subsets`` random elemental subsets (size
     dim_beta + 1) for the candidate whose full-sample residual S-scale
-    (bisquare c0 = 1.54764, b = 0.5) is smallest, then runs up to 20
-    Gauss-Newton descent steps on that scale.  The search solves a
+    (bisquare c0 = 1.54764, b = 0.5) is smallest.  The search solves a
     candidate's scale only if a screen at the best scale found so far
     shows it could be smaller (Fast-S, Salibian-Barrera & Yohai 2006); the
     result is the argmin over all candidates, first index first on ties.
-    Scales are solved by safeguarded Newton steps to 1e-10 relative.
-    Stage 2 minimizes the bisquare (c = 4.685) objective at the stage-1
-    scale by IRWLS Gauss-Newton with step halving, to tolerance 1e-8.  The
-    subset draw is deterministic given ``seed``.  The fit carries ``model``,
-    so ``predict(fit, x)`` needs nothing else.
+    Scales are solved by safeguarded Newton steps to 1e-10 relative.  The
+    best candidate is then polished to the minimum of the scale by Newton
+    steps (IRWLS steps where the scale's Hessian is not positive
+    definite), which stop on their own within 100 steps
+    (``polish_converged``).  Stage 2 minimizes the bisquare (c = 4.685)
+    objective at the stage-1 scale by the same Newton or IRWLS steps with
+    step halving, to tolerance 1e-8 (``converged``).  The subset draw is
+    deterministic given ``seed``.  The fit carries ``model``, so
+    ``predict(fit, x)`` needs nothing else.
 
     ``covariate_weights``, when given, receives the complete-case covariate
     matrix and must return per-row weights in [0, 1] multiplying the M-step
@@ -467,7 +545,8 @@ def fit_mm(
     floor = _DEGENERATE_REL * max(float(np.ptp(yc)), 1e-300)
     if s <= floor:
         raise ValueError("degenerate scale: residuals have no spread")
-    beta, s, polish_steps = _polish(model, yc, xc, beta, s, floor)
+    beta, s, polish_steps, polish_converged = _polish(
+        model, yc, xc, beta, s, floor)
     if s <= floor:
         raise ValueError("degenerate scale: residuals have no spread")
     beta_m, converged, m_iterations = _m_step(model, yc, xc, w_cov, beta, s)
@@ -482,5 +561,6 @@ def fit_mm(
         s_step_beta=beta,
         candidates_solved=solved,
         polish_steps=polish_steps,
+        polish_converged=polish_converged,
         m_iterations=m_iterations,
     )

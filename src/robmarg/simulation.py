@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from io import StringIO
@@ -275,7 +276,8 @@ class SummaryTable:
     ``sd`` uses the population convention (divisor = number of successful
     replications) so mse = bias^2 + sd^2 holds exactly.  ``observed_fraction``
     is the empirical mean share of complete rows, reported so the actual
-    missingness level of a scheme is always visible.
+    missingness level of a scheme is always visible.  ``failure_reasons``
+    counts the failed replications by reason ("Type: message").
     """
 
     config: ScenarioConfig
@@ -284,6 +286,7 @@ class SummaryTable:
     failures: int
     observed_fraction: float
     targets: dict = field(default_factory=dict)
+    failure_reasons: dict = field(default_factory=dict)
 
     def to_csv_text(self) -> str:
         out = StringIO()
@@ -301,6 +304,7 @@ class SummaryTable:
             "config": asdict(self.config),
             "reps_used": self.reps_used,
             "failures": self.failures,
+            "failure_reasons": dict(self.failure_reasons),
             "observed_fraction": self.observed_fraction,
             "targets": dict(self.targets),
             "rows": [
@@ -374,12 +378,13 @@ def _one_rep(cfg: ScenarioConfig, j: int, sf: ScoreFamily) -> dict:
     }
 
 
-def _rep_or_none(cfg: ScenarioConfig, sf: ScoreFamily, j: int) -> dict | None:
-    """Replication j, or None when its estimation raises."""
+def _rep_or_reason(cfg: ScenarioConfig, sf: ScoreFamily, j: int) -> dict | str:
+    """Replication j, or the reason ("Type: message") when its estimation
+    raises."""
     try:
         return _one_rep(cfg, j, sf)
-    except Exception:
-        return None
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_scenario(
@@ -393,21 +398,24 @@ def run_scenario(
     Replication j uses the RNG stream seeded by ``cfg.seed ^ j``, so the
     table is bit-identical for a given config no matter how many worker
     processes (``parallel.ordered_map``) execute the replications.
-    Replications whose estimation raises are recorded and excluded; the run
-    aborts if more than 2% fail.  Bias is measured against ``targets``
-    (default: the long-run PUBLISHED_TARGETS), sd is the population-form
-    standard deviation over replications, and mse = bias^2 + sd^2 exactly.
+    Replications whose estimation raises are excluded and counted by
+    reason; the run aborts, naming the reasons, if more than 2% fail.  Bias
+    is measured against ``targets`` (default: the long-run
+    PUBLISHED_TARGETS), sd is the population-form standard deviation over
+    replications, and mse = bias^2 + sd^2 exactly.
     """
     tgt = dict(PUBLISHED_TARGETS)
     if targets is not None:
         tgt.update(targets)
-    results = ordered_map(partial(_rep_or_none, cfg, sf), range(cfg.reps),
+    results = ordered_map(partial(_rep_or_reason, cfg, sf), range(cfg.reps),
                           workers)
-    kept = [r for r in results if r is not None]
+    kept = [r for r in results if not isinstance(r, str)]
+    reasons = dict(Counter(r for r in results if isinstance(r, str)))
     failures = cfg.reps - len(kept)
     if failures > 0.02 * cfg.reps:
         raise RuntimeError(
-            f"scenario aborted: {failures} of {cfg.reps} replications failed"
+            f"scenario aborted: {failures} of {cfg.reps} replications "
+            f"failed: {reasons}"
         )
 
     rows = []
@@ -440,6 +448,7 @@ def run_scenario(
         rows=tuple(rows),
         reps_used=len(kept),
         failures=failures,
+        failure_reasons=reasons,
         observed_fraction=float(np.mean([r["observed"] for r in kept])),
         targets=tgt,
     )

@@ -263,6 +263,8 @@ class TestEstimateJackknife:
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         cli._attach_jackknife(entries, data, settings, fits, a_n)
         assert [e["jackknife_n"] for e in entries] == [data.n - 1] * 3
+        assert [e["jackknife_skipped"] for e in entries] == [
+            {"ValueError: no convergence": 1}] * 3
 
 
 @pytest.fixture(scope="module")
@@ -652,6 +654,7 @@ class TestSimulate:
         doc = json.loads((out / "smoke.json").read_text())
         assert doc["reps_used"] == 2
         assert doc["failures"] == 0
+        assert doc["failure_reasons"] == {}
 
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []

@@ -116,9 +116,11 @@ class TestJackknife:
                 raise ValueError("lost the marker")
             return float(d.y.mean())
 
-        with pytest.warns(UserWarning, match="skipped 1 of 10"):
+        with pytest.warns(UserWarning,
+                          match="skipped 1 of 10.*ValueError: lost the marker"):
             ve = jackknife_se(estimator, data)
         assert ve.n_effective == 9
+        assert ve.skipped == {"ValueError: lost the marker": 1}
 
     def test_small_failure_fraction_does_not_warn(self):
         y = np.arange(30.0)
@@ -169,7 +171,8 @@ class TestJackknife:
         def estimator(d):
             raise RuntimeError("always fails")
 
-        with pytest.raises(ValueError, match="at least two successful"):
+        with pytest.raises(ValueError, match=(
+                "at least two successful.*'RuntimeError: always fails': 3")):
             jackknife_se(estimator, data)
 
     def test_full_pipeline_se_is_positive_and_modest(self):
@@ -196,6 +199,7 @@ class TestJackknifeInProcesses:
         ve = jackknife_se(mean_and_median_with_marker, data, workers=2)
         assert ve.n_effective == 39
         assert len(ve.se) == 2
+        assert ve.skipped == {"ValueError: lost the marker": 1}
         assert ve == jackknife_se(mean_and_median_with_marker, data)
         assert multiprocessing.active_children() == []
 

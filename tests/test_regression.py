@@ -124,6 +124,7 @@ class TestPredict:
         assert back.model == fit.model
         assert back.model.mean is fit.model.mean
         assert back.model.gradient is fit.model.gradient
+        assert back.model.curvature is fit.model.curvature
         assert back.beta.tobytes() == fit.beta.tobytes()
         want = predict(fit, data.x[data.delta == 1])
         got = predict(back, data.x[data.delta == 1])
@@ -146,6 +147,33 @@ def test_gradient_matches_finite_differences(model):
         e[j] = h
         fd = (model.mean(x, beta + e) - model.mean(x, beta - e)) / (2 * h)
         assert np.max(np.abs(grad[:, j] - fd)) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "model",
+    [exp_linear_model(), exp_linear_model(intercept=True), linear_model()],
+    ids=["exp", "exp-intercept", "linear"],
+)
+def test_curvature_matches_finite_differences(model):
+    """curvature(x, beta, w) is the w-weighted sum of the Hessians of the
+    mean: central differences of the gradient give it column by column."""
+    rng = np.random.default_rng(101)
+    x = np.column_stack([rng.uniform(0, 1, 40), rng.normal(0, 1, 40)])
+    w = rng.normal(0, 1, 40)
+    p = model.dim_beta
+    for _ in range(5):
+        beta = rng.uniform(-2.0, 2.0, p)
+        curv = model.curvature(x, beta, w)
+        assert curv.shape == (p, p)
+        h = 1e-5
+        fd = np.empty((p, p))
+        for j in range(p):
+            e = np.zeros(p)
+            e[j] = h
+            fd[:, j] = w @ (
+                model.gradient(x, beta + e) - model.gradient(x, beta - e)
+            ) / (2 * h)
+        np.testing.assert_allclose(curv, fd, rtol=1e-6, atol=0.0)
 
 
 class TestFitQuality:
@@ -410,10 +438,11 @@ class TestHardRejectionWeights:
 
 
 # ---------------------------------------------------------------------------
-# Dense reference: the S-step as it was before candidate screening and the
-# Newton scale solver, i.e. fixed-point S-scales for every candidate (the
-# batch stops when its slowest row converges) and a full scale solve for
-# every halving trial of the polish.  The M-step is shared, it did not change.
+# Dense reference: the S-step as it was before candidate screening, the
+# Newton scale solver and the Newton polish, i.e. fixed-point S-scales for
+# every candidate (the batch stops when its slowest row converges) and an
+# IRWLS polish with a full scale solve for every halving trial.  The M-step
+# is fit_mm's own.
 
 _RHO0 = scale_bisquare()
 
@@ -456,8 +485,12 @@ def dense_batch_residual_scale(resid):
     return out
 
 
-def dense_fit_mm(model, data, covariate_weights=None, seed=0):
-    """fit_mm with the dense S-step; returns (beta, scale, s-step beta)."""
+def dense_fit_mm(model, data, covariate_weights=None, seed=0, max_steps=20):
+    """fit_mm with the dense S-step and the IRWLS polish it had before the
+    Newton polish: at most ``max_steps`` accepted steps (20, as it was), or,
+    with None, every step until none is accepted, which converges to the
+    S-minimum.  The M-step is fit_mm's.  Returns (beta, scale, s-step beta).
+    """
     obs = data.delta == 1
     yc, xc = data.y[obs], data.x[obs]
     w_cov = (
@@ -475,7 +508,8 @@ def dense_fit_mm(model, data, covariate_weights=None, seed=0):
     beta, s = betas[best].astype(float), float(scores[best])
     floor = 1e-12 * max(float(np.ptp(yc)), 1e-300)
     assert s > floor
-    for _ in range(20):
+    steps = 0
+    while max_steps is None or steps < max_steps:
         if s <= floor:
             break
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -499,6 +533,8 @@ def dense_fit_mm(model, data, covariate_weights=None, seed=0):
             t *= 0.5
         if not accepted:
             break
+        steps += 1
+        assert steps < 10_000, "the IRWLS polish did not stop"
     beta_m, _, _ = regression._m_step(model, yc, xc, w_cov, beta, s)
     return beta_m, s, beta
 
@@ -616,17 +652,36 @@ EQUIVALENCE_CASES = [
     ids=[f"{d}-{m}-{'hr' if w else 'plain'}" for d, m, w in EQUIVALENCE_CASES],
 )
 def test_fit_mm_matches_dense_reference(data, model, weights):
+    """The polish reaches the S-minimum: no higher than the 20-step IRWLS
+    polish, and at the scale of the IRWLS polish run until no step is
+    accepted."""
     data = ozone_data() if data == "ozone" else generate_sample(data, 11)[0]
     model = MODELS[model]()
     cw = hard_rejection_weights if weights else None
     fit = fit_mm(model, data, covariate_weights=cw, seed=0)
-    beta, s, s_beta = dense_fit_mm(model, data, covariate_weights=cw, seed=0)
-    assert fit.residual_scale == pytest.approx(s, rel=1e-8)
-    assert rel(fit.s_step_beta, s_beta) <= 1e-8
-    # The M-step locates its minimum by comparing objective values, which
-    # pins a minimizer only to about sqrt(machine epsilon) relative; from
-    # S-steps that agree to 1e-11 its end points differ by up to 1.3e-8.
-    assert rel(fit.beta, beta) <= 2.0 * np.sqrt(np.finfo(float).eps)
+    assert fit.polish_converged
+    _, s_20, _ = dense_fit_mm(model, data, covariate_weights=cw, seed=0)
+    beta, s, s_beta = dense_fit_mm(
+        model, data, covariate_weights=cw, seed=0, max_steps=None
+    )
+    assert fit.residual_scale <= s_20
+    assert fit.residual_scale == pytest.approx(s, rel=1e-12)
+    # A minimum is located by comparing objective values, which pins a
+    # minimizer only to about sqrt(machine epsilon) relative: the S-step
+    # betas differ by up to 1.4e-8 where the scales agree to 1e-15.
+    tol = 2.0 * np.sqrt(np.finfo(float).eps)
+    assert rel(fit.s_step_beta, s_beta) <= tol
+    assert rel(fit.beta, beta) <= tol
+
+
+@pytest.mark.parametrize("model_id", sorted(MODEL_IDS))
+def test_polish_converges_on_simulated_samples(model_id):
+    model = MODEL_IDS[model_id]()
+    for seed in range(50):
+        data, _ = generate_sample(100, seed)
+        fit = fit_mm(model, data, seed=seed)
+        assert fit.polish_converged, seed
+        assert fit.polish_steps < regression._POLISH_ITER
 
 
 def test_work_counters_leave_the_fit_unchanged():
@@ -634,7 +689,8 @@ def test_work_counters_leave_the_fit_unchanged():
     model = exp_linear_model(intercept=True)
     fit = fit_mm(model, data, covariate_weights=hard_rejection_weights, seed=0)
     assert 1 <= fit.candidates_solved < 500
-    assert 0 <= fit.polish_steps <= 20
+    assert 0 <= fit.polish_steps <= regression._POLISH_ITER
+    assert fit.polish_converged
     assert 1 <= fit.m_iterations <= 200
     again = fit_mm(
         model, data, covariate_weights=hard_rejection_weights, seed=0
@@ -642,11 +698,13 @@ def test_work_counters_leave_the_fit_unchanged():
     assert np.array_equal(again.beta, fit.beta)
     assert again.residual_scale == fit.residual_scale
     other = dataclasses.replace(
-        fit, candidates_solved=-1, polish_steps=-1, m_iterations=-1
+        fit, candidates_solved=-1, polish_steps=-1, polish_converged=False,
+        m_iterations=-1,
     )
     assert other == fit
     beta, s, _ = dense_fit_mm(
-        model, data, covariate_weights=hard_rejection_weights, seed=0
+        model, data, covariate_weights=hard_rejection_weights, seed=0,
+        max_steps=None,
     )
-    assert fit.residual_scale == pytest.approx(s, rel=1e-8)
+    assert fit.residual_scale == pytest.approx(s, rel=1e-12)
     assert rel(fit.beta, beta) <= 1e-8

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from robmarg import parallel
 from robmarg.marginal import estimate_aipw, estimate_conv, estimate_ipw, functional_summary
 from robmarg.propensity import constant_propensity, kernel_propensity
 from robmarg.regression import exp_linear_model, fit_mm
-from robmarg.scores import location_bisquare
+from robmarg.scores import LOCATION_BISQUARE_C, ScoreFamily, location_bisquare
 from robmarg.simulation import (
     ScenarioConfig,
     SummaryTable,
@@ -27,6 +28,20 @@ SF = location_bisquare()
 
 def classical(y):
     return functional_summary(WeightedSample(y, np.ones(y.size)), SF)
+
+
+@dataclass(frozen=True)
+class FailsOnSize(ScoreFamily):
+    """The location bisquare, raising on arrays of one size: the IPW
+    M-location of a replication with that many complete cases fails.  At
+    module level, so that worker processes can unpickle it."""
+
+    size: int = -1
+
+    def weight(self, u):
+        if np.size(u) == self.size:
+            raise ValueError(f"injected at {self.size} complete cases")
+        return super().weight(u)
 
 
 class TestGenerateSample:
@@ -189,6 +204,41 @@ class TestRunScenario:
         assert t1.to_csv_text() == t2.to_csv_text()
         assert t1.to_json_text() == t2.to_json_text()
         assert multiprocessing.active_children() == []
+
+    def test_failure_reasons_in_process_and_in_a_pool(self, monkeypatch):
+        """A replication that raises is counted by its reason, whether it
+        ran in the calling process or in a worker."""
+        cfg = ScenarioConfig(
+            n=100, reps=50, seed=47, propensity_method="constant",
+            estimators=("ipw",), functionals=("m_est",),
+        )
+        counts = [int(generate_sample(cfg.n, cfg.seed ^ j)[0].delta.sum())
+                  for j in range(cfg.reps)]
+        # One replication other than the first (which always runs in the
+        # calling process) has a complete-case count of its own.
+        size = next(c for c in counts[1:] if counts.count(c) == 1)
+        sf = FailsOnSize(LOCATION_BISQUARE_C, size=size)
+        reasons = {f"ValueError: injected at {size} complete cases": 1}
+        t1 = run_scenario(cfg, workers=1, sf=sf)
+        assert (t1.failures, t1.reps_used) == (1, cfg.reps - 1)
+        assert t1.failure_reasons == reasons
+        assert json.loads(t1.to_json_text())["failure_reasons"] == reasons
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+        t2 = run_scenario(cfg, workers=2, sf=sf)
+        assert t2.failure_reasons == reasons
+        assert t1.to_json_text() == t2.to_json_text()
+        assert multiprocessing.active_children() == []
+
+    def test_abort_names_the_reasons(self):
+        cfg = ScenarioConfig(
+            n=100, reps=10, seed=47, propensity_method="constant",
+            estimators=("ipw",), functionals=("m_est",),
+        )
+        sf = FailsOnSize(LOCATION_BISQUARE_C, size=100)  # every y_clean
+        with pytest.raises(RuntimeError, match=(
+                "10 of 10 replications failed: .*injected at 100 complete")):
+            run_scenario(cfg, sf=sf)
 
     def test_mse_identity_and_table_shape(self):
         cfg = ScenarioConfig(

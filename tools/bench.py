@@ -15,9 +15,10 @@ each after one untimed call:
   a_n = n^(-1/3), and ``plugin_var_ipw(variant="kernel")`` at the AIPW
   M-location and scale, all under the propensity fitted at the
   cross-validated bandwidth;
-* the summary layers (``SUMMARY_LAYERS``): ``functional_summary`` of the
-  conv estimate (``exp_linear`` model, logistic propensity) with the MAD
-  and with the S-scale;
+* ``fit_logistic`` and the summary layers (``SUMMARY_LAYERS``):
+  ``functional_summary`` of the conv (``exp_linear`` model), IPW and AIPW
+  (a_n = n^(-1/3)) estimates under that logistic propensity, each with the
+  MAD and with the S-scale;
 * the jackknife layer: the CLI's ``_attach_jackknife`` on the packaged
   ozone data and config (3 jackknifed entries, 153 leave-one-out sets),
   given the full data's model fits as ``robmarg estimate`` gives them and
@@ -54,7 +55,8 @@ import numpy as np
 
 from robmarg import cli, parallel, regression
 from robmarg.inference import plugin_var_ipw
-from robmarg.marginal import estimate_aipw, estimate_conv, functional_summary
+from robmarg.marginal import (estimate_aipw, estimate_conv, estimate_ipw,
+                              functional_summary)
 from robmarg.propensity import auto_bandwidth, fit_logistic, kernel_propensity
 from robmarg.scores import location_bisquare
 from robmarg.simulation import generate_sample
@@ -72,14 +74,16 @@ SIZES = (100, 400, 1600, 6400)
 REPEATS = 3
 # Stage -> the helper of ``robmarg.regression`` that runs it.
 STAGES = {"s_search": "_s_search", "polish": "_polish", "m_step": "_m_step"}
-COUNTERS = ("candidates_solved", "polish_steps", "m_iterations")
+COUNTERS = ("candidates_solved", "polish_steps", "polish_converged",
+            "m_iterations")
 # Least wall time of one timed sample of a kernel layer, and of all its
 # samples together, in seconds.
 SAMPLE_S = 0.05
 LAYER_S = 1.0
 KERNEL_LAYERS = ("auto_bandwidth", "kernel_predict", "estimate_aipw",
                  "plugin_var_ipw_kernel")
-SUMMARY_LAYERS = {"conv_summary_mad": "mad", "conv_summary_s": "s"}
+SUMMARY_LAYERS = {f"{est}_summary_{method}": (est, method)
+                  for est in ("conv", "ipw", "aipw") for method in ("mad", "s")}
 SF = location_bisquare()
 PACKAGE_DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 
@@ -171,27 +175,40 @@ def bench_kernels() -> tuple[list[dict], str]:
     return rows, digest.hexdigest()[:16]
 
 
+def _row(rows, digest, n, layer, ms, values, **extra) -> None:
+    row = {"n": n, "layer": layer, **extra, "ms": ms,
+           "output_hash": _hash(values), "outputs": values}
+    rows.append(row)
+    digest.update(row["output_hash"].encode())
+    print(f"n={n:5d} {layer:36s} {ms:9.2f} ms", file=sys.stderr)
+
+
 def bench_summaries() -> tuple[list[dict], str]:
     rows, digest = [], hashlib.sha256()
     model = regression.exp_linear_model()
     for n in SIZES:
         data, _ = generate_sample(n, 1)
         fit = regression.fit_mm(model, data, seed=0)
-        pf = fit_logistic(data.z, data.delta)
+        ms, _, pf = _least_ms(lambda: fit_logistic(data.z, data.delta))
+        _row(rows, digest, n, "fit_logistic", ms,
+             [float(v) for v in pf.params["gamma"]])
         with warnings.catch_warnings():
             # Past 2000 complete cases the conv grid is reduced, with a
             # warning that is expected here.
             warnings.simplefilter("ignore")
-            dist = estimate_conv(data, pf, fit, SF).distribution
-        for layer, method in SUMMARY_LAYERS.items():
+            dists = {
+                "conv": estimate_conv(data, pf, fit, SF).distribution,
+                "ipw": estimate_ipw(data, pf, SF).distribution,
+                "aipw": estimate_aipw(data, pf, n ** (-1.0 / 3.0),
+                                      SF).distribution,
+            }
+        for layer, (est, method) in SUMMARY_LAYERS.items():
+            dist = dists[est]
             ms, _, summ = _least_ms(
                 lambda: functional_summary(dist, SF, method))
-            values = [summ.scale, summ.mean, summ.median, summ.m_est]
-            row = {"n": n, "layer": layer, "atoms": dist.atoms.size,
-                   "ms": ms, "output_hash": _hash(values), "outputs": values}
-            rows.append(row)
-            digest.update(row["output_hash"].encode())
-            print(f"n={n:5d} {layer:36s} {ms:9.2f} ms", file=sys.stderr)
+            _row(rows, digest, n, layer, ms,
+                 [summ.scale, summ.mean, summ.median, summ.m_est],
+                 atoms=dist.atoms.size)
     return rows, digest.hexdigest()[:16]
 
 
@@ -242,7 +259,9 @@ def bench() -> dict:
             row.update(
                 {f"{stage}_ms": round(split[stage], 4) for stage in STAGES})
             row["other_ms"] = round(ms - sum(split.values()), 4)
-            row.update({c: getattr(fit, c) for c in COUNTERS})
+            # None for a counter that the measured commit's fits lack, so
+            # that a parent and its change are measured with one script.
+            row.update({c: getattr(fit, c, None) for c in COUNTERS})
             row["beta"] = [float(v) for v in fit.beta]
             row["residual_scale"] = fit.residual_scale
             rows.append(row)
