@@ -32,12 +32,7 @@ from .marginal import (
     estimate_ipw,
 )
 from .propensity import DEFAULT_FLOOR, fit_propensity
-from .regression import (
-    exp_linear_model,
-    fit_mm,
-    hard_rejection_weights,
-    linear_model,
-)
+from .regression import MODELS, fit_mm, hard_rejection_weights
 from .scores import location_bisquare
 from .simulation import (
     ESTIMATORS,
@@ -51,11 +46,6 @@ __all__ = ["main"]
 
 _SF = location_bisquare()
 
-_MODEL_IDS = {
-    "exp_linear": lambda: exp_linear_model(intercept=False),
-    "exp_linear_intercept": lambda: exp_linear_model(intercept=True),
-    "linear": linear_model,
-}
 _WEIGHT_IDS = {None: None, "hard_rejection": hard_rejection_weights}
 _CLI_PROPENSITIES = ("logistic", "kernel", "constant")
 
@@ -107,8 +97,8 @@ _ESTIMATE_FIELDS = {
                      f"must be one of {SCALE_METHODS}"),
 }
 _MODEL_FIELDS = {
-    "id": (_REQUIRED, lambda v: v in tuple(_MODEL_IDS),
-           f"names an unknown model id; known: {tuple(_MODEL_IDS)}"),
+    "id": (_REQUIRED, lambda v: v in tuple(MODELS),
+           f"names an unknown model id; known: {tuple(MODELS)}"),
     "label": (None, lambda v: isinstance(v, str), "must be a string"),
     "weights": (None, lambda v: v in tuple(_WEIGHT_IDS),
                 f"names unknown model weights; known: {tuple(_WEIGHT_IDS)}"),
@@ -314,7 +304,7 @@ def _fit_models(data: ObservedDataset, settings: dict) -> dict:
     """
     models = settings["models"] if "conv" in settings["estimators"] else []
     return {
-        m["label"]: fit_mm(_MODEL_IDS[m["id"]](), data,
+        m["label"]: fit_mm(MODELS[m["id"]], data,
                            covariate_weights=_WEIGHT_IDS[m["weights"]],
                            seed=settings["seed"])
         for m in models

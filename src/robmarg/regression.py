@@ -8,9 +8,11 @@ found so far and solves only those whose scale could be smaller; all
 S-scales come from the package's one S-scale solver,
 ``scaleloc.residual_scales``.  Both descents take Newton steps where the
 Hessian is positive definite and IRWLS (Gauss-Newton) steps elsewhere,
-with step halving, and stop on their own.  Two mean structures are
-supported, an exponential-plus-linear model in two variants and a plain
-linear model, plus an optional covariate downweighting hook for the M-step.
+with step halving, and stop on their own.  A model is plain data: its
+terms, linear in every coefficient but one exponent, give its mean, its
+derivatives and its elemental candidates.  ``MODELS`` holds the package's
+three (exponential-plus-linear with and without intercept, and linear);
+an optional covariate downweighting hook acts on the M-step.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .scaleloc import residual_scales
 from .scores import SCALE_B_TARGET, location_bisquare, scale_bisquare
 
 __all__ = [
+    "MODELS",
     "RegressionModel",
     "RegressionFit",
     "exp_linear_model",
@@ -51,28 +54,97 @@ _DEGENERATE_REL = 1e-12
 # Relative slack of the candidate screen's test mean rho0 <= b, so that a
 # candidate tied with the screening scale up to rounding is still solved.
 _SCREEN_SLACK = 1e-8
+_TERMS = ("x1", "x2", "1", "exp", "rate")
+# Exponents profiled by the candidate search, in units of 1/ptp(x1).
+_RATE_GRID = np.linspace(-8.0, 8.0, 25)
+_DIM_MISMATCH = "dimension mismatch: expected 2 covariate columns"
+
+
+def _column(term, x1, x2, e):
+    """The column that a linear term's coefficient multiplies."""
+    if term == "x1":
+        return x1
+    if term == "x2":
+        return x2
+    if term == "exp":
+        return e
+    return np.ones_like(x1)
 
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """A parametric mean structure with its first and second derivatives.
+    """A mean structure linear in all its coefficients but one exponent.
+
+    ``terms`` names the coefficients in beta order: ``"x1"``, ``"x2"`` and
+    ``"1"`` multiply the first covariate, the second covariate and a
+    constant, ``"exp"`` multiplies exp(rate*x1), and ``"rate"`` is that
+    exponent, the one nonlinear coefficient (a model has a ``"rate"``
+    exactly when it has an ``"exp"``).  The mean is the sum, left to right,
+    of each linear coefficient times its column.
 
     mean(x, beta) and gradient(x, beta) take an (m, 2) covariate matrix and
     return (m,) and (m, dim_beta) arrays; curvature(x, beta, w) returns the
     (dim_beta, dim_beta) matrix sum_i w_i Hessian_beta m(x_i, beta).
-    ``mean`` must also broadcast over a (dim_beta, C, 1) stack of C
-    coefficient vectors, giving (C, m).
-    The package's models use module-level functions, so that a model, and a
-    fit that carries it, pickles by reference.
+    ``mean`` also broadcasts over a (dim_beta, C, 1) stack of C coefficient
+    vectors, giving (C, m).  A model is plain data, so it, and a fit that
+    carries it, pickles by value.
     """
 
     id: str
-    dim_beta: int
-    mean: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(compare=False)
-    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(compare=False)
-    curvature: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] = (
-        field(compare=False))
-    variant: str | None = None
+    terms: tuple[str, ...]
+
+    def __post_init__(self):
+        terms = self.terms
+        if (not set(terms) <= set(_TERMS) or len(set(terms)) != len(terms)
+                or ("rate" in terms) != ("exp" in terms)):
+            raise ValueError(f"invalid model terms {terms!r}")
+
+    @property
+    def dim_beta(self) -> int:
+        return len(self.terms)
+
+    def _exp(self, x1, beta):
+        """exp(rate*x1), or None for a model without a rate."""
+        if "rate" not in self.terms:
+            return None
+        return np.exp(beta[self.terms.index("rate")] * x1)
+
+    def mean(self, x, beta):
+        x1 = x[:, 0]
+        e = self._exp(x1, beta)
+        out = None
+        for term, b in zip(self.terms, beta):
+            if term != "rate":
+                v = b * _column(term, x1, x[:, 1], e)
+                out = v if out is None else out + v
+        return out
+
+    def gradient(self, x, beta):
+        x1 = x[:, 0]
+        e = self._exp(x1, beta)
+        return np.stack([
+            beta[self.terms.index("exp")] * x1 * e if term == "rate"
+            else _column(term, x1, x[:, 1], e)
+            for term in self.terms
+        ], axis=1)
+
+    def curvature(self, x, beta, w):
+        p = self.dim_beta
+        h = np.zeros((p, p))
+        if "rate" in self.terms:
+            r, k = self.terms.index("rate"), self.terms.index("exp")
+            x1 = x[:, 0]
+            wxe = w * x1 * self._exp(x1, beta)
+            h[r, r] = beta[k] * (wxe @ x1)
+            h[r, k] = h[k, r] = wxe.sum()
+        return h
+
+
+MODELS = {model.id: model for model in (
+    RegressionModel("exp_linear", ("rate", "x2", "exp")),
+    RegressionModel("exp_linear_intercept", ("exp", "rate", "1", "x2")),
+    RegressionModel("linear", ("x1", "x2", "1")),
+)}
 
 
 @dataclass(frozen=True)
@@ -102,84 +174,18 @@ class RegressionFit:
     m_iterations: int | None = field(default=None, compare=False)
 
 
-def _exp_mean(x, beta):
-    b1, b2, b3 = beta
-    return b2 * x[:, 1] + b3 * np.exp(b1 * x[:, 0])
-
-
-def _exp_gradient(x, beta):
-    b1, _, b3 = beta
-    e = np.exp(b1 * x[:, 0])
-    return np.stack([b3 * x[:, 0] * e, x[:, 1], e], axis=1)
-
-
-def _exp_curvature(x, beta, w):
-    b1, _, b3 = beta
-    wxe = w * x[:, 0] * np.exp(b1 * x[:, 0])
-    h = np.zeros((3, 3))
-    h[0, 0] = b3 * (wxe @ x[:, 0])
-    h[0, 2] = h[2, 0] = wxe.sum()
-    return h
-
-
-def _exp_intercept_mean(x, beta):
-    b1, b2, b3, b4 = beta
-    return b1 * np.exp(b2 * x[:, 0]) + b3 + b4 * x[:, 1]
-
-
-def _exp_intercept_gradient(x, beta):
-    b1, b2, _, _ = beta
-    e = np.exp(b2 * x[:, 0])
-    return np.stack(
-        [e, b1 * x[:, 0] * e, np.ones(x.shape[0]), x[:, 1]], axis=1
-    )
-
-
-def _exp_intercept_curvature(x, beta, w):
-    b1, b2, _, _ = beta
-    wxe = w * x[:, 0] * np.exp(b2 * x[:, 0])
-    h = np.zeros((4, 4))
-    h[0, 1] = h[1, 0] = wxe.sum()
-    h[1, 1] = b1 * (wxe @ x[:, 0])
-    return h
-
-
-def _linear_mean(x, beta):
-    b1, b2, b3 = beta
-    return b1 * x[:, 0] + b2 * x[:, 1] + b3
-
-
-def _linear_gradient(x, beta):
-    return np.stack([x[:, 0], x[:, 1], np.ones(x.shape[0])], axis=1)
-
-
-def _linear_curvature(x, beta, w):
-    return np.zeros((3, 3))
-
-
 def exp_linear_model(intercept: bool = False) -> RegressionModel:
     """Exponential-plus-linear mean.
 
     Without intercept (3 parameters):  m(x, b) = b2*x2 + b3*exp(b1*x1).
     With intercept (4 parameters):     m(x, b) = b1*exp(b2*x1) + b3 + b4*x2.
     """
-    if intercept:
-        return RegressionModel(
-            id="exp_linear", dim_beta=4, mean=_exp_intercept_mean,
-            gradient=_exp_intercept_gradient,
-            curvature=_exp_intercept_curvature, variant="intercept",
-        )
-    return RegressionModel(
-        id="exp_linear", dim_beta=3, mean=_exp_mean, gradient=_exp_gradient,
-        curvature=_exp_curvature, variant="no_intercept",
-    )
+    return MODELS["exp_linear_intercept" if intercept else "exp_linear"]
 
 
 def linear_model() -> RegressionModel:
     """Linear mean m(x, b) = b1*x1 + b2*x2 + b3."""
-    return RegressionModel(id="linear", dim_beta=3, mean=_linear_mean,
-                           gradient=_linear_gradient,
-                           curvature=_linear_curvature)
+    return MODELS["linear"]
 
 
 def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
@@ -211,7 +217,7 @@ def predict(fit: RegressionFit, x) -> float | np.ndarray:
     single = arr.ndim == 1
     mat = arr[None, :] if single else arr
     if mat.ndim != 2 or mat.shape[1] != 2:
-        raise ValueError("dimension mismatch: expected 2 covariate columns")
+        raise ValueError(_DIM_MISMATCH)
     out = fit.model.mean(mat, beta)
     return float(out[0]) if single else out
 
@@ -282,82 +288,76 @@ def _screened_scales(resid: np.ndarray) -> tuple[np.ndarray, int]:
     return scores, rows.size + 1
 
 
-def _elemental_candidates(model, yc, xc, rng, n_subsets):
+def _ridge_solve(gram, rhs):
+    """Solve (gram + lam I) c = rhs for a stack of small symmetric systems.
+
+    ``gram[i][j]`` (read for j >= i only) and ``rhs[i]`` are arrays that
+    broadcast to the stack's shape; lam = 1e-9 (trace/k + 1) makes each
+    system positive definite, so Gaussian elimination without pivoting,
+    written out over the k <= 4 unknowns, is stable.  Returns the k
+    solution arrays.
+    """
+    k = len(rhs)
+    lam = 1e-9 * (sum(gram[i][i] for i in range(k)) / k + 1.0)
+    a = [[g + lam if j == i else g for j, g in enumerate(row)]
+         for i, row in enumerate(gram)]
+    b = list(rhs)
+    for i in range(k):
+        for j in range(i + 1, k):
+            f = a[i][j] / a[i][i]
+            a[j][j:] = [a[j][col] - f * a[i][col] for col in range(j, k)]
+            b[j] = b[j] - f * b[i]
+    coef = [None] * k
+    for i in reversed(range(k)):
+        back = sum(a[i][col] * coef[col] for col in range(i + 1, k))
+        coef[i] = (b[i] - back) / a[i][i]
+    return coef
+
+
+def _elemental_candidates(model, yc, xc, rng):
+    """Coefficients fitted to each of ``_N_SUBSETS`` random subsets of
+    dim_beta + 1 complete cases.
+
+    The rate is profiled over ``_RATE_GRID`` scaled to the observed x1
+    span (a one-point grid for a model without a rate); at each grid point
+    the linear coefficients solve the subset's ridged normal equations,
+    and each subset keeps the grid point with the least squared error.
+    """
     m = yc.size
     q = model.dim_beta + 1
     if m <= 4096:
-        idx = np.argsort(rng.random((n_subsets, m)), axis=1)[:, :q]
+        idx = np.argsort(rng.random((_N_SUBSETS, m)), axis=1)[:, :q]
     else:
-        idx = np.empty((n_subsets, q), dtype=np.intp)
-        for i in range(n_subsets):
+        idx = np.empty((_N_SUBSETS, q), dtype=np.intp)
+        for i in range(_N_SUBSETS):
             idx[i] = rng.choice(m, size=q, replace=False)
-    ys = yc[idx]
-    x1 = xc[idx, 0]
-    x2 = xc[idx, 1]
+    rows = idx.T  # a subset's rows along axis 0, subsets along axis 1
+    ys = yc[rows][:, :, None]
+    x1 = xc[rows, 0][:, :, None]
+    x2 = xc[rows, 1][:, :, None]
+    grid = np.zeros(1)
+    if "rate" in model.terms:
+        span = float(np.ptp(xc[:, 0]))
+        grid = _RATE_GRID / (span if span > 0.0 else 1.0)
 
-    if model.id == "linear":
-        design = np.stack([x1, x2, np.ones_like(x1)], axis=2)
-        ata = np.einsum("cqi,cqj->cij", design, design)
-        ata += 1e-9 * np.eye(3) * (np.trace(ata, axis1=1, axis2=2) / 3.0 + 1.0)[
-            :, None, None
-        ]
-        aty = np.einsum("cqi,cq->ci", design, ys)
-        return np.linalg.solve(ata, aty[:, :, None])[:, :, 0]
+    def dot(a, b):
+        return np.einsum("qcg,qcg->cg", a, b)
 
-    # exp_linear: the exponent enters nonlinearly, so profile it over a grid
-    # scaled to the observed x1 span and solve the remaining linear
-    # coefficients per (subset, grid point) by least squares.
-    span = float(np.ptp(xc[:, 0]))
-    if span <= 0.0:
-        span = 1.0
-    grid = np.linspace(-8.0, 8.0, 25) / span
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(grid[None, None, :] * x1[:, :, None])  # (C, q, G)
-        if model.variant == "no_intercept":
-            saa = np.sum(x2 * x2, axis=1)[:, None]
-            sab = np.einsum("cq,cqg->cg", x2, e)
-            sbb = np.sum(e * e, axis=1)
-            say = np.sum(x2 * ys, axis=1)[:, None]
-            sby = np.einsum("cqg,cq->cg", e, ys)
-            det = saa * sbb - sab * sab
-            det = np.where(np.abs(det) > 1e-300, det, np.nan)
-            coef_x2 = (sbb * say - sab * sby) / det
-            coef_e = (saa * sby - sab * say) / det
-            fitted = coef_x2[:, None, :] * x2[:, :, None] + coef_e[:, None, :] * e
-            sse = np.sum((ys[:, :, None] - fitted) ** 2, axis=1)
-            sse = np.where(np.isfinite(sse), sse, np.inf)
-            gi = np.argmin(sse, axis=1)
-            rows = np.arange(n_subsets)
-            betas = np.stack(
-                [grid[gi], coef_x2[rows, gi], coef_e[rows, gi]], axis=1
-            )
-        else:
-            ones = np.ones_like(x1)[:, :, None] * np.ones(grid.size)
-            design = np.stack(
-                [e, ones, x2[:, :, None] * np.ones(grid.size)], axis=3
-            )  # (C, q, G, 3)
-            ata = np.einsum("cqgi,cqgj->cgij", design, design)
-            ata += 1e-9 * np.eye(3) * (
-                np.trace(ata, axis1=2, axis2=3) / 3.0 + 1.0
-            )[:, :, None, None]
-            aty = np.einsum("cqgi,cq->cgi", design, ys)
-            ata = np.where(np.isfinite(ata), ata, 0.0)
-            aty = np.where(np.isfinite(aty), aty, 0.0)
-            coef = np.linalg.solve(ata, aty[..., None])[..., 0]  # (C, G, 3)
-            fitted = np.einsum("cqgi,cgi->cqg", design, coef)
-            sse = np.sum((ys[:, :, None] - fitted) ** 2, axis=1)
-            sse = np.where(np.isfinite(sse), sse, np.inf)
-            gi = np.argmin(sse, axis=1)
-            rows = np.arange(n_subsets)
-            betas = np.column_stack(
-                [
-                    coef[rows, gi, 0],
-                    grid[gi],
-                    coef[rows, gi, 1],
-                    coef[rows, gi, 2],
-                ]
-            )
-    return betas
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e = np.exp(grid * x1)  # (row, subset, grid point)
+        cols = [_column(t, x1, x2, e) for t in model.terms if t != "rate"]
+        gram = [[None] * i + [dot(a, b) for b in cols[i:]]
+                for i, a in enumerate(cols)]
+        coef = _ridge_solve(gram, [dot(a, ys) for a in cols])
+        resid = ys - sum(c * a for c, a in zip(coef, cols))
+        sse = dot(resid, resid)
+    gi = np.argmin(np.where(np.isfinite(sse), sse, np.inf), axis=1)
+    subsets = np.arange(_N_SUBSETS)
+    linear = iter(coef)
+    return np.column_stack([
+        grid[gi] if t == "rate" else next(linear)[subsets, gi]
+        for t in model.terms
+    ])
 
 
 def _candidate_residuals(model, yc, xc, betas):
@@ -367,13 +367,13 @@ def _candidate_residuals(model, yc, xc, betas):
         return yc - model.mean(xc, betas.T[:, :, None])
 
 
-def _s_search(model, yc, xc, rng, n_subsets):
+def _s_search(model, yc, xc, rng):
     """Elemental candidate with the smallest residual S-scale.
 
     Returns its coefficients, its scale and the number of candidate scales
     solved.
     """
-    betas = _elemental_candidates(model, yc, xc, rng, n_subsets)
+    betas = _elemental_candidates(model, yc, xc, rng)
     resid = _candidate_residuals(model, yc, xc, betas)
     scores, solved = _screened_scales(resid)
     best = int(np.argmin(scores))
@@ -494,13 +494,13 @@ def fit_mm(
     data: ObservedDataset,
     covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
     seed: int = 0,
-    n_subsets: int = _N_SUBSETS,
 ) -> RegressionFit:
     """Simplified MM regression fit on the complete cases.
 
-    Stage 1 searches ``n_subsets`` random elemental subsets (size
-    dim_beta + 1) for the candidate whose full-sample residual S-scale
-    (bisquare c0 = 1.54764, b = 0.5) is smallest.  The search solves a
+    The covariate matrix must have two columns.  Stage 1 searches 500
+    random elemental subsets (size dim_beta + 1) for the candidate whose
+    full-sample residual S-scale (bisquare c0 = 1.54764, b = 0.5) is
+    smallest.  The search solves a
     candidate's scale only if a screen at the best scale found so far
     shows it could be smaller (Fast-S, Salibian-Barrera & Yohai 2006); the
     result is the argmin over all candidates, first index first on ties.
@@ -518,6 +518,8 @@ def fit_mm(
     matrix and must return per-row weights in [0, 1] multiplying the M-step
     objective.
     """
+    if data.x.shape[1] != 2:
+        raise ValueError(_DIM_MISMATCH)
     obs = data.delta == 1
     yc = data.y[obs]
     xc = data.x[obs]
@@ -541,7 +543,7 @@ def fit_mm(
             raise ValueError("covariate weights are all zero")
 
     rng = np.random.default_rng(seed)
-    beta, s, solved = _s_search(model, yc, xc, rng, n_subsets)
+    beta, s, solved = _s_search(model, yc, xc, rng)
     floor = _DEGENERATE_REL * max(float(np.ptp(yc)), 1e-300)
     if s <= floor:
         raise ValueError("degenerate scale: residuals have no spread")

@@ -28,7 +28,7 @@ from .marginal import (
 )
 from .parallel import ordered_map
 from .propensity import PropensityFit, fit_propensity, known_propensity
-from .regression import exp_linear_model, fit_mm, linear_model
+from .regression import MODELS, fit_mm
 from .scores import ScoreFamily, location_bisquare
 from .weighted import WeightedSample
 
@@ -346,12 +346,9 @@ def _one_rep(cfg: ScenarioConfig, j: int, sf: ScoreFamily) -> dict:
 
     estimates = {}
     if "conv" in cfg.estimators:
-        model = (
-            exp_linear_model(intercept=False)
-            if cfg.regression_spec == "true_nonlinear"
-            else linear_model()
-        )
-        fit = fit_mm(model, data, seed=seed_j)
+        model_id = ("exp_linear" if cfg.regression_spec == "true_nonlinear"
+                    else "linear")
+        fit = fit_mm(MODELS[model_id], data, seed=seed_j)
         estimates["conv"] = estimate_conv(data, pf, fit, sf)
     if "ipw" in cfg.estimators:
         estimates["ipw"] = estimate_ipw(data, pf, sf)

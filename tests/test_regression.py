@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robmarg import regression, scaleloc
-from robmarg.cli import _MODEL_IDS as MODEL_IDS
 from robmarg.cli import _read_csv_columns
 from robmarg.dataset import ObservedDataset
 from robmarg.regression import (
+    MODELS,
     RegressionFit,
+    RegressionModel,
     exp_linear_model,
     fit_mm,
     hard_rejection_weights,
@@ -25,6 +26,12 @@ from robmarg.scores import SCALE_B_TARGET, location_bisquare, scale_bisquare
 from robmarg.simulation import generate_sample
 
 BETA_TRUE = np.array([2.0, 0.1, 5.0])
+
+
+def short_id(model_id):
+    """The test-id label of a model: exp, exp-intercept or linear."""
+    return model_id.replace("exp_linear", "exp").replace("_", "-")
+
 
 # Monte Carlo SDs of the fitted coefficients at n=100 under the nonlinear
 # generator below, frozen from a 200-replication run (seeds 1000..1199).
@@ -114,28 +121,21 @@ class TestPredict:
         with pytest.raises(ValueError, match="dimension mismatch"):
             predict(fit, np.array([2.0, 3.0, 4.0]))
 
-    @pytest.mark.parametrize("model_id", sorted(MODEL_IDS))
+    @pytest.mark.parametrize("model_id", sorted(MODELS))
     def test_fit_pickles_with_its_model(self, model_id):
         """A fit crosses a process boundary whole: its model pickles by
-        reference, and the round-tripped fit predicts the same floats."""
+        value, and the round-tripped fit predicts the same floats."""
         data, _ = generate_sample(200, 3)
-        fit = fit_mm(MODEL_IDS[model_id](), data, seed=0)
+        fit = fit_mm(MODELS[model_id], data, seed=0)
         back = pickle.loads(pickle.dumps(fit))
         assert back.model == fit.model
-        assert back.model.mean is fit.model.mean
-        assert back.model.gradient is fit.model.gradient
-        assert back.model.curvature is fit.model.curvature
         assert back.beta.tobytes() == fit.beta.tobytes()
         want = predict(fit, data.x[data.delta == 1])
         got = predict(back, data.x[data.delta == 1])
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize(
-    "model",
-    [exp_linear_model(), exp_linear_model(intercept=True), linear_model()],
-    ids=["exp", "exp-intercept", "linear"],
-)
+@pytest.mark.parametrize("model", MODELS.values(), ids=map(short_id, MODELS))
 def test_gradient_matches_finite_differences(model):
     rng = np.random.default_rng(99)
     x = np.column_stack([rng.uniform(0, 1, 40), rng.normal(0, 1, 40)])
@@ -149,11 +149,7 @@ def test_gradient_matches_finite_differences(model):
         assert np.max(np.abs(grad[:, j] - fd)) < 1e-5
 
 
-@pytest.mark.parametrize(
-    "model",
-    [exp_linear_model(), exp_linear_model(intercept=True), linear_model()],
-    ids=["exp", "exp-intercept", "linear"],
-)
+@pytest.mark.parametrize("model", MODELS.values(), ids=map(short_id, MODELS))
 def test_curvature_matches_finite_differences(model):
     """curvature(x, beta, w) is the w-weighted sum of the Hessians of the
     mean: central differences of the gradient give it column by column."""
@@ -174,6 +170,104 @@ def test_curvature_matches_finite_differences(model):
                 model.gradient(x, beta + e) - model.gradient(x, beta - e)
             ) / (2 * h)
         np.testing.assert_allclose(curv, fd, rtol=1e-6, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the hand-written mean, gradient and curvature of each model as
+# they were before the models were described by their terms.
+
+
+def ref_exp_mean(x, beta):
+    b1, b2, b3 = beta
+    return b2 * x[:, 1] + b3 * np.exp(b1 * x[:, 0])
+
+
+def ref_exp_gradient(x, beta):
+    b1, _, b3 = beta
+    e = np.exp(b1 * x[:, 0])
+    return np.stack([b3 * x[:, 0] * e, x[:, 1], e], axis=1)
+
+
+def ref_exp_curvature(x, beta, w):
+    b1, _, b3 = beta
+    wxe = w * x[:, 0] * np.exp(b1 * x[:, 0])
+    h = np.zeros((3, 3))
+    h[0, 0] = b3 * (wxe @ x[:, 0])
+    h[0, 2] = h[2, 0] = wxe.sum()
+    return h
+
+
+def ref_exp_intercept_mean(x, beta):
+    b1, b2, b3, b4 = beta
+    return b1 * np.exp(b2 * x[:, 0]) + b3 + b4 * x[:, 1]
+
+
+def ref_exp_intercept_gradient(x, beta):
+    b1, b2, _, _ = beta
+    e = np.exp(b2 * x[:, 0])
+    return np.stack(
+        [e, b1 * x[:, 0] * e, np.ones(x.shape[0]), x[:, 1]], axis=1
+    )
+
+
+def ref_exp_intercept_curvature(x, beta, w):
+    b1, b2, _, _ = beta
+    wxe = w * x[:, 0] * np.exp(b2 * x[:, 0])
+    h = np.zeros((4, 4))
+    h[0, 1] = h[1, 0] = wxe.sum()
+    h[1, 1] = b1 * (wxe @ x[:, 0])
+    return h
+
+
+def ref_linear_mean(x, beta):
+    b1, b2, b3 = beta
+    return b1 * x[:, 0] + b2 * x[:, 1] + b3
+
+
+def ref_linear_gradient(x, beta):
+    return np.stack([x[:, 0], x[:, 1], np.ones(x.shape[0])], axis=1)
+
+
+def ref_linear_curvature(x, beta, w):
+    return np.zeros((3, 3))
+
+
+REFERENCE_FORMULAS = {
+    "exp_linear": (ref_exp_mean, ref_exp_gradient, ref_exp_curvature),
+    "exp_linear_intercept": (ref_exp_intercept_mean,
+                             ref_exp_intercept_gradient,
+                             ref_exp_intercept_curvature),
+    "linear": (ref_linear_mean, ref_linear_gradient, ref_linear_curvature),
+}
+
+
+@pytest.mark.parametrize("model_id", sorted(MODELS))
+def test_terms_give_the_hand_written_formulas_bit_for_bit(model_id):
+    """The mean and derivatives summed from the terms are the hand-written
+    ones to the last bit, also for a (dim_beta, C, 1) stack of betas."""
+    model = MODELS[model_id]
+    mean, gradient, curvature = REFERENCE_FORMULAS[model_id]
+    rng = np.random.default_rng(17)
+    x = np.column_stack([rng.uniform(-1, 2, 60), rng.normal(0, 1, 60)])
+    w = rng.normal(0, 1, 60)
+    for _ in range(20):
+        beta = rng.normal(0, 2, model.dim_beta)
+        assert model.mean(x, beta).tobytes() == mean(x, beta).tobytes()
+        assert (model.gradient(x, beta).tobytes()
+                == gradient(x, beta).tobytes())
+        assert (model.curvature(x, beta, w).tobytes()
+                == curvature(x, beta, w).tobytes())
+    stack = rng.normal(0, 2, (model.dim_beta, 7, 1))
+    assert model.mean(x, stack).shape == (7, 60)
+    assert model.mean(x, stack).tobytes() == mean(x, stack).tobytes()
+
+
+@pytest.mark.parametrize("terms", [
+    ("x1", "rate"), ("exp", "x2"), ("x1", "x1", "1"), ("x1", "x3"),
+])
+def test_model_terms_are_checked(terms):
+    with pytest.raises(ValueError, match="invalid model terms"):
+        RegressionModel("bad", terms)
 
 
 class TestFitQuality:
@@ -287,6 +381,17 @@ class TestDegenerateAndErrors:
             delta=np.ones(n, dtype=int),
         )
         with pytest.raises(ValueError, match="insufficient complete cases"):
+            fit_mm(linear_model(), data, seed=0)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_fit_requires_two_covariate_columns(self, columns):
+        rng = np.random.default_rng(9)
+        n = 60
+        data = ObservedDataset(
+            y=rng.normal(size=n), x=rng.uniform(size=(n, columns)),
+            z_index=(0,), delta=np.ones(n, dtype=int),
+        )
+        with pytest.raises(ValueError, match="dimension mismatch"):
             fit_mm(linear_model(), data, seed=0)
 
     def test_only_complete_cases_enter_the_fit(self):
@@ -498,7 +603,7 @@ def dense_fit_mm(model, data, covariate_weights=None, seed=0, max_steps=20):
         else np.clip(covariate_weights(xc), 0.0, 1.0)
     )
     rng = np.random.default_rng(seed)
-    betas = regression._elemental_candidates(model, yc, xc, rng, 500)
+    betas = regression._elemental_candidates(model, yc, xc, rng)
     resid = np.empty((betas.shape[0], yc.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, b in enumerate(betas):
@@ -551,13 +656,6 @@ def ozone_data():
         y=tab["ozone"], x=np.column_stack([tab["wind"], tab["solar"]]),
         z_index=(0,), delta=obs.astype(int),
     )
-
-
-MODELS = {
-    "exp": exp_linear_model,
-    "exp-intercept": lambda: exp_linear_model(intercept=True),
-    "linear": linear_model,
-}
 
 
 class TestScreenedSearchMatchesDense:
@@ -649,14 +747,15 @@ EQUIVALENCE_CASES = [
 
 @pytest.mark.parametrize(
     "data,model,weights", EQUIVALENCE_CASES,
-    ids=[f"{d}-{m}-{'hr' if w else 'plain'}" for d, m, w in EQUIVALENCE_CASES],
+    ids=[f"{d}-{short_id(m)}-{'hr' if w else 'plain'}"
+         for d, m, w in EQUIVALENCE_CASES],
 )
 def test_fit_mm_matches_dense_reference(data, model, weights):
     """The polish reaches the S-minimum: no higher than the 20-step IRWLS
     polish, and at the scale of the IRWLS polish run until no step is
     accepted."""
     data = ozone_data() if data == "ozone" else generate_sample(data, 11)[0]
-    model = MODELS[model]()
+    model = MODELS[model]
     cw = hard_rejection_weights if weights else None
     fit = fit_mm(model, data, covariate_weights=cw, seed=0)
     assert fit.polish_converged
@@ -674,9 +773,101 @@ def test_fit_mm_matches_dense_reference(data, model, weights):
     assert rel(fit.beta, beta) <= tol
 
 
-@pytest.mark.parametrize("model_id", sorted(MODEL_IDS))
+def per_model_candidates(model, yc, xc, rng):
+    """The candidate builder as it was before the models were described by
+    their terms: least squares on each elemental subset, with a different
+    method per model (batched LAPACK on ridged normal equations for
+    ``linear`` and, over the rate grid, ``exp_linear_intercept``; Cramer's
+    rule, unridged, for ``exp_linear``)."""
+    n_subsets = 500
+    m = yc.size
+    q = model.dim_beta + 1
+    if m <= 4096:
+        idx = np.argsort(rng.random((n_subsets, m)), axis=1)[:, :q]
+    else:
+        idx = np.empty((n_subsets, q), dtype=np.intp)
+        for i in range(n_subsets):
+            idx[i] = rng.choice(m, size=q, replace=False)
+    ys = yc[idx]
+    x1 = xc[idx, 0]
+    x2 = xc[idx, 1]
+    rows = np.arange(n_subsets)
+
+    if model.id == "linear":
+        design = np.stack([x1, x2, np.ones_like(x1)], axis=2)
+        ata = np.einsum("cqi,cqj->cij", design, design)
+        ata += 1e-9 * np.eye(3) * (
+            np.trace(ata, axis1=1, axis2=2) / 3.0 + 1.0)[:, None, None]
+        aty = np.einsum("cqi,cq->ci", design, ys)
+        return np.linalg.solve(ata, aty[:, :, None])[:, :, 0]
+
+    span = float(np.ptp(xc[:, 0]))
+    if span <= 0.0:
+        span = 1.0
+    grid = np.linspace(-8.0, 8.0, 25) / span
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(grid[None, None, :] * x1[:, :, None])
+        if model.id == "exp_linear":
+            saa = np.sum(x2 * x2, axis=1)[:, None]
+            sab = np.einsum("cq,cqg->cg", x2, e)
+            sbb = np.sum(e * e, axis=1)
+            say = np.sum(x2 * ys, axis=1)[:, None]
+            sby = np.einsum("cqg,cq->cg", e, ys)
+            det = saa * sbb - sab * sab
+            det = np.where(np.abs(det) > 1e-300, det, np.nan)
+            coef_x2 = (sbb * say - sab * sby) / det
+            coef_e = (saa * sby - sab * say) / det
+            fitted = (coef_x2[:, None, :] * x2[:, :, None]
+                      + coef_e[:, None, :] * e)
+            sse = np.sum((ys[:, :, None] - fitted) ** 2, axis=1)
+            sse = np.where(np.isfinite(sse), sse, np.inf)
+            gi = np.argmin(sse, axis=1)
+            return np.stack(
+                [grid[gi], coef_x2[rows, gi], coef_e[rows, gi]], axis=1)
+        ones = np.ones_like(x1)[:, :, None] * np.ones(grid.size)
+        design = np.stack(
+            [e, ones, x2[:, :, None] * np.ones(grid.size)], axis=3)
+        ata = np.einsum("cqgi,cqgj->cgij", design, design)
+        ata += 1e-9 * np.eye(3) * (
+            np.trace(ata, axis1=2, axis2=3) / 3.0 + 1.0)[:, :, None, None]
+        aty = np.einsum("cqgi,cq->cgi", design, ys)
+        ata = np.where(np.isfinite(ata), ata, 0.0)
+        aty = np.where(np.isfinite(aty), aty, 0.0)
+        coef = np.linalg.solve(ata, aty[..., None])[..., 0]
+        fitted = np.einsum("cqgi,cgi->cqg", design, coef)
+        sse = np.sum((ys[:, :, None] - fitted) ** 2, axis=1)
+        sse = np.where(np.isfinite(sse), sse, np.inf)
+        gi = np.argmin(sse, axis=1)
+        return np.column_stack([coef[rows, gi, 0], grid[gi],
+                                coef[rows, gi, 1], coef[rows, gi, 2]])
+
+
+@pytest.mark.parametrize(
+    "data,model,weights", EQUIVALENCE_CASES,
+    ids=[f"{d}-{short_id(m)}-{'hr' if w else 'plain'}"
+         for d, m, w in EQUIVALENCE_CASES],
+)
+def test_term_builder_matches_per_model_builder(data, model, weights,
+                                                monkeypatch):
+    """One candidate builder for every model gives the fits of the
+    per-model builders: the same S-scale up to rounding, and betas within
+    the sqrt(eps) that a minimum located by its objective allows."""
+    data = ozone_data() if data == "ozone" else generate_sample(data, 11)[0]
+    model = MODELS[model]
+    cw = hard_rejection_weights if weights else None
+    fit = fit_mm(model, data, covariate_weights=cw, seed=0)
+    monkeypatch.setattr(regression, "_elemental_candidates",
+                        per_model_candidates)
+    ref = fit_mm(model, data, covariate_weights=cw, seed=0)
+    assert fit.residual_scale == pytest.approx(ref.residual_scale, rel=1e-13)
+    tol = 2.0 * np.sqrt(np.finfo(float).eps)
+    assert rel(fit.s_step_beta, ref.s_step_beta) <= tol
+    assert rel(fit.beta, ref.beta) <= tol
+
+
+@pytest.mark.parametrize("model_id", sorted(MODELS))
 def test_polish_converges_on_simulated_samples(model_id):
-    model = MODEL_IDS[model_id]()
+    model = MODELS[model_id]
     for seed in range(50):
         data, _ = generate_sample(100, seed)
         fit = fit_mm(model, data, seed=seed)

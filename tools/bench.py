@@ -61,13 +61,14 @@ from robmarg.propensity import auto_bandwidth, fit_logistic, kernel_propensity
 from robmarg.scores import location_bisquare
 from robmarg.simulation import generate_sample
 
+# Record name -> (model, covariate weights).
 MODELS = {
-    "exp_linear": (lambda: regression.exp_linear_model(), None),
+    "exp_linear": (regression.MODELS["exp_linear"], None),
     "exp_linear_intercept+hard_rejection": (
-        lambda: regression.exp_linear_model(intercept=True),
+        regression.MODELS["exp_linear_intercept"],
         regression.hard_rejection_weights,
     ),
-    "linear": (regression.linear_model, None),
+    "linear": (regression.MODELS["linear"], None),
 }
 
 SIZES = (100, 400, 1600, 6400)
@@ -185,7 +186,7 @@ def _row(rows, digest, n, layer, ms, values, **extra) -> None:
 
 def bench_summaries() -> tuple[list[dict], str]:
     rows, digest = [], hashlib.sha256()
-    model = regression.exp_linear_model()
+    model = regression.MODELS["exp_linear"]
     for n in SIZES:
         data, _ = generate_sample(n, 1)
         fit = regression.fit_mm(model, data, seed=0)
@@ -245,8 +246,7 @@ def bench() -> dict:
     rows, digest = [], hashlib.sha256()
     for n in SIZES:
         data, _ = generate_sample(n, 1)
-        for name, (make_model, weights) in MODELS.items():
-            model = make_model()
+        for name, (model, weights) in MODELS.items():
             ms, split, fit = _least_ms(
                 lambda: regression.fit_mm(
                     model, data, covariate_weights=weights, seed=0),
