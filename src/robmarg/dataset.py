@@ -44,7 +44,7 @@ class ObservedDataset:
             raise ValueError("y and x must have the same number of rows")
         if delta.shape != (n,):
             raise ValueError("delta and x must have the same number of rows")
-        if not np.all(np.isin(np.unique(delta), (0, 1))):
+        if not np.all((delta == 0) | (delta == 1)):
             raise ValueError("delta must contain only 0 and 1")
         delta = delta.astype(np.int8)
         if int(delta.sum()) < 1:

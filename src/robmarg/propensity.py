@@ -53,8 +53,7 @@ def _as_delta(delta) -> np.ndarray:
     arr = np.asarray(delta)
     if arr.ndim != 1:
         raise ValueError("delta must be one-dimensional")
-    vals = np.unique(arr)
-    if not np.all(np.isin(vals, (0, 1))):
+    if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("delta must contain only 0 and 1")
     return arr.astype(float)
 

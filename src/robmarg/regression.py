@@ -12,13 +12,17 @@ with step halving, and stop on their own.  A model is plain data: its
 terms, linear in every coefficient but one exponent, give its mean, its
 derivatives and its elemental candidates.  ``MODELS`` holds the package's
 three (exponential-plus-linear with and without intercept, and linear);
-an optional covariate downweighting hook acts on the M-step.
+an optional covariate downweighting hook acts on the M-step.  Fits run as
+a stack (``fit_mm_stack``; ``fit_mm`` is the stack of one): each step is an
+array pass over the fits still running, with every sum over one fit's rows
+alone, so a fit is the same bit for bit in any stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ __all__ = [
     "exp_linear_model",
     "linear_model",
     "fit_mm",
+    "fit_mm_stack",
     "predict",
     "hard_rejection_weights",
 ]
@@ -46,7 +51,6 @@ _POLISH_SCALE_TOL = 1e-12
 _POLISH_STEP_TOL = 1e-10
 _M_ITER = 200
 _MAX_HALVINGS = 30
-_RIDGE = 1e-8
 _M_TOL = 1e-8
 # Best candidate scale below this fraction of the response spread means the
 # model interpolates the data: no residual spread to standardize by.
@@ -86,8 +90,10 @@ class RegressionModel:
     return (m,) and (m, dim_beta) arrays; curvature(x, beta, w) returns the
     (dim_beta, dim_beta) matrix sum_i w_i Hessian_beta m(x_i, beta).
     ``mean`` also broadcasts over a (dim_beta, C, 1) stack of C coefficient
-    vectors, giving (C, m).  A model is plain data, so it, and a fit that
-    carries it, pickles by value.
+    vectors, giving (C, m), and ``beta`` may give each row its own, as a
+    (dim_beta, m) array; curvature then sums by fit, from ``starts``, each
+    fit's first row.  A model is plain data, so it, and a fit that carries
+    it, pickles by value.
     """
 
     id: str
@@ -128,15 +134,20 @@ class RegressionModel:
             for term in self.terms
         ], axis=1)
 
-    def curvature(self, x, beta, w):
+    def curvature(self, x, beta, w, starts=None):
         p = self.dim_beta
-        h = np.zeros((p, p))
+        h = np.zeros((p, p) if starts is None else (len(starts), p, p))
         if "rate" in self.terms:
             r, k = self.terms.index("rate"), self.terms.index("exp")
             x1 = x[:, 0]
             wxe = w * x1 * self._exp(x1, beta)
-            h[r, r] = beta[k] * (wxe @ x1)
-            h[r, k] = h[k, r] = wxe.sum()
+            if starts is None:
+                h[r, r] = beta[k] * (wxe @ x1)
+                h[r, k] = h[k, r] = wxe.sum()
+            else:
+                sums = np.add.reduceat([wxe * x1, wxe], starts, axis=1)
+                h[:, r, r] = beta[k][starts] * sums[0]
+                h[:, r, k] = h[:, k, r] = sums[1]
         return h
 
 
@@ -199,8 +210,8 @@ def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
     x1 = np.asarray(x, dtype=float)
     if x1.ndim == 2:
         x1 = x1[:, 0]
-    med = float(np.median(x1))
-    mad = float(np.median(np.abs(x1 - med))) / 0.6745
+    med = float(_median(x1))
+    mad = float(_median(np.abs(x1 - med))) / 0.6745
     if mad == 0.0:
         return np.ones(x1.shape[0])
     t = np.abs(x1 - med) / mad
@@ -222,70 +233,14 @@ def predict(fit: RegressionFit, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _solve_step(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
-        return np.zeros_like(g)
-    try:
-        step = np.linalg.solve(a, g)
-        if np.all(np.isfinite(step)):
-            return step
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.solve(a + _RIDGE * np.eye(g.size), g)
-    except np.linalg.LinAlgError:
-        return np.zeros_like(g)
-
-
-def _descent_step(hess, grad, jac, wts, r):
-    """The step both descents take: Newton, -hess^-1 grad, where ``hess``
-    is positive definite (its Cholesky factorization succeeds), else the
-    IRWLS step solving (J' W J) step = J' W r with W = diag(wts)."""
-    if np.all(np.isfinite(hess)) and np.all(np.isfinite(grad)):
-        try:
-            np.linalg.cholesky(hess)
-            step = np.linalg.solve(hess, -grad)
-            if np.all(np.isfinite(step)):
-                return step
-        except np.linalg.LinAlgError:
-            pass
-    return _solve_step(jac.T @ (jac * wts[:, None]), jac.T @ (wts * r))
-
-
-def _screened_scales(resid: np.ndarray) -> tuple[np.ndarray, int]:
-    """Candidate S-scales, solved only where they can be the smallest.
-
-    mean rho0(r/s) is non-increasing in s, so a row can have a scale below
-    s* only if mean rho0(r/s*) < b.  The row with the smallest median |r|
-    is solved first for s*; one rho0 pass then screens every row at s*
-    (with a relative slack, so that exact ties survive) and only the
-    survivors are solved.  The other rows score inf, which leaves the
-    argmin and its first-index tie rule as with every row solved.
-    Non-finite rows score inf; rows with median |r| = 0 score exactly 0,
-    and then nothing else is solved.  Returns the scores and the number of
-    rows solved.
-    """
-    scores = np.full(resid.shape[0], np.inf)
-    finite = np.all(np.isfinite(resid), axis=1)
-    with np.errstate(invalid="ignore"):
-        med = np.median(np.abs(resid), axis=1)
-    med[~finite] = np.inf
-    zero = med <= 0.0
-    if zero.any():
-        scores[zero] = 0.0
-        return scores, 0
-    pivot = int(np.argmin(med))
-    if not np.isfinite(med[pivot]):
-        return scores, 0
-    one = slice(pivot, pivot + 1)
-    scores[pivot] = residual_scales(resid[one], med[one])[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m_avg = np.mean(_RHO0.rho(resid / scores[pivot]), axis=1)
-    survive = finite & (m_avg <= SCALE_B_TARGET * (1.0 + _SCREEN_SLACK))
-    survive[pivot] = False
-    rows = np.flatnonzero(survive)
-    scores[rows] = residual_scales(resid[rows], med[rows])
-    return scores, rows.size + 1
+def _median(a, axis=-1):
+    """np.median of finite values, by partition (np.median imports
+    numpy.ma): the middle value, or the two middle ones' (lo + hi) / 2."""
+    k = a.shape[axis] // 2
+    if a.shape[axis] % 2:
+        return np.partition(a, k, axis=axis).take(k, axis=axis)
+    part = np.partition(a, (k - 1, k), axis=axis)
+    return (part.take(k - 1, axis=axis) + part.take(k, axis=axis)) / 2.0
 
 
 def _ridge_solve(gram, rhs):
@@ -312,6 +267,71 @@ def _ridge_solve(gram, rhs):
         back = sum(a[i][col] * coef[col] for col in range(i + 1, k))
         coef[i] = (b[i] - back) / a[i][i]
     return coef
+
+
+def _descent_step(hess, grad, gram, rhs):
+    """Both descents' step, fit by fit (LAPACK takes each matrix alone):
+    Newton, -hess^-1 grad, where ``hess`` is positive definite and the step
+    finite, else IRWLS, pinv(gram) rhs with gram = J' W J, rhs = J' W r."""
+    eye = np.eye(grad.shape[1])
+    newton = np.isfinite(hess).all(axis=(1, 2))
+    hess = np.where(newton[:, None, None], hess, eye)
+    newton &= np.linalg.eigvalsh(hess)[:, 0] > 0.0
+    step = np.linalg.solve(np.where(newton[:, None, None], hess, eye),
+                           -grad[:, :, None])[:, :, 0]
+    irwls = ~(newton & np.isfinite(step).all(axis=1))
+    if irwls.any():
+        g = gram[irwls]
+        g = np.where(np.isfinite(g).all(axis=(1, 2))[:, None, None], g, 0.0)
+        step[irwls] = np.nan_to_num(
+            (np.linalg.pinv(g) @ rhs[irwls][:, :, None])[:, :, 0],
+            nan=0.0, posinf=0.0, neginf=0.0)
+    return step
+
+
+def _screened_scales(resids):
+    """Candidate S-scales of the (candidates x m) residuals of each set
+    that ``resids`` gives, solved only where they can be the set's least.
+
+    mean rho0(r/s) is non-increasing in s, so a row can have a scale below
+    s* only if mean rho0(r/s*) < b.  In each set the row with the smallest
+    median |r| is solved first for s*; one rho0 pass then screens every row
+    at s* (with a relative slack, so that exact ties survive), and all the
+    sets' survivors are kept and solved in one call.  The others score inf,
+    which keeps the argmin and its first-index tie rule; so do non-finite
+    rows, while rows with median |r| = 0 score 0 and end the set's search.
+    Returns each set's scores and number of rows solved."""
+    scores, solved, rows, blocks = [], [], [], []
+    for resid in resids:
+        finite = np.all(np.isfinite(resid), axis=1)
+        with np.errstate(invalid="ignore"):
+            med = _median(np.abs(resid), axis=1)
+        med[~finite] = np.inf
+        score = np.where(med <= 0.0, 0.0, np.inf)
+        pivot = int(np.argmin(med))
+        survive = np.zeros(med.size, dtype=bool)
+        if score[pivot] != 0.0 and np.isfinite(med[pivot]):
+            one = slice(pivot, pivot + 1)
+            score[pivot] = residual_scales(resid[one], med[one])[0]
+            with np.errstate(all="ignore"):
+                m_avg = np.mean(_RHO0.rho(resid / score[pivot]), axis=1)
+            survive = finite & (
+                m_avg <= SCALE_B_TARGET * (1.0 + _SCREEN_SLACK))
+            survive[pivot] = False
+        scores.append(score)
+        rows.append(np.flatnonzero(survive))
+        solved.append(rows[-1].size + bool(0.0 < score[pivot] < np.inf))
+        blocks.append((resid[rows[-1]], med[rows[-1]]))
+        del resid  # before the next set's matrix is made
+    if rows:
+        scales = residual_scales(
+            np.concatenate([b.ravel() for b, _ in blocks]),
+            np.concatenate([start for _, start in blocks]),
+            counts=np.concatenate([np.full(*b.shape) for b, _ in blocks]))
+        for score, r, part in zip(scores, rows, np.split(
+                scales, np.cumsum([r.size for r in rows])[:-1])):
+            score[r] = part
+    return list(zip(scores, solved))
 
 
 def _elemental_candidates(model, yc, xc, rng):
@@ -344,12 +364,17 @@ def _elemental_candidates(model, yc, xc, rng):
         return np.einsum("qcg,qcg->cg", a, b)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e = np.exp(grid * x1)  # (row, subset, grid point)
+        e = grid * x1  # (row, subset, grid point)
+        np.exp(e, out=e)
         cols = [_column(t, x1, x2, e) for t in model.terms if t != "rate"]
         gram = [[None] * i + [dot(a, b) for b in cols[i:]]
                 for i, a in enumerate(cols)]
         coef = _ridge_solve(gram, [dot(a, ys) for a in cols])
-        resid = ys - sum(c * a for c, a in zip(coef, cols))
+        # The fit, accumulated in place term by term, then the residual.
+        resid = coef[0] * cols[0]
+        for c, a in zip(coef[1:], cols[1:]):
+            resid += c * a
+        np.subtract(ys, resid, out=resid)
         sse = dot(resid, resid)
     gi = np.argmin(np.where(np.isfinite(sse), sse, np.inf), axis=1)
     subsets = np.arange(_N_SUBSETS)
@@ -360,133 +385,290 @@ def _elemental_candidates(model, yc, xc, rng):
     ])
 
 
-def _candidate_residuals(model, yc, xc, betas):
-    """(candidates x m) residuals, from one call of ``model.mean`` with the
-    candidates along a leading axis."""
+def _s_search(model, cases, seeds):
+    """Each (responses, covariates) case's best elemental candidate: its
+    coefficients, S-scale and candidate scales solved, or None."""
+    betas = [_elemental_candidates(model, yc, xc, np.random.default_rng(seed))
+             for (yc, xc), seed in zip(cases, seeds)]
     with np.errstate(over="ignore", invalid="ignore"):
-        return yc - model.mean(xc, betas.T[:, :, None])
+        screens = _screened_scales(  # candidates along a leading axis
+            yc - model.mean(xc, b.T[:, :, None])
+            for (yc, xc), b in zip(cases, betas))
+    best = [int(np.argmin(scores)) for scores, _ in screens]
+    return [(b[k].astype(float), float(scores[k]), solved)
+            if np.isfinite(scores[k]) else None
+            for b, k, (scores, solved) in zip(betas, best, screens)]
 
 
-def _s_search(model, yc, xc, rng):
-    """Elemental candidate with the smallest residual S-scale.
+@dataclass(frozen=True)
+class _Stack:
+    """Fits' complete cases laid end to end, ``counts`` rows each, summed by
+    ``np.add.reduceat`` in an order fixed by a fit's rows alone."""
 
-    Returns its coefficients, its scale and the number of candidate scales
-    solved.
-    """
-    betas = _elemental_candidates(model, yc, xc, rng)
-    resid = _candidate_residuals(model, yc, xc, betas)
-    scores, solved = _screened_scales(resid)
-    best = int(np.argmin(scores))
-    if not np.isfinite(scores[best]):
-        raise ValueError("no valid elemental candidate found")
-    return betas[best].astype(float), float(scores[best]), solved
+    y: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+    counts: np.ndarray
+
+    @cached_property
+    def starts(self):
+        return np.cumsum(self.counts) - self.counts
+
+    def sum(self, values):
+        return np.add.reduceat(values, self.starts)
+
+    def spread(self, per_fit):  # a stack of one's broadcasts as it is
+        if self.counts.size == 1:
+            return per_fit
+        return np.repeat(per_fit, self.counts, axis=0)
+
+    def take(self, keep):
+        if keep.all():
+            return self
+        rows = np.repeat(keep, self.counts)
+        return _Stack(self.y[rows], self.x[rows], self.w[rows],
+                      self.counts[keep])
+
+    def rows(self, beta):  # each row's fit's coefficients, (p, rows)
+        return self.spread(beta).T
+
+    def residuals(self, model, beta):
+        return self.y - model.mean(self.x, self.rows(beta))
+
+    def moments(self, model, beta_rows, u, weights):
+        """Each fit's sums of w v v', v = (u, dm/dbeta), per w of weights."""
+        v = np.concatenate([u[None], model.gradient(self.x, beta_rows).T])
+        wv = np.array(weights)[:, None] * v
+        return np.array([wv[..., a:a + m] @ v[:, a:a + m].T
+                         for a, m in zip(self.starts, self.counts)])
 
 
-def _polish(model, yc, xc, beta, s, floor):
-    """Descent on the S-scale s(beta) to its minimum.
+def _within(move, beta, tol):
+    """Whether each fit's move is at most tol (1 + |beta|_inf)."""
+    return (np.max(np.abs(move), axis=1)
+            <= tol * (1.0 + np.max(np.abs(beta), axis=1)))
+
+
+def _halve(model, stack, beta, step, tol, better):
+    """Both descents' step halving: each fit takes the longest of its step
+    halved up to 29 times that ``better(fits, r, part)`` accepts (residuals
+    r of a trial of each flagged fit, on their stack), or stays, as does one
+    whose full step is within tol (1 + |beta|_inf).  Returns the new points,
+    their values, step lengths, which moved, and the residuals there if no
+    fit halved its step."""
+    cand, value = beta.copy(), np.full(len(beta), np.inf)
+    t, moved = np.ones(len(beta)), np.zeros(len(beta), dtype=bool)
+    searching, part, trial = ~moved, stack, beta + step
+    for halving in range(_MAX_HALVINGS):
+        r = part.residuals(model, trial)
+        ok, values = better(searching, r, part)
+        fits = np.flatnonzero(searching)[ok]
+        cand[fits], value[fits], moved[fits] = trial[ok], values[ok], True
+        searching[fits] = False
+        if halving == 0 and searching.any():
+            searching &= ~_within(step, trial, tol)
+        if not searching.any():
+            break
+        t[searching] *= 0.5
+        part = stack.take(searching)
+        trial = beta[searching] + t[searching, None] * step[searching]
+    return cand, value, t, moved, None if halving else r
+
+
+def _polish(model, stack, beta, s, floor):
+    """Descent on each fit's S-scale s(beta) to its minimum.
 
     s(beta) solves mean rho0(r/s) = b.  With u = r/s, J = dm/dbeta,
     A = sum psi0(u) u and B = sum psi0(u) J, differentiating that identity
     gives grad s = -B/A and, with D_i = (-J_i - u_i grad s)/s,
     Hess s = -[sum psi0'(u) J D' + sum psi0(u) Hess m]/A
-             + B [sum (psi0'(u) u + psi0(u)) D]'/A^2, symmetrized.
-    ``_descent_step`` makes each step Newton or IRWLS.  The step halves
-    until the candidate's scale falls below the current one.  Since
-    mean rho0(r/s) is non-increasing in s, that needs
-    mean rho0(r_new/s) < b, so a trial costs one rho0 pass and only a step
-    that passes it gets its scale solved.  Stops when no step is accepted,
-    when an accepted step lowers the scale by at most 1e-12 relative or
-    moves beta by at most 1e-10 (1 + |beta|_inf), or once the scale drops
-    to ``floor``.  Returns the coefficients, the scale, the number of
-    accepted steps and whether it stopped before the cap of 100 steps.
+             + B [sum (psi0'(u) u + psi0(u)) D]'/A^2, symmetrized.  A trial
+    must pass mean rho0(r_new/s) < b, one rho0 pass, before its scale is
+    solved.  A fit stops, and leaves the stack, when no step is accepted,
+    when a step lowers the scale by at most 1e-12 relative or moves beta by
+    at most 1e-10 (1 + |beta|_inf), or at its ``floor``.  Returns the
+    coefficients, scales, accepted steps and whether each fit stopped
+    before the cap of 100 steps.
     """
-    for steps in range(_POLISH_ITER):
-        if s <= floor:
-            return beta, s, steps, True
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = yc - model.mean(xc, beta)
-            u = r / s
-            wts = _RHO0.weight(u)
-            jac = model.gradient(xc, beta)
-            psi = wts * u
-            dpsi = _RHO0.psi_prime(u)
-            a = float(psi @ u)
-            bv = jac.T @ psi
-            grad = -bv / a
-            d = (-jac - u[:, None] * grad) / s
-            hess = (np.outer(bv, (dpsi * u + psi) @ d) / a
-                    - jac.T @ (d * dpsi[:, None])
-                    - model.curvature(xc, beta, psi)) / a
-        step = _descent_step(0.5 * (hess + hess.T), grad, jac, wts, r)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = beta + t * step
-            with np.errstate(over="ignore", invalid="ignore"):
-                r_new = yc - model.mean(xc, cand)
-            if np.all(np.isfinite(r_new)) and np.mean(
-                _RHO0.rho(r_new / s)
-            ) < SCALE_B_TARGET:
-                s_new = float(residual_scales(r_new[None, :], np.array([s]))[0])
-                if s_new < s:
-                    break
-            t *= 0.5
-        else:
-            return beta, s, steps, True
-        small = (s - s_new <= _POLISH_SCALE_TOL * s
-                 or t * np.max(np.abs(step))
-                 <= _POLISH_STEP_TOL * (1.0 + np.max(np.abs(cand))))
-        beta, s = cand, s_new
-        if small:
-            return beta, s, steps + 1, True
-    return beta, s, _POLISH_ITER, False
 
+    def lower_scale(fits, r, part):
+        start = sc[fits]
+        ok = np.logical_and.reduceat(np.isfinite(r), part.starts)
+        ok &= part.sum(_RHO0.rho(r / part.spread(start))) / part.counts < (
+            SCALE_B_TARGET)
+        solved = np.full(ok.size, np.inf)
+        if ok.any():
+            rows = r if ok.all() else r[np.repeat(ok, part.counts)]
+            solved[ok] = residual_scales(rows, start[ok],
+                                         counts=part.counts[ok])
+        return solved < start, solved
 
-def _m_step(model, yc, xc, w_cov, beta, s):
-    """Bisquare M-step at the fixed scale ``s``.
-
-    Minimizes sum w rho(r/s), whose gradient is -sum w psi(u) J/s and whose
-    Hessian is sum w psi'(u) J J'/s^2 - sum w psi(u) Hess m/s, with
-    ``_descent_step``'s Newton or IRWLS steps and step halving on the
-    objective.  Returns the coefficients, whether it converged and the
-    number of iterations."""
-
-    def objective(b):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = yc - model.mean(xc, b)
-            v = float(w_cov @ _RHO_M.rho(r / s))
-        return v if np.isfinite(v) else np.inf
-
-    beta_m = beta.copy()
-    f = objective(beta_m)
-    converged = False
-    iterations = 0
-    for iterations in range(1, _M_ITER + 1):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            r = yc - model.mean(xc, beta_m)
-            u = r / s
-            wts = w_cov * _RHO_M.weight(u)
-            jac = model.gradient(xc, beta_m)
-            wpsi = wts * u
-            hess = (jac.T @ (jac * (w_cov * _RHO_M.psi_prime(u))[:, None])
-                    / s - model.curvature(xc, beta_m, wpsi)) / s
-        step = _descent_step(hess, -(jac.T @ wpsi) / s, jac, wts, r)
-        t, accepted = 1.0, False
-        for _ in range(_MAX_HALVINGS):
-            cand = beta_m + t * step
-            fc = objective(cand)
-            if fc < f:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            converged = True
+    beta, s, steps = beta.copy(), s.copy(), np.zeros(s.size, dtype=int)
+    live, stack, r = np.flatnonzero(s > floor), stack.take(s > floor), None
+    for _ in range(_POLISH_ITER):
+        if live.size == 0:
             break
-        moved = float(np.max(np.abs(cand - beta_m)))
-        beta_m, f = cand, fc
-        if moved <= _M_TOL * (1.0 + float(np.max(np.abs(beta_m)))):
-            converged = True
+        b, sc = beta[live], s[live]
+        rows = stack.rows(b)
+        if r is None:
+            r = stack.y - model.mean(stack.x, rows)
+        u = r / stack.spread(sc)
+        wts = _RHO0.weight(u)
+        mom = stack.moments(model, rows, u, [wts, _RHO0.psi_prime(u)])
+        a, bv, du = mom[:, 0, 0, 0, None], mom[:, 0, 0, 1:], mom[:, 1, 0, 1:]
+        grad = -bv / a
+        cd = -(du + bv + (mom[:, 1, 0, 0, None] + a) * grad)
+        hess = ((bv[:, :, None] * cd[:, None, :] / a[:, :, None]
+                 + mom[:, 1, 1:, 1:] + du[:, :, None] * grad[:, None, :])
+                / sc[:, None, None]
+                - model.curvature(stack.x, rows, wts * u, stack.starts)
+                ) / a[:, :, None]
+        step = _descent_step(0.5 * (hess + hess.transpose(0, 2, 1)), grad,
+                             mom[:, 0, 1:, 1:], sc[:, None] * bv)
+        cand, s_new, t, moved, r = _halve(model, stack, b, step,
+                                          _POLISH_STEP_TOL, lower_scale)
+        s_new = np.where(moved, s_new, sc)
+        small = (sc - s_new <= _POLISH_SCALE_TOL * sc) | _within(
+            t[:, None] * step, cand, _POLISH_STEP_TOL)
+        beta[live], s[live] = cand, s_new
+        steps[live] += moved
+        go_on = moved & ~small & (s_new > floor[live])
+        if not go_on.all():
+            r = None if r is None else r[np.repeat(go_on, stack.counts)]
+            live, stack = live[go_on], stack.take(go_on)
+    return beta, s, steps, ~np.isin(np.arange(s.size), live)
+
+
+def _m_step(model, stack, beta, s):
+    """Bisquare M-step at each fit's fixed scale ``s``: minimizes
+    sum w rho(r/s), whose gradient is -sum w psi(u) J/s and Hessian
+    sum w psi'(u) J J'/s^2 - sum w psi(u) Hess m/s.  A fit stops, and leaves
+    the stack, when no step lowers its objective or a step moves beta by at
+    most 1e-8 (1 + |beta|_inf).  Returns the coefficients, whether each fit
+    converged and its number of iterations."""
+
+    def objective(part, r, s):
+        v = part.sum(part.w * _RHO_M.rho(r / part.spread(s)))
+        return np.where(np.isfinite(v), v, np.inf)
+
+    def lower_objective(fits, r, part):
+        v = objective(part, r, sc[fits])
+        return v < f[live][fits], v
+
+    beta, r = beta.copy(), stack.residuals(model, beta)
+    f = objective(stack, r, s)
+    converged, iterations = np.zeros(s.size, bool), np.full(s.size, _M_ITER)
+    live = np.arange(s.size)
+    for it in range(1, _M_ITER + 1):
+        if live.size == 0:
             break
-    return beta_m, converged, iterations
+        b, sc = beta[live], s[live]
+        rows = stack.rows(b)
+        if r is None:
+            r = stack.y - model.mean(stack.x, rows)
+        u = r / stack.spread(sc)
+        wts = stack.w * _RHO_M.weight(u)
+        mom = stack.moments(model, rows, u,
+                            [wts, stack.w * _RHO_M.psi_prime(u)])
+        hess = (mom[:, 1, 1:, 1:] / sc[:, None, None] - model.curvature(
+            stack.x, rows, wts * u, stack.starts)) / sc[:, None, None]
+        wpsi_j = mom[:, 0, 0, 1:]
+        step = _descent_step(hess, -wpsi_j / sc[:, None], mom[:, 0, 1:, 1:],
+                             sc[:, None] * wpsi_j)
+        cand, fc, _, moved, r = _halve(model, stack, b, step, _M_TOL,
+                                       lower_objective)
+        beta[live], f[live[moved]] = cand, fc[moved]
+        done = ~moved | _within(cand - b, cand, _M_TOL)
+        if done.any():
+            converged[live[done]] = True
+            iterations[live[done]] = it
+            r = None if r is None else r[np.repeat(~done, stack.counts)]
+            live, stack = live[~done], stack.take(~done)
+    return beta, converged, iterations
+
+
+def _complete_cases(model, data, covariate_weights):
+    """A dataset's complete responses, covariates and covariate weights."""
+    if data.x.shape[1] != 2:
+        raise ValueError(_DIM_MISMATCH)
+    obs = data.delta == 1
+    yc, xc = data.y[obs], data.x[obs]
+    if yc.size < 5 * model.dim_beta:
+        raise ValueError("insufficient complete cases")
+    if covariate_weights is None:
+        return yc, xc, np.ones(yc.size)
+    w_cov = np.asarray(covariate_weights(xc), dtype=float)
+    if w_cov.shape != yc.shape:
+        raise ValueError("covariate weights must give one value per row")
+    if not np.all((w_cov >= -1e-9) & (w_cov <= 1.0 + 1e-9)):
+        raise ValueError("covariate weights must lie in [0, 1]")
+    w_cov = np.clip(w_cov, 0.0, 1.0)
+    if not w_cov.sum() > 0:
+        raise ValueError("covariate weights are all zero")
+    return yc, xc, w_cov
+
+
+def fit_mm_stack(
+    model: RegressionModel,
+    datasets: Sequence[ObservedDataset],
+    seeds: Sequence[int],
+    covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[RegressionFit | ValueError]:
+    """Simplified MM fits of datasets' complete cases as one stack: each
+    dataset's fit (carrying ``model``; bit for bit the one it gets alone)
+    or the ValueError it raised.
+
+    Each covariate matrix must have two columns.  Stage 1 searches 500
+    random elemental subsets (size dim_beta + 1, drawn from ``seeds[k]``)
+    for the candidate whose residual S-scale (bisquare c0 = 1.54764,
+    b = 0.5) is least, solving a scale only if a screen at the best found
+    so far shows it could be less (Fast-S, Salibian-Barrera & Yohai 2006);
+    ties go to the first.  Scales are solved by safeguarded Newton steps to
+    1e-10 relative.  The best candidate is polished to the minimum of the
+    scale by Newton steps (IRWLS where the Hessian is not positive
+    definite) within 100 steps (``polish_converged``).  Stage 2 minimizes
+    the bisquare (c = 4.685) objective at that scale by the same steps, to
+    tolerance 1e-8 (``converged``).  ``covariate_weights`` maps a dataset's
+    complete-case covariates to weights in [0, 1] on the M-step objective.
+    """
+    out: list = [None] * len(datasets)
+    cases = []
+    for k, data in enumerate(datasets):
+        try:
+            cases.append((k, *_complete_cases(model, data, covariate_weights)))
+        except ValueError as exc:
+            out[k] = exc
+    found = _s_search(model, [c[1:3] for c in cases],
+                      [seeds[c[0]] for c in cases])
+    for c, best in zip(cases, found):
+        if best is None:
+            out[c[0]] = ValueError("no valid elemental candidate found")
+    cases = [c + best for c, best in zip(cases, found) if best is not None]
+    if not cases:
+        return out
+    keys, yc, xc, w, beta, s, solved = zip(*cases)
+    stack = _Stack(np.concatenate(yc), np.concatenate(xc), np.concatenate(w),
+                   np.array([y.size for y in yc]))
+    floor = _DEGENERATE_REL * np.maximum([np.ptp(y) for y in yc], 1e-300)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s_beta, s, steps, polished = _polish(model, stack, np.array(beta),
+                                             np.array(s), floor)
+        spread = s > floor
+        m_fits = zip(*_m_step(model, stack.take(spread), s_beta[spread],
+                              s[spread]))
+    for j, k in enumerate(keys):
+        if not spread[j]:
+            out[k] = ValueError("degenerate scale: residuals have no spread")
+            continue
+        beta_m, converged, iterations = next(m_fits)
+        out[k] = RegressionFit(
+            model=model, beta=beta_m, residual_scale=float(s[j]),
+            weights_used=None if covariate_weights is None else w[j],
+            complete_case_count=yc[j].size, converged=bool(converged),
+            s_step_beta=s_beta[j], candidates_solved=solved[j],
+            polish_steps=int(steps[j]), polish_converged=bool(polished[j]),
+            m_iterations=int(iterations))
+    return out
 
 
 def fit_mm(
@@ -495,74 +677,9 @@ def fit_mm(
     covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
     seed: int = 0,
 ) -> RegressionFit:
-    """Simplified MM regression fit on the complete cases.
-
-    The covariate matrix must have two columns.  Stage 1 searches 500
-    random elemental subsets (size dim_beta + 1) for the candidate whose
-    full-sample residual S-scale (bisquare c0 = 1.54764, b = 0.5) is
-    smallest.  The search solves a
-    candidate's scale only if a screen at the best scale found so far
-    shows it could be smaller (Fast-S, Salibian-Barrera & Yohai 2006); the
-    result is the argmin over all candidates, first index first on ties.
-    Scales are solved by safeguarded Newton steps to 1e-10 relative.  The
-    best candidate is then polished to the minimum of the scale by Newton
-    steps (IRWLS steps where the scale's Hessian is not positive
-    definite), which stop on their own within 100 steps
-    (``polish_converged``).  Stage 2 minimizes the bisquare (c = 4.685)
-    objective at the stage-1 scale by the same Newton or IRWLS steps with
-    step halving, to tolerance 1e-8 (``converged``).  The subset draw is
-    deterministic given ``seed``.  The fit carries ``model``, so
-    ``predict(fit, x)`` needs nothing else.
-
-    ``covariate_weights``, when given, receives the complete-case covariate
-    matrix and must return per-row weights in [0, 1] multiplying the M-step
-    objective.
-    """
-    if data.x.shape[1] != 2:
-        raise ValueError(_DIM_MISMATCH)
-    obs = data.delta == 1
-    yc = data.y[obs]
-    xc = data.x[obs]
-    m = yc.size
-    p = model.dim_beta
-    if m < 5 * p:
-        raise ValueError("insufficient complete cases")
-
-    if covariate_weights is None:
-        w_cov = np.ones(m)
-    else:
-        w_cov = np.asarray(covariate_weights(xc), dtype=float)
-        if w_cov.shape != (m,):
-            raise ValueError("covariate weights must give one value per row")
-        if np.any(~np.isfinite(w_cov)) or np.any(w_cov < -1e-9) or np.any(
-            w_cov > 1.0 + 1e-9
-        ):
-            raise ValueError("covariate weights must lie in [0, 1]")
-        w_cov = np.clip(w_cov, 0.0, 1.0)
-        if not w_cov.sum() > 0:
-            raise ValueError("covariate weights are all zero")
-
-    rng = np.random.default_rng(seed)
-    beta, s, solved = _s_search(model, yc, xc, rng)
-    floor = _DEGENERATE_REL * max(float(np.ptp(yc)), 1e-300)
-    if s <= floor:
-        raise ValueError("degenerate scale: residuals have no spread")
-    beta, s, polish_steps, polish_converged = _polish(
-        model, yc, xc, beta, s, floor)
-    if s <= floor:
-        raise ValueError("degenerate scale: residuals have no spread")
-    beta_m, converged, m_iterations = _m_step(model, yc, xc, w_cov, beta, s)
-
-    return RegressionFit(
-        model=model,
-        beta=beta_m,
-        residual_scale=s,
-        weights_used=None if covariate_weights is None else w_cov,
-        complete_case_count=m,
-        converged=converged,
-        s_step_beta=beta,
-        candidates_solved=solved,
-        polish_steps=polish_steps,
-        polish_converged=polish_converged,
-        m_iterations=m_iterations,
-    )
+    """Simplified MM regression fit on the complete cases: the stack of one
+    (``fit_mm_stack``), raising the ValueError that the dataset raises."""
+    fit = fit_mm_stack(model, [data], [seed], covariate_weights)[0]
+    if isinstance(fit, ValueError):
+        raise fit
+    return fit

@@ -61,42 +61,52 @@ def residual_scales(
     weights: np.ndarray | None = None,
     rho0: ScoreFamily = _RHO0,
     b: float = SCALE_B_TARGET,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Row-wise S-scale about zero of a (rows x m) matrix of residuals.
+    """Row-wise S-scale about zero of a (rows x m) matrix of residuals, or
+    of rows of ``counts`` residuals laid end to end in a 1-D ``resid``.
 
     Solves avg rho0(r/s) = b for each row from ``start`` by safeguarded
     Newton steps in s, s <- s (1 + (avg rho0(u) - b) / avg psi0(u) u).  The
-    average is the plain mean, or the ``weights``-weighted mean over the
-    columns when they are given.  The fixed-point step
-    s <- s sqrt(avg rho0(u) / b) never overshoots the root, so a Newton
-    step is taken only when it lies inside the bracket seen so far and goes
-    at least as far as the fixed-point step.  Each row stops on its own
-    once its step is below 1e-10 relative, so a row's value does not depend
-    on the other rows.  A row scores 0.0 when its start is zero or its
-    residuals all vanish, and inf when it holds a non-finite value.
+    average is the row's mean (``np.add.reduceat``, in an order fixed by
+    the row), or the ``weights``-weighted mean over a matrix's columns.
+    The fixed-point step s <- s sqrt(avg rho0(u) / b) never overshoots the
+    root, so a Newton step is taken only when it lies inside the bracket
+    seen so far and goes at least as far as the fixed-point step.  Each row
+    stops on its own once its step is below 1e-10 relative, so a row's
+    value does not depend on the other rows, bit for bit.  A row scores 0.0
+    when its start is zero or its residuals all vanish, and inf when it
+    holds a non-finite value.
     """
+    if counts is None:
+        counts = np.full(resid.shape[0], resid.shape[1])
+        resid = resid.ravel()
     if weights is None:
         def avg(v):
-            return np.mean(v, axis=1)
+            return np.add.reduceat(v, starts) / counts
     else:
         total = float(weights.sum())
 
         def avg(v):
-            return serial_dot(v, weights) / total
+            return serial_dot(v.reshape(counts.size, -1), weights) / total
 
-    out = np.full(resid.shape[0], np.inf)
-    finite = np.all(np.isfinite(resid), axis=1)
+    start = np.asarray(start, dtype=float)
+    out = np.full(counts.size, np.inf)
+    starts = np.cumsum(counts) - counts
+    finite = np.logical_and.reduceat(np.isfinite(resid), starts)
     out[finite & (start <= 0.0)] = 0.0
-    active = np.flatnonzero(finite & (start > 0.0))
-    r = resid[active]
-    s = np.asarray(start, dtype=float)[active]
+    active = finite & (start > 0.0)
+    r = resid if active.all() else resid[np.repeat(active, counts)]
+    active = np.flatnonzero(active)
+    counts, s = counts[active], start[active]
+    starts = np.cumsum(counts) - counts
     lo = np.zeros_like(s)
     hi = np.full_like(s, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_NEWTON_ITER):
             if active.size == 0:
                 break
-            u = r / s[:, None]
+            u = r / (s if s.size == 1 else np.repeat(s, counts))
             m_avg = avg(rho0.rho(u))
             slope = avg(rho0.psi(u) * u)
             below = m_avg > b  # s lies below the root
@@ -114,8 +124,10 @@ def residual_scales(
             if done.any():
                 out[active[done]] = s_new[done]
                 keep = ~done
-                active, r = active[keep], r[keep]
-                s_new, lo, hi = s_new[keep], lo[keep], hi[keep]
+                active, r = active[keep], r[np.repeat(keep, counts)]
+                counts, s_new = counts[keep], s_new[keep]
+                starts = np.cumsum(counts) - counts
+                lo, hi = lo[keep], hi[keep]
             s = s_new
     out[active] = s
     out[~np.isfinite(out)] = np.inf

@@ -28,7 +28,7 @@ from .marginal import (
 )
 from .parallel import ordered_map
 from .propensity import PropensityFit, fit_propensity, known_propensity
-from .regression import MODELS, fit_mm
+from .regression import MODELS, fit_mm_stack
 from .scores import ScoreFamily, location_bisquare
 from .weighted import WeightedSample
 
@@ -69,6 +69,11 @@ ESTIMATORS = ("ipw", "conv", "aipw")
 FUNCTIONALS = ("mean", "median", "m_est")
 
 _SF = location_bisquare()
+
+# Replications per block, whose MM regressions are one stack: an n = 100 fit
+# takes 9.2 ms alone, 6.8 / 4.9 / 4.1 ms in blocks of 10 / 64 / 256 (2 vCPU),
+# and bigger blocks leave fewer to share among worker processes.
+_BLOCK_REPS = 64
 
 _CSV_COLUMNS = (
     "functional",
@@ -339,16 +344,10 @@ def _fit_propensity(cfg: ScenarioConfig, data: ObservedDataset) -> PropensityFit
     return fit_propensity(cfg.propensity_method, data.z, data.delta)
 
 
-def _one_rep(cfg: ScenarioConfig, j: int, sf: ScoreFamily) -> dict:
-    seed_j = cfg.seed ^ j
-    data, truth = generate_sample(cfg.n, seed_j, cfg.contamination, cfg.missing)
-    pf = _fit_propensity(cfg, data)
-
+def _rep_values(cfg, sf, data, truth, pf, fit) -> dict:
+    """A replication's values; ``fit`` is its MM fit, None without conv."""
     estimates = {}
-    if "conv" in cfg.estimators:
-        model_id = ("exp_linear" if cfg.regression_spec == "true_nonlinear"
-                    else "linear")
-        fit = fit_mm(MODELS[model_id], data, seed=seed_j)
+    if fit is not None:
         estimates["conv"] = estimate_conv(data, pf, fit, sf)
     if "ipw" in cfg.estimators:
         estimates["ipw"] = estimate_ipw(data, pf, sf)
@@ -375,13 +374,31 @@ def _one_rep(cfg: ScenarioConfig, j: int, sf: ScoreFamily) -> dict:
     }
 
 
-def _rep_or_reason(cfg: ScenarioConfig, sf: ScoreFamily, j: int) -> dict | str:
-    """Replication j, or the reason ("Type: message") when its estimation
-    raises."""
-    try:
-        return _one_rep(cfg, j, sf)
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+def _block(cfg: ScenarioConfig, sf: ScoreFamily, reps: range) -> list:
+    """Replications ``reps``: their values, or the reasons ("Type: message")
+    they raised; their MM regressions are fitted as one stack."""
+    out, drawn = {}, {}
+    for j in reps:
+        try:
+            data, truth = generate_sample(cfg.n, cfg.seed ^ j,
+                                          cfg.contamination, cfg.missing)
+            drawn[j] = (data, truth, _fit_propensity(cfg, data), None)
+        except Exception as exc:
+            out[j] = f"{type(exc).__name__}: {exc}"
+    if "conv" in cfg.estimators:
+        model = MODELS["exp_linear" if cfg.regression_spec == "true_nonlinear"
+                       else "linear"]
+        fits = fit_mm_stack(model, [d[0] for d in drawn.values()],
+                            [cfg.seed ^ j for j in drawn])
+        drawn = {j: d[:3] + (fit,) for (j, d), fit in zip(drawn.items(), fits)}
+    for j, (data, truth, pf, fit) in drawn.items():
+        try:
+            if isinstance(fit, ValueError):
+                raise fit
+            out[j] = _rep_values(cfg, sf, data, truth, pf, fit)
+        except Exception as exc:
+            out[j] = f"{type(exc).__name__}: {exc}"
+    return [out[j] for j in reps]
 
 
 def run_scenario(
@@ -392,20 +409,24 @@ def run_scenario(
 ) -> SummaryTable:
     """Run a scenario's replications and aggregate the summary measures.
 
-    Replication j uses the RNG stream seeded by ``cfg.seed ^ j``, so the
-    table is bit-identical for a given config no matter how many worker
-    processes (``parallel.ordered_map``) execute the replications.
-    Replications whose estimation raises are excluded and counted by
-    reason; the run aborts, naming the reasons, if more than 2% fail.  Bias
-    is measured against ``targets`` (default: the long-run
+    Replication j uses the RNG stream seeded by ``cfg.seed ^ j``.  Blocks
+    of ``_BLOCK_REPS`` replications, each fitting its MM regressions as one
+    stack (``regression.fit_mm_stack``), are mapped over up to ``workers``
+    processes (``parallel.ordered_map``); a replication's values are its
+    own, bit for bit, so the table is the same for any block size and
+    worker count.  Replications whose estimation raises are excluded and
+    counted by reason; the run aborts, naming the reasons, if more than 2%
+    fail.  Bias is measured against ``targets`` (default: the long-run
     PUBLISHED_TARGETS), sd is the population-form standard deviation over
     replications, and mse = bias^2 + sd^2 exactly.
     """
     tgt = dict(PUBLISHED_TARGETS)
     if targets is not None:
         tgt.update(targets)
-    results = ordered_map(partial(_rep_or_reason, cfg, sf), range(cfg.reps),
-                          workers)
+    blocks = [range(k, min(k + _BLOCK_REPS, cfg.reps))
+              for k in range(0, cfg.reps, _BLOCK_REPS)]
+    results = [r for block in ordered_map(partial(_block, cfg, sf), blocks,
+                                          workers) for r in block]
     kept = [r for r in results if not isinstance(r, str)]
     reasons = dict(Counter(r for r in results if isinstance(r, str)))
     failures = cfg.reps - len(kept)

@@ -25,7 +25,7 @@ from robmarg import (
     scale_bisquare,
     weighted_quantile,
 )
-from robmarg.scaleloc import check_score_pair
+from robmarg.scaleloc import check_score_pair, residual_scales
 from robmarg.weighted import serial_dot
 
 
@@ -396,3 +396,27 @@ def loose_samples(draw):
 def test_m_location_within_data_range(sample, scale):
     th = m_location(sample, location_bisquare(), scale)
     assert sample.atoms.min() - 1e-9 <= th <= sample.atoms.max() + 1e-9
+
+
+def test_rows_of_different_lengths_solve_as_alone():
+    """Rows of different lengths solved in one call get the scales they get
+    alone, bit for bit, in any order; a non-finite row scores inf and a
+    zero start 0."""
+    rng = np.random.default_rng(4)
+    rows = [rng.standard_t(3, m) * k
+            for k, m in enumerate((15, 57, 8, 120, 57, 33, 9), 1)]
+    rows[2][0] = np.inf
+    starts = np.array([np.median(np.abs(r)) for r in rows])
+    starts[5] = 0.0
+    alone = [residual_scales(r[None], starts[k:k + 1])[0]
+             for k, r in enumerate(rows)]
+    for order in (range(len(rows)), [3, 6, 0, 5, 1, 4, 2]):
+        order = list(order)
+        together = residual_scales(
+            np.concatenate([rows[k] for k in order]), starts[order],
+            counts=np.array([rows[k].size for k in order]))
+        assert together.tolist() == [alone[k] for k in order]
+    assert np.isinf(alone[2]) and alone[5] == 0.0
+    for k in (0, 1, 3, 4, 6):
+        avg = np.mean(scale_bisquare().rho(rows[k] / alone[k]))
+        assert avg == pytest.approx(SCALE_B_TARGET, abs=1e-12)

@@ -3,11 +3,12 @@
 import json
 import multiprocessing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 
-from robmarg import parallel
+from robmarg import parallel, simulation
 from robmarg.marginal import estimate_aipw, estimate_conv, estimate_ipw, functional_summary
 from robmarg.propensity import constant_propensity, kernel_propensity
 from robmarg.regression import exp_linear_model, fit_mm
@@ -200,6 +201,8 @@ class TestRunScenario:
         t1 = run_scenario(cfg, workers=1)
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+        # Blocks of two, so that the pool gets three of the four.
+        monkeypatch.setattr(simulation, "_BLOCK_REPS", 2)
         t2 = run_scenario(cfg, workers=4)
         assert t1.to_csv_text() == t2.to_csv_text()
         assert t1.to_json_text() == t2.to_json_text()
@@ -225,6 +228,9 @@ class TestRunScenario:
         assert json.loads(t1.to_json_text())["failure_reasons"] == reasons
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+        # One replication per block, so that the failing one runs in a
+        # worker.
+        monkeypatch.setattr(simulation, "_BLOCK_REPS", 1)
         t2 = run_scenario(cfg, workers=2, sf=sf)
         assert t2.failure_reasons == reasons
         assert t1.to_json_text() == t2.to_json_text()
@@ -306,6 +312,50 @@ class TestRunScenario:
         cfg = ScenarioConfig(n=100, reps=1, estimators=("ipw",))
         with pytest.raises(ValueError, match="workers"):
             run_scenario(cfg, workers=0)
+
+    def test_replication_values_are_its_own(self, monkeypatch):
+        """Replication j's values are bit for bit the same run alone, in a
+        block of 10, in a block of 64 and in a pool of two workers, and so
+        the table is the same at any block size."""
+        cfg = ScenarioConfig(n=100, reps=64, seed=7,
+                             propensity_method="kernel")
+        block = partial(simulation._block, cfg, SF)
+        in_64 = block(range(64))
+        for j in (0, 17, 50):
+            assert block(range(j, j + 1)) == [in_64[j]]
+            tens = range(j - j % 10, j - j % 10 + 10)
+            assert block(tens)[j % 10] == in_64[j]
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+        pooled = parallel.ordered_map(
+            block, [range(k, k + 16) for k in range(0, 64, 16)], workers=2)
+        assert [r for part in pooled for r in part] == in_64
+        assert multiprocessing.active_children() == []
+        table = run_scenario(cfg)
+        monkeypatch.setattr(simulation, "_BLOCK_REPS", 10)
+        assert run_scenario(cfg).to_json_text() == table.to_json_text()
+
+    def test_failing_replication_leaves_its_block(self):
+        """At n = 26 about half the replications have fewer than the 15
+        complete cases the regression needs: each of them fails with that
+        reason, and every other one keeps the values it has alone."""
+        cfg = ScenarioConfig(n=26, reps=20, seed=3,
+                             propensity_method="constant",
+                             estimators=("conv",), functionals=("m_est",))
+        results = simulation._block(cfg, SF, range(cfg.reps))
+        failed = [j for j, r in enumerate(results) if isinstance(r, str)]
+        assert 0 < len(failed) < cfg.reps
+        for j, r in enumerate(results):
+            complete = generate_sample(cfg.n, cfg.seed ^ j)[0].n_obs
+            if j in failed:
+                assert complete < 15
+                assert r == "ValueError: insufficient complete cases"
+            else:
+                assert simulation._block(cfg, SF, range(j, j + 1)) == [r]
+        with pytest.raises(RuntimeError, match=(
+                f"{len(failed)} of 20 replications failed: .*"
+                "'ValueError: insufficient complete cases'")):
+            run_scenario(cfg)
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,17 @@ each after one untimed call:
   ozone data and config (3 jackknifed entries, 153 leave-one-out sets),
   given the full data's model fits as ``robmarg estimate`` gives them and
   run across the available CPUs as there, timed once per sample, with the
-  SEs and their hash.
+  SEs and their hash;
+* the Monte Carlo block layer (``mc_block``): ``run_scenario`` of the
+  benchmark's ``mc_n100`` scenario (n = 100, kernel propensity, the true
+  nonlinear model, every estimator and functional) at ``MC_REPS``
+  replications in one process, which fits each block's MM regressions as
+  one stack, with the same split into the S-search, the polish and the
+  M-step and a hash of the table.
+
+The minor page faults per fit (``getrusage``) of ``FAULT_FITS`` n = 100
+fits of each model, one sample each, are counted first, before the other
+layers grow the heap.
 
 Every layer is timed the same way: a sample repeats the call until it
 fills ``SAMPLE_S``, samples go on for ``LAYER_S`` (at least ``REPEATS`` of
@@ -47,6 +57,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 import warnings
@@ -59,7 +70,7 @@ from robmarg.marginal import (estimate_aipw, estimate_conv, estimate_ipw,
                               functional_summary)
 from robmarg.propensity import auto_bandwidth, fit_logistic, kernel_propensity
 from robmarg.scores import location_bisquare
-from robmarg.simulation import generate_sample
+from robmarg.simulation import ScenarioConfig, generate_sample, run_scenario
 
 # Record name -> (model, covariate weights).
 MODELS = {
@@ -86,6 +97,8 @@ KERNEL_LAYERS = ("auto_bandwidth", "kernel_predict", "estimate_aipw",
 SUMMARY_LAYERS = {f"{est}_summary_{method}": (est, method)
                   for est in ("conv", "ipw", "aipw") for method in ("mad", "s")}
 SF = location_bisquare()
+MC_REPS = (10, 64)
+FAULT_FITS = 60
 PACKAGE_DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 
 
@@ -240,7 +253,41 @@ def bench_jackknife() -> dict:
             "output_hash": _hash(ses)}
 
 
+def bench_faults() -> dict:
+    samples = [generate_sample(100, seed)[0] for seed in range(FAULT_FITS)]
+    out = {}
+    for name, (model, weights) in MODELS.items():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed, data in enumerate(samples):
+            regression.fit_mm(model, data, covariate_weights=weights,
+                              seed=seed)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        out[name] = round(faults / FAULT_FITS, 2)
+        print(f"n=  100 {name:36s} {out[name]:9.2f} faults/fit",
+              file=sys.stderr)
+    return out
+
+
+def bench_mc(clock: dict) -> list[dict]:
+    rows = []
+    for reps in MC_REPS:
+        cfg = ScenarioConfig(n=100, reps=reps, seed=7,
+                             propensity_method="kernel")
+        ms, split, table = _least_ms(lambda: run_scenario(cfg), clock)
+        rows.append({
+            "reps": reps, "ms": ms, "reps_per_s": round(reps * 1e3 / ms, 2),
+            **{f"{stage}_ms": round(split[stage], 4) for stage in STAGES},
+            "output_hash": hashlib.sha256(
+                table.to_csv_text().encode()).hexdigest()[:16],
+        })
+        print(f"reps={reps:3d} {'mc_block':36s} {ms:9.2f} ms  "
+              + "  ".join(f"{s} {rows[-1][s + '_ms']:8.2f}" for s in STAGES),
+              file=sys.stderr)
+    return rows
+
+
 def bench() -> dict:
+    faults = bench_faults()
     clock = dict.fromkeys(STAGES, 0.0)
     _install(clock)
     rows, digest = [], hashlib.sha256()
@@ -288,6 +335,8 @@ def bench() -> dict:
         "summary_output_hash": summary_hash,
         "summary_layers": summary_rows,
         "jackknife_layer": bench_jackknife(),
+        "fit_faults_n100": faults,
+        "mc_block": bench_mc(clock),
     }
 
 
