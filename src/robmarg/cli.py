@@ -32,7 +32,7 @@ from .marginal import (
     estimate_ipw,
 )
 from .propensity import DEFAULT_FLOOR, fit_propensity
-from .regression import MODELS, fit_mm, hard_rejection_weights
+from .regression import MODELS, fit_mm, fit_mm_stack, hard_rejection_weights
 from .scores import location_bisquare
 from .simulation import (
     ESTIMATORS,
@@ -92,7 +92,8 @@ _ESTIMATE_FIELDS = {
                          "must lie strictly in (0, 1)"),
     "jackknife": (True, lambda v: isinstance(v, bool), "must be a boolean"),
     "jackknife_propensity": (None, None, ""),
-    "seed": (0, lambda v: _is_number(v, int), "must be an integer"),
+    "seed": (0, lambda v: _is_number(v, int) and v >= 0,
+             "must be an integer >= 0"),
     "scale_method": ("mad", lambda v: v in SCALE_METHODS,
                      f"must be one of {SCALE_METHODS}"),
 }
@@ -179,6 +180,9 @@ def _read_csv_columns(path: str, columns: list[str]) -> dict[str, np.ndarray]:
             raise InputError(
                 f"data file lacks column(s): {', '.join(missing_cols)}"
             )
+        for c in columns:
+            if header.count(c) > 1:
+                raise InputError(f"data file has column {c!r} more than once")
         idx = {c: header.index(c) for c in columns}
         values: dict[str, list[float]] = {c: [] for c in columns}
         for row_number, row in enumerate(reader, start=2):
@@ -370,36 +374,41 @@ def _report_entries(estimates: dict, fits: dict) -> list[dict]:
     ]
 
 
-def _jackknife_thetas(data: ObservedDataset, settings: dict, a_n: float,
-                      full_fit) -> list[float]:
-    """theta_m of every jackknifed entry on one leave-one-out set.
-
-    ``full_fit`` is the full data's fit of the first model, or None.  A set
-    with as many complete cases as that fit left out an incomplete row, so
-    ``fit_mm`` would see the same complete cases and seed and return the
-    same fit: it is reused.  Module level, so that worker processes can
-    unpickle it.
-    """
-    if (full_fit is not None
-            and int(data.delta.sum()) == full_fit.complete_case_count):
-        fits = {settings["models"][0]["label"]: full_fit}
-    else:
-        fits = _fit_models(data, settings)
-    estimates = _estimates(data, settings, fits, a_n)
-    return [est.theta_m for est in estimates.values()]
+def _jackknife_thetas(datasets: list, settings: dict, a_n: float) -> list:
+    """theta_m of every jackknifed entry on each leave-one-out set, or the
+    exception that set raised; a model's fits to the sets are one stack
+    (``fit_mm_stack``).  Module level, so that workers can unpickle it."""
+    models = settings["models"] if "conv" in settings["estimators"] else []
+    stacks = {
+        m["label"]: fit_mm_stack(MODELS[m["id"]], datasets,
+                                 [settings["seed"]] * len(datasets),
+                                 _WEIGHT_IDS[m["weights"]])
+        for m in models
+    }
+    thetas = []
+    for k, data in enumerate(datasets):
+        fits = {label: stack[k] for label, stack in stacks.items()}
+        try:
+            for fit in fits.values():
+                if isinstance(fit, ValueError):
+                    raise fit
+            estimates = _estimates(data, settings, fits, a_n)
+            thetas.append([est.theta_m for est in estimates.values()])
+        except Exception as exc:
+            thetas.append(exc)
+    return thetas
 
 
 def _attach_jackknife(entries: list[dict], data: ObservedDataset,
-                      settings: dict, fits: dict, a_n: float) -> None:
+                      settings: dict, a_n: float) -> None:
     """Jackknife SE and CI for each estimator under the designated propensity.
 
     The convolution estimator is jackknifed under its first configured
     model only; the others have exactly one variant.  Each leave-one-out
     dataset is estimated once for all of them, with the full data's
     ``a_n``, so one propensity fit and one model fit serve every jackknifed
-    entry.  ``fits`` (from ``_fit_models`` on ``data``) lends the first
-    model's fit to the sets that left out an incomplete row.  The sets run
-    across the available CPUs.
+    entry.  The sets run in chunks whose model fits are one stack, across
+    the available CPUs.
     """
     if not settings["jackknife"]:
         return
@@ -408,11 +417,7 @@ def _attach_jackknife(entries: list[dict], data: ObservedDataset,
         propensities=[settings["jackknife_propensity"]],
         models=settings["models"][:1],
     )
-    full_fit = None
-    if rerun["models"]:
-        full_fit = fits.get(rerun["models"][0]["label"])
-    estimator = functools.partial(_jackknife_thetas, settings=rerun, a_n=a_n,
-                                  full_fit=full_fit)
+    estimator = functools.partial(_jackknife_thetas, settings=rerun, a_n=a_n)
     ve = jackknife_se(estimator, data, workers=parallel.available_cpus())
     rows = {(e["estimator"], e["model"], e["propensity"]): e for e in entries}
     for key, se in zip(_entry_keys(rerun), ve.se):
@@ -465,7 +470,7 @@ def cmd_estimate(args) -> int:
     try:
         fits = _fit_models(data, settings)
         entries = _report_entries(_estimates(data, settings, fits, a_n), fits)
-        _attach_jackknife(entries, data, settings, fits, a_n)
+        _attach_jackknife(entries, data, settings, a_n)
     except Exception as exc:
         raise RuntimeError(f"estimation failed: {exc}") from exc
 
@@ -566,6 +571,8 @@ def cmd_targets(args) -> int:
         raise InputError("--reps must be at least 1")
     if args.n < 2:
         raise InputError("--n must be at least 2")
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     tv = target_values(reps=args.reps, n=args.n, seed=args.seed)
     text = json.dumps(dataclasses.asdict(tv), indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)

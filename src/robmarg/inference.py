@@ -1,7 +1,7 @@
 """Standard errors and confidence intervals for the marginal estimators.
 
 Two routes to a standard error: a leave-one-out jackknife around any
-estimation pipeline (propensity and regression refits included), and the
+estimation pipeline given chunks of the sets (refits included), and the
 plug-in asymptotic variance of the IPW M-location functional, which carries
 the influence of the estimated preliminary scale and has an optional
 kernel-regression correction term that captures the efficiency gain of an
@@ -77,53 +77,55 @@ def _drop_row(data: ObservedDataset, i: int) -> ObservedDataset:
     )
 
 
-def _replicate(estimator, data: ObservedDataset, i: int):
-    """The estimate without row i, as floats; the reason ("Type: message")
-    when the estimator raises."""
-    try:
-        theta = estimator(_drop_row(data, i))
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
-    if np.ndim(theta) == 0:
-        return float(theta)
-    return tuple(float(v) for v in theta)
+def _replicate(estimator, data: ObservedDataset, rows: list) -> list:
+    """The estimates without each of ``rows``, as floats, or the reason
+    ("Type: message") for a set whose estimate is an exception; the chunk
+    function of ``jackknife_se``."""
+    out = []
+    for theta in estimator([_drop_row(data, i) for i in rows]):
+        if isinstance(theta, Exception):
+            out.append(f"{type(theta).__name__}: {theta}")
+        elif np.ndim(theta) == 0:
+            out.append(float(theta))
+        else:
+            out.append(tuple(float(v) for v in theta))
+    return out
 
 
 def jackknife_se(
-    estimator: Callable[[ObservedDataset], float],
+    estimator: Callable[[list[ObservedDataset]], list],
     data: ObservedDataset,
     workers: int = 1,
 ) -> VarianceEstimate:
     """Leave-one-out jackknife standard error of a full pipeline.
 
-    ``estimator`` maps a dataset to a scalar, or to a vector of estimates,
-    and is recomputed on each of the n delete-one datasets, so every
-    data-dependent stage (propensity fit, regression fit, scale) contributes
-    to the spread.  A leave-one-out replicate that raises is skipped for
-    every component and counted by its reason in ``skipped``; more than 5%
-    skipped draws a warning.  The first refit is timed, and a warning gives
-    the projected total when n times that time exceeds 60 s.  With ``workers`` > 1 the other refits may run in that
-    many processes (``parallel.ordered_map``); ``estimator`` must then
-    pickle, and the result is the same bit for bit.
+    ``estimator`` maps a list of datasets to a list with each one's
+    estimate (a scalar, or a vector of estimates) or the exception it
+    raised, and is given the n delete-one datasets in chunks
+    (``parallel.ordered_map``), so every data-dependent stage (propensity
+    fit, regression fit, scale) contributes to the spread.  A set whose
+    estimate is an exception is skipped for every component and counted by
+    its reason in ``skipped``; more than 5% skipped draws a warning.  The
+    first set runs alone and is timed, and a warning gives the projected
+    total when n times that time exceeds 60 s.  With ``workers`` > 1 the
+    others may run in that many processes; ``estimator`` must then pickle,
+    and the result is the same bit for bit.
     se = sqrt(((m-1)/m) * sum (theta_(i) - mean)^2) over the m retained
     replicates, for each component; a vector estimator gets a tuple of them
     with the one shared m.
     """
     n = data.n
     start = perf_counter()
-
-    def warn_if_slow():
-        projected = n * (perf_counter() - start)
-        if projected > _JACKKNIFE_WARN_S:
-            warnings.warn(
-                f"jackknife: {n} leave-one-out refits projected to take "
-                f"about {projected:.0f} s",
-                stacklevel=4,
-            )
-
-    replicates = ordered_map(
-        partial(_replicate, estimator, data), range(n), workers, warn_if_slow
-    )
+    replicates = _replicate(estimator, data, [0])
+    projected = n * (perf_counter() - start)
+    if projected > _JACKKNIFE_WARN_S:
+        warnings.warn(
+            f"jackknife: {n} leave-one-out refits projected to take "
+            f"about {projected:.0f} s",
+            stacklevel=2,
+        )
+    replicates += ordered_map(partial(_replicate, estimator, data),
+                              range(1, n), workers)
     values = [v for v in replicates if not isinstance(v, str)]
     skipped = dict(Counter(v for v in replicates if isinstance(v, str)))
     failures = n - len(values)

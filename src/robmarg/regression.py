@@ -334,6 +334,15 @@ def _screened_scales(resids):
     return list(zip(scores, solved))
 
 
+def _subsets(m, q, rng):
+    """``_N_SUBSETS`` random q-row subsets of m rows, one per result row;
+    past 4096 rows each is its own draw, not a sort of m uniforms."""
+    if m <= 4096:
+        return np.argsort(rng.random((_N_SUBSETS, m)), axis=1)[:, :q]
+    return np.array([rng.choice(m, size=q, replace=False)
+                     for _ in range(_N_SUBSETS)])
+
+
 def _elemental_candidates(model, yc, xc, rng):
     """Coefficients fitted to each of ``_N_SUBSETS`` random subsets of
     dim_beta + 1 complete cases.
@@ -343,15 +352,8 @@ def _elemental_candidates(model, yc, xc, rng):
     the linear coefficients solve the subset's ridged normal equations,
     and each subset keeps the grid point with the least squared error.
     """
-    m = yc.size
-    q = model.dim_beta + 1
-    if m <= 4096:
-        idx = np.argsort(rng.random((_N_SUBSETS, m)), axis=1)[:, :q]
-    else:
-        idx = np.empty((_N_SUBSETS, q), dtype=np.intp)
-        for i in range(_N_SUBSETS):
-            idx[i] = rng.choice(m, size=q, replace=False)
-    rows = idx.T  # a subset's rows along axis 0, subsets along axis 1
+    # A subset's rows along axis 0, subsets along axis 1.
+    rows = _subsets(yc.size, model.dim_beta + 1, rng).T
     ys = yc[rows][:, :, None]
     x1 = xc[rows, 0][:, :, None]
     x2 = xc[rows, 1][:, :, None]

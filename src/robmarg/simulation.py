@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
 from io import StringIO
 
@@ -69,11 +69,6 @@ ESTIMATORS = ("ipw", "conv", "aipw")
 FUNCTIONALS = ("mean", "median", "m_est")
 
 _SF = location_bisquare()
-
-# Replications per block, whose MM regressions are one stack: an n = 100 fit
-# takes 9.2 ms alone, 6.8 / 4.9 / 4.1 ms in blocks of 10 / 64 / 256 (2 vCPU),
-# and bigger blocks leave fewer to share among worker processes.
-_BLOCK_REPS = 64
 
 _CSV_COLUMNS = (
     "functional",
@@ -233,6 +228,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n < 20:
             raise ValueError("n must be at least 20")
         if self.contamination not in CONTAMINATIONS:
@@ -260,7 +257,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """Aggregate measures for one functional under one estimator."""
+    """Aggregate measures for one functional under one estimator, in the
+    order of the summary table's columns."""
 
     functional: str
     estimator: str
@@ -296,11 +294,8 @@ class SummaryTable:
     def to_csv_text(self) -> str:
         out = StringIO()
         out.write(",".join(_CSV_COLUMNS) + "\n")
-        for r in self.rows:
-            cells = [r.functional, r.estimator, r.propensity] + [
-                "%.6g" % v
-                for v in (r.bias, r.sd, r.mse, r.l10, r.l20, r.l1, r.l2)
-            ]
+        for r in map(astuple, self.rows):
+            cells = list(r[:3]) + ["%.6g" % v for v in r[3:]]
             out.write(",".join(cells) + "\n")
         return out.getvalue()
 
@@ -312,21 +307,7 @@ class SummaryTable:
             "failure_reasons": dict(self.failure_reasons),
             "observed_fraction": self.observed_fraction,
             "targets": dict(self.targets),
-            "rows": [
-                {
-                    "functional": r.functional,
-                    "estimator": r.estimator,
-                    "propensity": r.propensity,
-                    "bias": r.bias,
-                    "sd": r.sd,
-                    "mse": r.mse,
-                    "L10": r.l10,
-                    "L20": r.l20,
-                    "L1": r.l1,
-                    "L2": r.l2,
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(zip(_CSV_COLUMNS, astuple(r))) for r in self.rows],
         }
 
     def to_json_text(self) -> str:
@@ -374,31 +355,34 @@ def _rep_values(cfg, sf, data, truth, pf, fit) -> dict:
     }
 
 
-def _block(cfg: ScenarioConfig, sf: ScoreFamily, reps: range) -> list:
+def _block(cfg: ScenarioConfig, sf: ScoreFamily, reps: list) -> list:
     """Replications ``reps``: their values, or the reasons ("Type: message")
-    they raised; their MM regressions are fitted as one stack."""
+    they raised; their MM regressions are fitted as one stack.  The chunk
+    function of ``run_scenario``."""
     out, drawn = {}, {}
     for j in reps:
         try:
             data, truth = generate_sample(cfg.n, cfg.seed ^ j,
                                           cfg.contamination, cfg.missing)
-            drawn[j] = (data, truth, _fit_propensity(cfg, data), None)
+            drawn[j] = (data, truth, _fit_propensity(cfg, data))
         except Exception as exc:
-            out[j] = f"{type(exc).__name__}: {exc}"
+            out[j] = exc
+    fits = dict.fromkeys(drawn)
     if "conv" in cfg.estimators:
         model = MODELS["exp_linear" if cfg.regression_spec == "true_nonlinear"
                        else "linear"]
-        fits = fit_mm_stack(model, [d[0] for d in drawn.values()],
-                            [cfg.seed ^ j for j in drawn])
-        drawn = {j: d[:3] + (fit,) for (j, d), fit in zip(drawn.items(), fits)}
-    for j, (data, truth, pf, fit) in drawn.items():
+        stack = fit_mm_stack(model, [d[0] for d in drawn.values()],
+                             [cfg.seed ^ j for j in drawn])
+        fits = dict(zip(drawn, stack))
+    for j, (data, truth, pf) in drawn.items():
         try:
-            if isinstance(fit, ValueError):
-                raise fit
-            out[j] = _rep_values(cfg, sf, data, truth, pf, fit)
+            if isinstance(fits[j], ValueError):
+                raise fits[j]
+            out[j] = _rep_values(cfg, sf, data, truth, pf, fits[j])
         except Exception as exc:
-            out[j] = f"{type(exc).__name__}: {exc}"
-    return [out[j] for j in reps]
+            out[j] = exc
+    return [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else r
+            for r in (out[j] for j in reps)]
 
 
 def run_scenario(
@@ -409,11 +393,11 @@ def run_scenario(
 ) -> SummaryTable:
     """Run a scenario's replications and aggregate the summary measures.
 
-    Replication j uses the RNG stream seeded by ``cfg.seed ^ j``.  Blocks
-    of ``_BLOCK_REPS`` replications, each fitting its MM regressions as one
-    stack (``regression.fit_mm_stack``), are mapped over up to ``workers``
-    processes (``parallel.ordered_map``); a replication's values are its
-    own, bit for bit, so the table is the same for any block size and
+    Replication j uses the RNG stream seeded by ``cfg.seed ^ j``.  The
+    replications are mapped over up to ``workers`` processes in the chunks
+    of ``parallel.ordered_map``, each chunk fitting its MM regressions as
+    one stack (``regression.fit_mm_stack``); a replication's values are its
+    own, bit for bit, so the table is the same for any chunk size and
     worker count.  Replications whose estimation raises are excluded and
     counted by reason; the run aborts, naming the reasons, if more than 2%
     fail.  Bias is measured against ``targets`` (default: the long-run
@@ -423,10 +407,7 @@ def run_scenario(
     tgt = dict(PUBLISHED_TARGETS)
     if targets is not None:
         tgt.update(targets)
-    blocks = [range(k, min(k + _BLOCK_REPS, cfg.reps))
-              for k in range(0, cfg.reps, _BLOCK_REPS)]
-    results = [r for block in ordered_map(partial(_block, cfg, sf), blocks,
-                                          workers) for r in block]
+    results = ordered_map(partial(_block, cfg, sf), range(cfg.reps), workers)
     kept = [r for r in results if not isinstance(r, str)]
     reasons = dict(Counter(r for r in results if isinstance(r, str)))
     failures = cfg.reps - len(kept)
@@ -504,6 +485,8 @@ def target_values(
         raise ValueError("reps must be at least 1")
     if n < 2:
         raise ValueError("n must be at least 2")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     means, medians, m_ests = [], [], []
     for j in range(reps):
         rng = np.random.default_rng(seed ^ j)

@@ -1,5 +1,6 @@
 """End-to-end tests of the batch command-line interface."""
 
+import functools
 import json
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import robmarg
-from robmarg import cli, parallel, propensity
+from robmarg import cli, inference, parallel, propensity
 from robmarg.cli import main
 from robmarg.inference import confidence_interval, jackknife_se
 
@@ -75,6 +76,22 @@ def estimate_entries(data, settings):
     return cli._report_entries(estimates, fits), fits, a_n
 
 
+def per_set(estimate):
+    """A per-dataset estimate as the chunk estimator of ``jackknife_se``:
+    each dataset's estimate, or the exception it raised."""
+
+    def estimator(datasets):
+        out = []
+        for d in datasets:
+            try:
+                out.append(estimate(d))
+            except Exception as exc:
+                out.append(exc)
+        return out
+
+    return estimator
+
+
 def reference_attach_jackknife(entries, data, settings, a_n):
     """The jackknife as it ran before one leave-one-out pass served every
     entry: each jackknifed entry refits its own propensity and model on
@@ -103,7 +120,7 @@ def reference_attach_jackknife(entries, data, settings, a_n):
             continue
         if entry["estimator"] == "conv" and entry["model"] != first_label:
             continue
-        ve = jackknife_se(jackknife_theta(entry), data)
+        ve = jackknife_se(per_set(jackknife_theta(entry)), data)
         lo, hi = confidence_interval(
             entry["theta_m"], ve, settings["confidence_level"]
         )
@@ -241,7 +258,7 @@ class TestEstimateJackknife:
         entries, fits, a_n = estimate_entries(data, settings)
         expected = [dict(e) for e in entries]
         reference_attach_jackknife(expected, data, settings, a_n)
-        cli._attach_jackknife(entries, data, settings, fits, a_n)
+        cli._attach_jackknife(entries, data, settings, a_n)
         assert sum(e["se"] is not None for e in entries) == 3
         for got, want in zip(entries, expected):
             for field in ("se", "ci", "jackknife_n"):
@@ -265,7 +282,7 @@ class TestEstimateJackknife:
         monkeypatch.setattr(cli, "estimate_conv", fails_once)
         # The patch reaches the calling process only.
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
-        cli._attach_jackknife(entries, data, settings, fits, a_n)
+        cli._attach_jackknife(entries, data, settings, a_n)
         assert [e["jackknife_n"] for e in entries] == [data.n - 1] * 3
         assert [e["jackknife_skipped"] for e in entries] == [
             {"ValueError: no convergence": 1}] * 3
@@ -273,16 +290,14 @@ class TestEstimateJackknife:
 
 @pytest.fixture(scope="module")
 def ozone_jackknife_runs():
-    """The packaged ozone jackknife (kernel propensity) three ways: refitting
-    every set in-process, reusing the full data's fit in-process, and
-    reusing it in a pool of two workers; with the fit_mm calls made in the
+    """The packaged ozone jackknife (kernel propensity) in the calling
+    process and in a pool of two workers, with the fit_mm calls made in the
     calling process."""
     settings, data = settings_and_data(dict(OZONE_CONFIG), AIRQ)
     assert settings["jackknife"]
     assert settings["jackknife_propensity"] == "kernel"
     runs = {}
-    for name, cpus, reuse in (("refit", 1, False), ("reuse", 1, True),
-                              ("pool", 2, True)):
+    for name, cpus in (("in_process", 1), ("pool", 2)):
         calls = []
         real = cli.fit_mm
 
@@ -295,8 +310,7 @@ def ozone_jackknife_runs():
             mp.setattr(parallel, "available_cpus", lambda: cpus)
             mp.setattr(parallel, "_START_FACTOR", 0.0)
             entries, fits, a_n = estimate_entries(data, settings)
-            cli._attach_jackknife(entries, data, settings,
-                                  fits if reuse else {}, a_n)
+            cli._attach_jackknife(entries, data, settings, a_n)
         runs[name] = (entries, len(calls))
     return runs
 
@@ -309,19 +323,73 @@ class TestJackknifeWork:
             for field in ("se", "ci", "jackknife_n"):
                 assert a[field] == b[field]
 
-    def test_reused_full_fit_is_exact(self, ozone_jackknife_runs):
-        refit, refit_calls = ozone_jackknife_runs["refit"]
-        reuse, reuse_calls = ozone_jackknife_runs["reuse"]
-        self.assert_same_jackknife(reuse, refit)
-        # 2 full-data fits, then one per set; 42 of the 153 sets leave out
-        # an incomplete row and reuse the full data's fit.
-        assert refit_calls == 2 + 153
-        assert reuse_calls == 2 + 153 - 42
+    def test_only_full_data_fits_are_single(self, ozone_jackknife_runs):
+        # The 2 full-data fits; the leave-one-out sets are fitted in stacks.
+        assert ozone_jackknife_runs["in_process"][1] == 2
+        assert ozone_jackknife_runs["pool"][1] == 2
 
     def test_pool_matches_in_process(self, ozone_jackknife_runs):
         self.assert_same_jackknife(ozone_jackknife_runs["pool"][0],
-                                   ozone_jackknife_runs["reuse"][0])
+                                   ozone_jackknife_runs["in_process"][0])
         assert multiprocessing.active_children() == []
+
+
+def jackknife_estimator(settings, data):
+    """The chunk estimator ``_attach_jackknife`` gives ``jackknife_se``."""
+    rerun = dict(settings, propensities=[settings["jackknife_propensity"]],
+                 models=settings["models"][:1])
+    return functools.partial(cli._jackknife_thetas, settings=rerun,
+                             a_n=cli._a_n(settings, data))
+
+
+class TestJackknifeSetsAreTheirOwn:
+    def test_set_estimates_are_its_own(self, monkeypatch):
+        """Set i's thetas are bit for bit the same alone, in a chunk of 19,
+        in a chunk of 64 and in a pool of two workers, whether it left out
+        a complete row or an incomplete one."""
+        settings, data = settings_and_data(dict(OZONE_CONFIG), AIRQ)
+        thetas = jackknife_estimator(settings, data)
+        sets = [inference._drop_row(data, i) for i in range(64)]
+        in_64 = thetas(sets)
+        incomplete = int(np.flatnonzero(data.delta[:64] == 0)[0])
+        assert all(isinstance(t, list) and len(t) == 3 for t in in_64)
+        for i in (0, incomplete, 23, 50):
+            assert thetas([sets[i]]) == [in_64[i]]
+            k = i - i % 19
+            assert thetas(sets[k:k + 19])[i % 19] == in_64[i]
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+        assert parallel.ordered_map(thetas, sets, workers=2) == in_64
+        assert multiprocessing.active_children() == []
+
+    def test_failed_fit_fails_only_its_set(self, tmp_path):
+        """15 complete rows, the least the linear model fits: a set that
+        leaves one out fails its stacked fit with that reason, and a set
+        that leaves out a blank row keeps the thetas it has alone."""
+        blank = (2, 7, 11, 15, 18)
+        settings, data = settings_and_data(
+            toy_config(jackknife=True), toy_csv(tmp_path, 20, blank_rows=blank)
+        )
+        assert data.n_obs == 15
+        thetas = jackknife_estimator(settings, data)
+        sets = [inference._drop_row(data, i) for i in range(data.n)]
+        in_one = thetas(sets)
+        for i, theta in enumerate(in_one):
+            if i in blank:
+                assert thetas([sets[i]]) == [theta]
+                assert len(theta) == 3
+            else:
+                assert isinstance(theta, ValueError)
+                assert str(theta) == "insufficient complete cases"
+        reasons = inference._replicate(thetas, data, list(range(data.n)))
+        assert [r for i, r in enumerate(reasons) if i not in blank] == [
+            "ValueError: insufficient complete cases"] * 15
+        entries, fits, a_n = estimate_entries(data, settings)
+        with pytest.warns(UserWarning, match="skipped 15 of 20"):
+            cli._attach_jackknife(entries, data, settings, a_n)
+        assert [e["jackknife_n"] for e in entries] == [5] * 3
+        assert [e["jackknife_skipped"] for e in entries] == [
+            {"ValueError: insufficient complete cases": 15}] * 3
 
 
 class TestPropensityFitPerDataset:
@@ -461,6 +529,22 @@ class TestEstimateInputErrors:
             tmp_path, str(path),
             write_config(tmp_path, toy_config()),
             "row 3: could not parse 'oops' in column 'x1'", capsys,
+        )
+
+    def test_column_named_twice_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,x1,x1,x2\n1.0,2.0,3.0,4.0\n")
+        self.run_expecting_error(
+            tmp_path, str(path),
+            write_config(tmp_path, toy_config()),
+            "data file has column 'x1' more than once", capsys,
+        )
+
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        self.run_expecting_error(
+            tmp_path, toy_csv(tmp_path),
+            write_config(tmp_path, toy_config(seed=-1)),
+            "field 'seed' must be an integer >= 0", capsys,
         )
 
     def test_missing_column_is_named(self, tmp_path, capsys):
@@ -711,6 +795,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"scenario 'smoke': {field} must be an integer" in err
 
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--config", self.simulate_config(tmp_path, seed=-1),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "scenario 'smoke': seed must be non-negative" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field", ["estimators", "functionals"])
     def test_repeated_name_is_an_input_error(self, tmp_path, capsys, field):
         names = {"estimators": ["ipw", "ipw"],
@@ -823,6 +918,11 @@ class TestTargets:
         assert "--reps must be at least 1" in capsys.readouterr().err
         assert main(["targets", "--reps", "1", "--n", "1"]) == 1
         assert "--n must be at least 2" in capsys.readouterr().err
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        args = ["targets", "--reps", "1", "--n", "2", "--seed", "-1"]
+        assert main(args) == 1
+        assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 class TestArgumentParsing:

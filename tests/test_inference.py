@@ -1,5 +1,6 @@
 """Tests for jackknife and plug-in variance estimation."""
 
+import functools
 import multiprocessing
 import warnings
 
@@ -52,6 +53,23 @@ def gen_mar(n, seed, y_fn):
     )
 
 
+def each(estimate, datasets):
+    """Each dataset's ``estimate``, or the exception it raised."""
+    out = []
+    for d in datasets:
+        try:
+            out.append(estimate(d))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def per_set(estimate):
+    """A per-dataset estimate as the chunk estimator of ``jackknife_se``;
+    it pickles when ``estimate`` does."""
+    return functools.partial(each, estimate)
+
+
 def mean_and_median_with_marker(d):
     """Fails on the set that lost the marker value 777."""
     if not np.any(d.y == 777.0):
@@ -79,14 +97,14 @@ MH_PROPENSITY = known_propensity(
 class TestJackknife:
     def test_sample_mean_closed_form(self):
         data = complete_dataset([1.0, 2.0, 3.0])
-        ve = jackknife_se(lambda d: float(d.y.mean()), data)
+        ve = jackknife_se(per_set(lambda d: float(d.y.mean())), data)
         assert ve.se == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
         assert ve.method == "jackknife"
         assert ve.n_effective == 3
 
     def test_constant_estimator_has_zero_se(self):
         data = complete_dataset(np.arange(12.0))
-        ve = jackknife_se(lambda d: 42.0, data)
+        ve = jackknife_se(per_set(lambda d: 42.0), data)
         assert ve.se == 0.0
         assert ve.n_effective == 12
 
@@ -101,8 +119,8 @@ class TestJackknife:
             pf = constant_propensity(d.delta)
             return estimate_ipw(d, pf, SF).theta_m
 
-        ve1 = jackknife_se(pipeline, data)
-        ve2 = jackknife_se(pipeline, shuffled)
+        ve1 = jackknife_se(per_set(pipeline), data)
+        ve2 = jackknife_se(per_set(pipeline), shuffled)
         assert ve1.se == pytest.approx(ve2.se, abs=1e-10)
 
     def test_failed_replicates_are_skipped_with_warning(self):
@@ -118,7 +136,7 @@ class TestJackknife:
 
         with pytest.warns(UserWarning,
                           match="skipped 1 of 10.*ValueError: lost the marker"):
-            ve = jackknife_se(estimator, data)
+            ve = jackknife_se(per_set(estimator), data)
         assert ve.n_effective == 9
         assert ve.skipped == {"ValueError: lost the marker": 1}
 
@@ -134,7 +152,7 @@ class TestJackknife:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ve = jackknife_se(estimator, data)
+            ve = jackknife_se(per_set(estimator), data)
         assert ve.n_effective == 29
 
     @staticmethod
@@ -146,11 +164,11 @@ class TestJackknife:
 
     def test_slow_first_refit_warns_once_with_projection(self, monkeypatch):
         data = complete_dataset(np.arange(100.0) ** 1.5)
-        expected = jackknife_se(lambda d: float(d.y.mean()), data)
+        expected = jackknife_se(per_set(lambda d: float(d.y.mean())), data)
         # The first refit reads as 1 s, so 100 refits project to 100 s.
         self.tick_clock(monkeypatch, 1.0)
         with pytest.warns(UserWarning) as record:
-            ve = jackknife_se(lambda d: float(d.y.mean()), data)
+            ve = jackknife_se(per_set(lambda d: float(d.y.mean())), data)
         messages = [str(w.message) for w in record]
         assert messages == [
             "jackknife: 100 leave-one-out refits projected to take about 100 s"
@@ -162,7 +180,7 @@ class TestJackknife:
         self.tick_clock(monkeypatch, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ve = jackknife_se(lambda d: float(d.y.mean()), data)
+            ve = jackknife_se(per_set(lambda d: float(d.y.mean())), data)
         assert ve.n_effective == 100
 
     def test_needs_two_successes(self):
@@ -173,7 +191,23 @@ class TestJackknife:
 
         with pytest.raises(ValueError, match=(
                 "at least two successful.*'RuntimeError: always fails': 3")):
-            jackknife_se(estimator, data)
+            jackknife_se(per_set(estimator), data)
+
+    def test_first_set_alone_then_chunks(self, monkeypatch):
+        """Set 0 runs alone; in one process the rest come in chunks of 64,
+        and the estimate does not depend on the chunking."""
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+        data = complete_dataset(np.arange(150.0) ** 1.5)
+        chunks = []
+
+        def mean_of_each(datasets):
+            chunks.append([d.n for d in datasets])
+            return [float(d.y.mean()) for d in datasets]
+
+        ve = jackknife_se(mean_of_each, data, workers=2)
+        assert [len(c) for c in chunks] == [1, 64, 64, 21]
+        assert all(size == 149 for c in chunks for size in c)
+        assert ve == jackknife_se(per_set(lambda d: float(d.y.mean())), data)
 
     def test_full_pipeline_se_is_positive_and_modest(self):
         data = gen_mar(80, 73, skewed)
@@ -182,7 +216,7 @@ class TestJackknife:
             pf = constant_propensity(d.delta)
             return estimate_ipw(d, pf, SF).theta_m
 
-        ve = jackknife_se(pipeline, data)
+        ve = jackknife_se(per_set(pipeline), data)
         assert 0.0 < ve.se < 5.0
 
 
@@ -196,17 +230,18 @@ class TestJackknifeInProcesses:
         y = np.arange(40.0) ** 1.5
         y[23] = 777.0
         data = complete_dataset(y)
-        ve = jackknife_se(mean_and_median_with_marker, data, workers=2)
+        ve = jackknife_se(per_set(mean_and_median_with_marker), data,
+                          workers=2)
         assert ve.n_effective == 39
         assert len(ve.se) == 2
         assert ve.skipped == {"ValueError: lost the marker": 1}
-        assert ve == jackknife_se(mean_and_median_with_marker, data)
+        assert ve == jackknife_se(per_set(mean_and_median_with_marker), data)
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_an_estimator_error(self, pool_always):
         data = complete_dataset(np.arange(12.0))
         with pytest.raises(ValueError, match="at least two successful"):
-            jackknife_se(always_fails, data, workers=2)
+            jackknife_se(per_set(always_fails), data, workers=2)
         assert multiprocessing.active_children() == []
 
 

@@ -21,24 +21,29 @@ def pool_always(monkeypatch):
     monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
 
 
-def square_and_pid(x):
-    return x * x, os.getpid()
+def squares_and_pid(chunk):
+    return [(x * x, os.getpid()) for x in chunk]
 
 
-def exit_in_worker(x):
+def chunk_sizes(chunk):
+    """Each item's chunk size."""
+    return [len(chunk)] * len(chunk)
+
+
+def exit_in_worker(chunk):
     if multiprocessing.parent_process() is not None:
         os._exit(3)
-    return x
+    return chunk
 
 
 class TestOrderedMap:
     def test_in_process_below_the_start_threshold(self):
-        results = ordered_map(square_and_pid, range(20), workers=2)
+        results = ordered_map(squares_and_pid, range(20), workers=2)
         assert [r for r, _ in results] == [x * x for x in range(20)]
         assert {pid for _, pid in results} == {os.getpid()}
 
     def test_pool_keeps_item_order(self, pool_always):
-        results = ordered_map(square_and_pid, range(37), workers=8)
+        results = ordered_map(squares_and_pid, range(37), workers=8)
         assert [r for r, _ in results] == [x * x for x in range(37)]
         pids = [pid for _, pid in results]
         assert pids[0] == os.getpid()
@@ -46,21 +51,46 @@ class TestOrderedMap:
         assert len(set(pids[1:])) in (1, 2)
         assert multiprocessing.active_children() == []
 
-    def test_on_first_runs_once_after_the_first_item(self):
-        seen = []
-        ordered_map(seen.append, [1, 2, 3], workers=1,
-                    on_first=lambda: seen.append("first"))
-        assert seen == [1, "first", 2, 3]
+    def test_one_worker_runs_every_chunk_in_process(self, monkeypatch):
+        """One usable worker: chunks of 64 from the first item on."""
+        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+        assert ordered_map(chunk_sizes, range(150), workers=1) == (
+            [64] * 128 + [22] * 22)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+        assert ordered_map(chunk_sizes, range(150), workers=4) == (
+            [64] * 128 + [22] * 22)
+        assert ordered_map(chunk_sizes, range(1), workers=4) == [1]
+        assert ordered_map(chunk_sizes, [], workers=4) == []
+
+    def test_first_item_alone_then_chunks(self, monkeypatch):
+        """More usable workers: the first item alone, then chunks of 64 in
+        the calling process below the start threshold, or pool chunks of
+        at most 64 and a quarter of each worker's share above it."""
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        assert ordered_map(chunk_sizes, range(150), workers=2) == (
+            [1] + [64] * 128 + [21] * 21)
+        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
+        # 149 left for 2 workers: chunks of 19, the last of 16.
+        assert ordered_map(chunk_sizes, range(150), workers=2) == (
+            [1] + [19] * 133 + [16] * 16)
+        # 599 left: chunks of 64, the last of 23.
+        assert ordered_map(chunk_sizes, range(600), workers=2) == (
+            [1] + [64] * 576 + [23] * 23)
+        assert multiprocessing.active_children() == []
+
+    def test_a_chunk_must_give_one_result_per_item(self):
+        with pytest.raises(ValueError, match="chunk of 3 items gave 1"):
+            ordered_map(lambda chunk: chunk[:1], range(3))
 
     def test_one_cpu_never_starts_a_pool(self, monkeypatch):
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
-        results = ordered_map(square_and_pid, range(5), workers=4)
+        results = ordered_map(squares_and_pid, range(5), workers=4)
         assert {pid for _, pid in results} == {os.getpid()}
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="workers"):
-            ordered_map(abs, [1], workers=0)
+            ordered_map(squares_and_pid, [1], workers=0)
 
     def test_dead_worker_raises_and_leaves_no_process(self, pool_always):
         with pytest.raises(RuntimeError, match="__name__"):

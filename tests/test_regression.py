@@ -478,6 +478,35 @@ class TestEquivarianceAndStructure:
         assert np.array_equal(fit_a.beta, fit_b.beta)
         assert fit_a.residual_scale == fit_b.residual_scale
 
+    def test_large_sample_draws_each_subset_by_itself(self, monkeypatch):
+        """Past 4096 complete cases each elemental subset is its own draw:
+        the fit is the same for a seed, every subset has distinct rows, and
+        the polish converges."""
+        data, _ = generate_sample(7500, 11, missing="M1")
+        assert data.n_obs > 4096
+        drawn = []
+        real = regression._subsets
+
+        def recorded(m, q, rng):
+            drawn.append((m, real(m, q, rng)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(regression, "_subsets", recorded)
+        model = exp_linear_model()
+        fit = fit_mm(model, data, seed=5)
+        again = fit_mm(model, data, seed=5)
+        assert np.array_equal(again.s_step_beta, fit.s_step_beta)
+        assert np.array_equal(again.beta, fit.beta)
+        assert again.residual_scale == fit.residual_scale
+        assert fit.polish_converged
+        (m, first), (_, second) = drawn
+        assert m == data.n_obs
+        assert first.shape == (500, model.dim_beta + 1)
+        assert np.array_equal(first, second)
+        assert first.min() >= 0 and first.max() < m
+        sorted_rows = np.sort(first, axis=1)
+        assert np.all(sorted_rows[:, 1:] > sorted_rows[:, :-1])
+
 
 class TestHardRejectionWeights:
     def test_closed_form_values(self):

@@ -201,8 +201,7 @@ class TestRunScenario:
         t1 = run_scenario(cfg, workers=1)
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
-        # Blocks of two, so that the pool gets three of the four.
-        monkeypatch.setattr(simulation, "_BLOCK_REPS", 2)
+        # The first replication runs alone, the other six in the pool.
         t2 = run_scenario(cfg, workers=4)
         assert t1.to_csv_text() == t2.to_csv_text()
         assert t1.to_json_text() == t2.to_json_text()
@@ -228,9 +227,8 @@ class TestRunScenario:
         assert json.loads(t1.to_json_text())["failure_reasons"] == reasons
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
-        # One replication per block, so that the failing one runs in a
-        # worker.
-        monkeypatch.setattr(simulation, "_BLOCK_REPS", 1)
+        # The first replication runs alone, the others (the failing one
+        # among them) in the pool.
         t2 = run_scenario(cfg, workers=2, sf=sf)
         assert t2.failure_reasons == reasons
         assert t1.to_json_text() == t2.to_json_text()
@@ -315,8 +313,8 @@ class TestRunScenario:
 
     def test_replication_values_are_its_own(self, monkeypatch):
         """Replication j's values are bit for bit the same run alone, in a
-        block of 10, in a block of 64 and in a pool of two workers, and so
-        the table is the same at any block size."""
+        chunk of 10, in a chunk of 64 and in a pool of two workers, and so
+        the table is the same at any chunk size."""
         cfg = ScenarioConfig(n=100, reps=64, seed=7,
                              propensity_method="kernel")
         block = partial(simulation._block, cfg, SF)
@@ -327,12 +325,10 @@ class TestRunScenario:
             assert block(tens)[j % 10] == in_64[j]
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
-        pooled = parallel.ordered_map(
-            block, [range(k, k + 16) for k in range(0, 64, 16)], workers=2)
-        assert [r for part in pooled for r in part] == in_64
+        assert parallel.ordered_map(block, range(64), workers=2) == in_64
         assert multiprocessing.active_children() == []
         table = run_scenario(cfg)
-        monkeypatch.setattr(simulation, "_BLOCK_REPS", 10)
+        monkeypatch.setattr(parallel, "_CHUNK", 10)
         assert run_scenario(cfg).to_json_text() == table.to_json_text()
 
     def test_failing_replication_leaves_its_block(self):

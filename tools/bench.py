@@ -20,14 +20,14 @@ each after one untimed call:
   (a_n = n^(-1/3)) estimates under that logistic propensity, each with the
   MAD and with the S-scale;
 * the jackknife layer: the CLI's ``_attach_jackknife`` on the packaged
-  ozone data and config (3 jackknifed entries, 153 leave-one-out sets),
-  given the full data's model fits as ``robmarg estimate`` gives them and
-  run across the available CPUs as there, timed once per sample, with the
-  SEs and their hash;
+  ozone data and config (3 jackknifed entries, 153 leave-one-out sets in
+  chunks whose model fits are one stack), run across the available CPUs as
+  ``robmarg estimate`` runs it, timed once per sample, with the SEs and
+  their hash;
 * the Monte Carlo block layer (``mc_block``): ``run_scenario`` of the
   benchmark's ``mc_n100`` scenario (n = 100, kernel propensity, the true
   nonlinear model, every estimator and functional) at ``MC_REPS``
-  replications in one process, which fits each block's MM regressions as
+  replications in one process, which fits each chunk's MM regressions as
   one stack, with the same split into the S-search, the polish and the
   M-step and a hash of the table.
 
@@ -243,7 +243,7 @@ def bench_jackknife() -> dict:
 
     def call():
         fresh = [dict(e) for e in entries]
-        cli._attach_jackknife(fresh, data, settings, fits, a_n)
+        cli._attach_jackknife(fresh, data, settings, a_n)
         return [e["se"] for e in fresh if e["se"] is not None]
 
     ms, _, ses = _least_ms(call)
