@@ -38,12 +38,11 @@ from .propensity import (
     known_propensity,
 )
 from .regression import (
+    MODELS,
     RegressionFit,
     RegressionModel,
-    exp_linear_model,
     fit_mm,
     hard_rejection_weights,
-    linear_model,
     predict,
 )
 from .marginal import (
@@ -102,10 +101,9 @@ __all__ = [
     "constant_propensity",
     "known_propensity",
     "DEFAULT_FLOOR",
+    "MODELS",
     "RegressionModel",
     "RegressionFit",
-    "exp_linear_model",
-    "linear_model",
     "fit_mm",
     "predict",
     "hard_rejection_weights",

@@ -160,7 +160,8 @@ def _load_json(path: str, what: str) -> dict:
 
 
 def _read_csv_columns(path: str, columns: list[str]) -> dict[str, np.ndarray]:
-    """Read the named numeric columns; blanks and "NA" become NaN.
+    """Read the named numeric columns; blanks and "NA" become NaN, and any
+    other cell must be a finite number ("nan" and "inf" are errors).
 
     Errors carry the 1-based file row number (the header is row 1).
     """
@@ -197,12 +198,19 @@ def _read_csv_columns(path: str, columns: list[str]) -> dict[str, np.ndarray]:
                     values[c].append(math.nan)
                     continue
                 try:
-                    values[c].append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise InputError(
                         f"row {row_number}: could not parse {cell!r} "
                         f"in column {c!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise InputError(
+                        f"row {row_number}: non-finite value {cell!r} in "
+                        f"column {c!r}; leave the cell blank or write NA "
+                        "for a missing value"
+                    )
+                values[c].append(value)
     if not values[columns[0]]:
         raise InputError("data file has no data rows")
     return {c: np.asarray(v, dtype=float) for c, v in values.items()}
@@ -287,6 +295,11 @@ def _build_dataset(table: dict[str, np.ndarray], settings: dict) -> ObservedData
         if c not in settings["z"]
     ]
     delta = np.logical_and.reduce(observed_parts).astype(int)
+    if delta.sum() < 2:
+        raise InputError(
+            f"data file has {delta.sum()} complete row(s); the estimators "
+            "need at least two"
+        )
     try:
         return ObservedDataset(y=y, x=x, z_index=z_index, delta=delta)
     except ValueError as exc:

@@ -175,7 +175,7 @@ def _scale_influence(
     ws = WeightedSample(y, tau)
     if scale_method == "s":
         rho0 = scale_bisquare()
-        a = s_scale(ws, rho0, SCALE_B_TARGET).s_location
+        a = s_scale(ws).s_location
         v = (y - a) / scale
         slope = float(tau @ (rho0.psi(v) * v))
         return scale * (rho0.rho(v) - SCALE_B_TARGET) / slope

@@ -30,7 +30,7 @@ from .kernels import SortedWindow
 from .propensity import PropensityFit
 from .regression import RegressionFit, predict
 from .scaleloc import check_score_pair, m_location, mad_scale, s_scale
-from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
+from .scores import ScoreFamily, scale_bisquare
 from .weighted import WeightedSample, weighted_quantile
 
 __all__ = [
@@ -104,9 +104,8 @@ def functional_summary(
     if scale_method == "mad":
         sfit = mad_scale(ws, normal_consistency=True)
     else:
-        rho0 = scale_bisquare()
-        check_score_pair(sf, rho0)
-        sfit = s_scale(ws, rho0, SCALE_B_TARGET)
+        check_score_pair(sf, scale_bisquare())
+        sfit = s_scale(ws)
     theta_m = m_location(ws, sf, sfit.scale)
     return FunctionalSummary(
         scale=sfit.scale,

@@ -5,41 +5,41 @@ candidate with the smallest residual S-scale and polishes it to the
 minimum of that scale, then an M-step minimizes a wider bisquare objective
 at the fixed scale.  The search screens the candidates at the best scale
 found so far and solves only those whose scale could be smaller; all
-S-scales come from the package's one S-scale solver,
-``scaleloc.residual_scales``.  Both descents take Newton steps where the
-Hessian is positive definite and IRWLS (Gauss-Newton) steps elsewhere,
-with step halving, and stop on their own.  A model is plain data: its
-terms, linear in every coefficient but one exponent, give its mean, its
-derivatives and its elemental candidates.  ``MODELS`` holds the package's
-three (exponential-plus-linear with and without intercept, and linear);
-an optional covariate downweighting hook acts on the M-step.  Fits run as
-a stack (``fit_mm_stack``; ``fit_mm`` is the stack of one): each step is an
+S-scales come from the package's one S-scale solver, ``residual_scales``.
+Both descents take Newton steps where the Hessian is positive definite and
+IRWLS (Gauss-Newton) steps elsewhere, with step halving, and stop on their
+own; both take observation weights.  The S-polish is also the package's
+S-estimate of a weighted sample (``scaleloc.s_scale`` runs it on the
+intercept-only model).  A model is plain data: its terms, linear in every
+coefficient but one exponent, give its mean, its derivatives and its
+elemental candidates.  ``MODELS`` holds the package's three
+(exponential-plus-linear with and without intercept, and linear); an
+optional covariate downweighting hook acts on the M-step.  Fits run as a
+stack (``fit_mm_stack``; ``fit_mm`` is the stack of one): each step is an
 array pass over the fits still running, with every sum over one fit's rows
 alone, so a fit is the same bit for bit in any stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dataset import ObservedDataset
-from .scaleloc import residual_scales
 from .scores import SCALE_B_TARGET, location_bisquare, scale_bisquare
 
 __all__ = [
     "MODELS",
     "RegressionModel",
     "RegressionFit",
-    "exp_linear_model",
-    "linear_model",
     "fit_mm",
     "fit_mm_stack",
     "predict",
     "hard_rejection_weights",
+    "residual_scales",
 ]
 
 _RHO0 = scale_bisquare()
@@ -49,6 +49,8 @@ _N_SUBSETS = 500
 _POLISH_ITER = 100
 _POLISH_SCALE_TOL = 1e-12
 _POLISH_STEP_TOL = 1e-10
+_SCALE_ITER = 100
+_SCALE_TOL = 1e-10
 _M_ITER = 200
 _MAX_HALVINGS = 30
 _M_TOL = 1e-8
@@ -183,20 +185,6 @@ class RegressionFit:
     polish_steps: int | None = field(default=None, compare=False)
     polish_converged: bool | None = field(default=None, compare=False)
     m_iterations: int | None = field(default=None, compare=False)
-
-
-def exp_linear_model(intercept: bool = False) -> RegressionModel:
-    """Exponential-plus-linear mean.
-
-    Without intercept (3 parameters):  m(x, b) = b2*x2 + b3*exp(b1*x1).
-    With intercept (4 parameters):     m(x, b) = b1*exp(b2*x1) + b3 + b4*x2.
-    """
-    return MODELS["exp_linear_intercept" if intercept else "exp_linear"]
-
-
-def linear_model() -> RegressionModel:
-    """Linear mean m(x, b) = b1*x1 + b2*x2 + b3."""
-    return MODELS["linear"]
 
 
 def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
@@ -405,7 +393,8 @@ def _s_search(model, cases, seeds):
 @dataclass(frozen=True)
 class _Stack:
     """Fits' complete cases laid end to end, ``counts`` rows each, summed by
-    ``np.add.reduceat`` in an order fixed by a fit's rows alone."""
+    ``np.add.reduceat`` in an order fixed by a fit's rows alone; ``w`` holds
+    each row's observation weight in the descent run on the stack."""
 
     y: np.ndarray
     x: np.ndarray
@@ -440,9 +429,13 @@ class _Stack:
     def moments(self, model, beta_rows, u, weights):
         """Each fit's sums of w v v', v = (u, dm/dbeta), per w of weights."""
         v = np.concatenate([u[None], model.gradient(self.x, beta_rows).T])
-        wv = np.array(weights)[:, None] * v
-        return np.array([wv[..., a:a + m] @ v[:, a:a + m].T
-                         for a, m in zip(self.starts, self.counts)])
+        out = np.empty((self.counts.size, len(weights), len(v), len(v)))
+        wv = np.empty_like(v)  # one buffer for every w v bounds memory
+        for k, w in enumerate(weights):
+            np.multiply(w, v, out=wv)
+            for j, (a, m) in enumerate(zip(self.starts, self.counts)):
+                out[j, k] = wv[:, a:a + m] @ v[:, a:a + m].T
+        return out
 
 
 def _within(move, beta, tol):
@@ -477,16 +470,94 @@ def _halve(model, stack, beta, step, tol, better):
     return cand, value, t, moved, None if halving else r
 
 
+def residual_scales(resid, start, counts=None, weights=None):
+    """S-scale about zero of each row of ``counts`` residuals laid end to end
+    in a 1-D ``resid`` (a 2-D ``resid`` is one row per line).
+
+    Solves avg rho0(r/s) = b (bisquare c0 = 1.54764, b = 0.5) for each row
+    from ``start`` by safeguarded Newton steps in s,
+    s <- s (1 + (avg rho0(u) - b) / avg psi0(u) u).  The average is the
+    row's mean, or its ``weights``-weighted mean (one weight per residual),
+    summed by ``np.add.reduceat`` in an order fixed by the row.  The
+    fixed-point step s <- s sqrt(avg rho0(u) / b) never overshoots the
+    root, so a Newton step is taken only when it lies inside the bracket
+    seen so far and goes at least as far as the fixed-point step.  Each row
+    stops on its own once its step is below 1e-10 relative, so a row's
+    value does not depend on the other rows, bit for bit.  A row scores 0.0
+    when its start is zero or its residuals all vanish, and inf when it
+    holds a non-finite value.
+    """
+    if counts is None:
+        resid = np.atleast_2d(resid)
+        counts = np.full(resid.shape[0], resid.shape[1])
+        resid = resid.ravel()
+
+    def avg(v):
+        if w is None:
+            return np.add.reduceat(v, starts) / counts
+        return np.add.reduceat(w * v, starts) / total
+
+    start = np.asarray(start, dtype=float)
+    out = np.full(counts.size, np.inf)
+    starts = np.cumsum(counts) - counts
+    finite = np.logical_and.reduceat(np.isfinite(resid), starts)
+    out[finite & (start <= 0.0)] = 0.0
+    active = finite & (start > 0.0)
+    rows = None if active.all() else np.repeat(active, counts)
+    r = resid if rows is None else resid[rows]
+    w = weights if weights is None or rows is None else weights[rows]
+    active = np.flatnonzero(active)
+    counts, s = counts[active], start[active]
+    starts = np.cumsum(counts) - counts
+    total = None if w is None else np.add.reduceat(w, starts)
+    lo = np.zeros_like(s)
+    hi = np.full_like(s, np.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_SCALE_ITER):
+            if active.size == 0:
+                break
+            u = r / (s if s.size == 1 else np.repeat(s, counts))
+            m_avg = avg(_RHO0.rho(u))
+            slope = avg(_RHO0.psi(u) * u)
+            below = m_avg > SCALE_B_TARGET  # s lies below the root
+            lo = np.where(below, s, lo)
+            hi = np.where(below, hi, s)
+            fixed = s * np.sqrt(np.maximum(m_avg, 0.0) / SCALE_B_TARGET)
+            newton = s * (1.0 + (m_avg - SCALE_B_TARGET) / slope)
+            usable = (slope > 0.0) & (newton > lo) & (newton < hi) & (
+                (newton > fixed) == below
+            )
+            s_new = np.where(usable, newton, fixed)
+            vanished = m_avg <= 0.0
+            s_new[vanished] = 0.0
+            done = vanished | (np.abs(s_new - s) <= _SCALE_TOL * s_new)
+            if done.any():
+                out[active[done]] = s_new[done]
+                keep = ~done
+                rows = np.repeat(keep, counts)
+                active, r = active[keep], r[rows]
+                counts, s_new = counts[keep], s_new[keep]
+                starts = np.cumsum(counts) - counts
+                lo, hi = lo[keep], hi[keep]
+                if w is not None:
+                    w, total = w[rows], total[keep]
+            s = s_new
+    out[active] = s
+    out[~np.isfinite(out)] = np.inf
+    return out
+
+
 def _polish(model, stack, beta, s, floor):
     """Descent on each fit's S-scale s(beta) to its minimum.
 
-    s(beta) solves mean rho0(r/s) = b.  With u = r/s, J = dm/dbeta,
-    A = sum psi0(u) u and B = sum psi0(u) J, differentiating that identity
-    gives grad s = -B/A and, with D_i = (-J_i - u_i grad s)/s,
-    Hess s = -[sum psi0'(u) J D' + sum psi0(u) Hess m]/A
-             + B [sum (psi0'(u) u + psi0(u)) D]'/A^2, symmetrized.  A trial
-    must pass mean rho0(r_new/s) < b, one rho0 pass, before its scale is
-    solved.  A fit stops, and leaves the stack, when no step is accepted,
+    s(beta) solves the w-weighted mean rho0(r/s) = b, w the stack's
+    observation weights.  With u = r/s, J = dm/dbeta, A = sum w psi0(u) u
+    and B = sum w psi0(u) J, differentiating that identity gives
+    grad s = -B/A and, with D_i = (-J_i - u_i grad s)/s,
+    Hess s = -[sum w psi0'(u) J D' + sum w psi0(u) Hess m]/A
+             + B [sum w (psi0'(u) u + psi0(u)) D]'/A^2, symmetrized.  A trial
+    must pass weighted mean rho0(r_new/s) < b, one rho0 pass, before its
+    scale is solved.  A fit stops, and leaves the stack, when no step is accepted,
     when a step lowers the scale by at most 1e-12 relative or moves beta by
     at most 1e-10 (1 + |beta|_inf), or at its ``floor``.  Returns the
     coefficients, scales, accepted steps and whether each fit stopped
@@ -496,13 +567,13 @@ def _polish(model, stack, beta, s, floor):
     def lower_scale(fits, r, part):
         start = sc[fits]
         ok = np.logical_and.reduceat(np.isfinite(r), part.starts)
-        ok &= part.sum(_RHO0.rho(r / part.spread(start))) / part.counts < (
-            SCALE_B_TARGET)
+        ok &= part.sum(part.w * _RHO0.rho(r / part.spread(start))) / (
+            part.sum(part.w)) < SCALE_B_TARGET
         solved = np.full(ok.size, np.inf)
         if ok.any():
-            rows = r if ok.all() else r[np.repeat(ok, part.counts)]
-            solved[ok] = residual_scales(rows, start[ok],
-                                         counts=part.counts[ok])
+            rows = slice(None) if ok.all() else np.repeat(ok, part.counts)
+            solved[ok] = residual_scales(r[rows], start[ok],
+                                         part.counts[ok], part.w[rows])
         return solved < start, solved
 
     beta, s, steps = beta.copy(), s.copy(), np.zeros(s.size, dtype=int)
@@ -515,8 +586,9 @@ def _polish(model, stack, beta, s, floor):
         if r is None:
             r = stack.y - model.mean(stack.x, rows)
         u = r / stack.spread(sc)
-        wts = _RHO0.weight(u)
-        mom = stack.moments(model, rows, u, [wts, _RHO0.psi_prime(u)])
+        wts = stack.w * _RHO0.weight(u)
+        mom = stack.moments(model, rows, u,
+                            [wts, stack.w * _RHO0.psi_prime(u)])
         a, bv, du = mom[:, 0, 0, 0, None], mom[:, 0, 0, 1:], mom[:, 1, 0, 1:]
         grad = -bv / a
         cd = -(du + bv + (mom[:, 1, 0, 0, None] + a) * grad)
@@ -527,6 +599,8 @@ def _polish(model, stack, beta, s, floor):
                 ) / a[:, :, None]
         step = _descent_step(0.5 * (hess + hess.transpose(0, 2, 1)), grad,
                              mom[:, 0, 1:, 1:], sc[:, None] * bv)
+        # Freed before the trials: a sample's S-scale stacks every atom.
+        del r, u, wts
         cand, s_new, t, moved, r = _halve(model, stack, b, step,
                                           _POLISH_STEP_TOL, lower_scale)
         s_new = np.where(moved, s_new, sc)
@@ -649,15 +723,18 @@ def fit_mm_stack(
     if not cases:
         return out
     keys, yc, xc, w, beta, s, solved = zip(*cases)
-    stack = _Stack(np.concatenate(yc), np.concatenate(xc), np.concatenate(w),
-                   np.array([y.size for y in yc]))
+    counts = np.array([y.size for y in yc])
+    # The S-step weighs every case alike; the covariate weights act on the
+    # M-step alone.
+    stack = _Stack(np.concatenate(yc), np.concatenate(xc),
+                   np.ones(counts.sum()), counts)
     floor = _DEGENERATE_REL * np.maximum([np.ptp(y) for y in yc], 1e-300)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s_beta, s, steps, polished = _polish(model, stack, np.array(beta),
                                              np.array(s), floor)
         spread = s > floor
-        m_fits = zip(*_m_step(model, stack.take(spread), s_beta[spread],
-                              s[spread]))
+        stack = replace(stack, w=np.concatenate(w)).take(spread)
+        m_fits = zip(*_m_step(model, stack, s_beta[spread], s[spread]))
     for j, k in enumerate(keys):
         if not spread[j]:
             out[k] = ValueError("degenerate scale: residuals have no spread")

@@ -2,9 +2,10 @@
 
 These are the numerical kernels every marginal estimator is built from: the
 S-scale of a weighted sample (dispersion defined through a bounded rho,
-minimized over location) and the M-location at a fixed scale.
-``residual_scales`` is the package's one S-scale solver at a fixed
-location; ``s_scale`` and the MM regression fit both solve through it.
+minimized over location) and the M-location at a fixed scale.  A weighted
+sample's S-location and S-scale are the S-estimate of the intercept-only
+regression model, so ``s_scale`` solves them with the MM fit's own S-scale
+solver and S-polish (``regression.residual_scales`` and its descent).
 """
 
 from __future__ import annotations
@@ -14,22 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
+from .regression import RegressionModel, _polish, _Stack, residual_scales
+from .scores import SCALE_B_TARGET, ScoreFamily
 from .weighted import WeightedSample, serial_dot, weighted_quantile
 
-__all__ = ["ScaleFit", "s_scale", "residual_scales", "m_location",
-           "mad_scale", "check_score_pair"]
+__all__ = ["ScaleFit", "s_scale", "m_location", "mad_scale",
+           "check_score_pair"]
 
 _logger = logging.getLogger(__name__)
 
-_RHO0 = scale_bisquare()
-
-_SCALE_TOL = 1e-9
 _LOC_TOL = 1e-10
-_SCALE_MAX_ITER = 200
 _LOC_MAX_ITER = 500
-_NEWTON_ITER = 100
-_NEWTON_TOL = 1e-10
+# The model whose S-estimate is a sample's S-location and S-scale; its one
+# coefficient, the location, reads no covariate.
+_LOCATION = RegressionModel("location", ("1",))
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,12 @@ class ScaleFit:
 
     scale : the S-dispersion, in response units
     s_location : the location the dispersion is minimized over
-    b : the target value of the weighted rho0 average at the solution
-    iterations : outer iterations used
-    converged : whether the joint tolerance was met within the cap
+    iterations : descent steps taken on the scale (0 for the MAD)
+    converged : whether the descent stopped before its step cap
     """
 
     scale: float
     s_location: float
-    b: float
     iterations: int
     converged: bool
 
@@ -55,142 +52,44 @@ def _positive_part(ws: WeightedSample) -> tuple[np.ndarray, np.ndarray]:
     return ws.atoms[keep], ws.weights[keep]
 
 
-def residual_scales(
-    resid: np.ndarray,
-    start: np.ndarray,
-    weights: np.ndarray | None = None,
-    rho0: ScoreFamily = _RHO0,
-    b: float = SCALE_B_TARGET,
-    counts: np.ndarray | None = None,
-) -> np.ndarray:
-    """Row-wise S-scale about zero of a (rows x m) matrix of residuals, or
-    of rows of ``counts`` residuals laid end to end in a 1-D ``resid``.
+def s_scale(ws: WeightedSample) -> ScaleFit:
+    """Bisquare S-scale of a weighted sample (c0 = 1.54764, b = 0.5): the
+    smallest dispersion over locations.
 
-    Solves avg rho0(r/s) = b for each row from ``start`` by safeguarded
-    Newton steps in s, s <- s (1 + (avg rho0(u) - b) / avg psi0(u) u).  The
-    average is the row's mean (``np.add.reduceat``, in an order fixed by
-    the row), or the ``weights``-weighted mean over a matrix's columns.
-    The fixed-point step s <- s sqrt(avg rho0(u) / b) never overshoots the
-    root, so a Newton step is taken only when it lies inside the bracket
-    seen so far and goes at least as far as the fixed-point step.  Each row
-    stops on its own once its step is below 1e-10 relative, so a row's
-    value does not depend on the other rows, bit for bit.  A row scores 0.0
-    when its start is zero or its residuals all vanish, and inf when it
-    holds a non-finite value.
+    The (location a, scale s) pair solves the weighted average of
+    rho0((y - a)/s) = b with a minimizing s: the S-estimate of the
+    intercept-only model with the sample's weights as observation weights.
+    From the weighted median, with the scale solved there from the MAD,
+    the regression's S-polish descends on s(a) to its minimum (Newton
+    steps, IRWLS where s(a) is not convex), and its scales are solved by
+    ``residual_scales``, so the defining identity holds to rounding.
+
+    Raises ``ValueError("degenerate scale")`` if one atom value carries at
+    least 1 - b of the weight: at that location avg rho0 stays at most b
+    for every s, so the smallest dispersion is 0.
     """
-    if counts is None:
-        counts = np.full(resid.shape[0], resid.shape[1])
-        resid = resid.ravel()
-    if weights is None:
-        def avg(v):
-            return np.add.reduceat(v, starts) / counts
-    else:
-        total = float(weights.sum())
-
-        def avg(v):
-            return serial_dot(v.reshape(counts.size, -1), weights) / total
-
-    start = np.asarray(start, dtype=float)
-    out = np.full(counts.size, np.inf)
-    starts = np.cumsum(counts) - counts
-    finite = np.logical_and.reduceat(np.isfinite(resid), starts)
-    out[finite & (start <= 0.0)] = 0.0
-    active = finite & (start > 0.0)
-    r = resid if active.all() else resid[np.repeat(active, counts)]
-    active = np.flatnonzero(active)
-    counts, s = counts[active], start[active]
-    starts = np.cumsum(counts) - counts
-    lo = np.zeros_like(s)
-    hi = np.full_like(s, np.inf)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_NEWTON_ITER):
-            if active.size == 0:
-                break
-            u = r / (s if s.size == 1 else np.repeat(s, counts))
-            m_avg = avg(rho0.rho(u))
-            slope = avg(rho0.psi(u) * u)
-            below = m_avg > b  # s lies below the root
-            lo = np.where(below, s, lo)
-            hi = np.where(below, hi, s)
-            fixed = s * np.sqrt(np.maximum(m_avg, 0.0) / b)
-            newton = s * (1.0 + (m_avg - b) / slope)
-            usable = (slope > 0.0) & (newton > lo) & (newton < hi) & (
-                (newton > fixed) == below
-            )
-            s_new = np.where(usable, newton, fixed)
-            vanished = m_avg <= 0.0
-            s_new[vanished] = 0.0
-            done = vanished | (np.abs(s_new - s) <= _NEWTON_TOL * s_new)
-            if done.any():
-                out[active[done]] = s_new[done]
-                keep = ~done
-                active, r = active[keep], r[np.repeat(keep, counts)]
-                counts, s_new = counts[keep], s_new[keep]
-                starts = np.cumsum(counts) - counts
-                lo, hi = lo[keep], hi[keep]
-            s = s_new
-    out[active] = s
-    out[~np.isfinite(out)] = np.inf
-    return out
-
-
-def s_scale(ws: WeightedSample, rho0: ScoreFamily, b: float) -> ScaleFit:
-    """S-scale of a weighted sample: the smallest dispersion over locations.
-
-    Solves for the (location, scale) pair where the weighted average of
-    rho0((y - a)/s) equals b and a minimizes s.  Alternates a damped
-    fixed-point scale update, s^2 <- s^2 * avg_rho / b, with one weighted
-    IRWLS location step using the rho0 weights, to joint relative tolerance
-    1e-9 or 200 iterations.  The scale is then solved at the final
-    location by ``residual_scales``, so the defining identity holds to
-    rounding.
-
-    Raises
-    ------
-    ValueError
-        If b is not in (0, 1), or "degenerate scale" if one atom value
-        carries at least 1 - b of the weight: at that location avg rho0
-        stays at most b for every s, so the smallest dispersion is 0.
-    """
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie strictly between 0 and 1")
     # The weight share of each distinct atom value, read off the sorted
     # table that the median below uses too.
     sa, cw = ws._sorted
-    shares = np.diff(cw[np.append(sa[1:] != sa[:-1], True)], prepend=0.0)
-    if shares.max() >= 1.0 - b:
+    if np.diff(cw[np.append(sa[1:] != sa[:-1], True)],
+               prepend=0.0).max() >= 1.0 - SCALE_B_TARGET:
         raise ValueError("degenerate scale")
     y, w = _positive_part(ws)
-    sw = float(w.sum())
-
     a = weighted_quantile(ws, 0.5)
     dev = np.abs(y - a)
     s = float(weighted_quantile(WeightedSample(dev, w), 0.5))
     if s <= 0.0:
-        s = float(serial_dot(w, dev) / sw)
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, _SCALE_MAX_ITER + 1):
-        m = float(serial_dot(w, rho0.rho((y - a) / s))) / sw
-        if m <= 0.0:
-            raise ValueError("degenerate scale")
-        s_new = s * np.sqrt(m / b)
-        wt = w * rho0.weight((y - a) / s_new)
-        denom = float(wt.sum())
-        a_new = float(serial_dot(wt, y)) / denom if denom > 0.0 else a
-        done = (
-            abs(s_new - s) <= _SCALE_TOL * s_new
-            and abs(a_new - a) <= _SCALE_TOL * s_new
-        )
-        s, a = float(s_new), a_new
-        if done:
-            converged = True
-            break
-
-    s = residual_scales((y - a)[None, :], np.array([s]), w, rho0, b)[0]
-    return ScaleFit(scale=float(s), s_location=a, b=b, iterations=iterations,
-                    converged=converged)
+        s = float(serial_dot(w, dev) / w.sum())
+    del dev
+    s = residual_scales(y - a, [s], weights=w)
+    # A zero-stride covariate matrix: the model reads only its shape.
+    stack = _Stack(y, np.broadcast_to(0.0, (y.size, 2)), w,
+                   np.array([y.size]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta, s, steps, stopped = _polish(_LOCATION, stack, np.array([[a]]),
+                                          s, np.zeros(1))
+    return ScaleFit(scale=float(s[0]), s_location=float(beta[0, 0]),
+                    iterations=int(steps[0]), converged=bool(stopped[0]))
 
 
 def mad_scale(ws: WeightedSample, normal_consistency: bool = False) -> ScaleFit:
@@ -214,7 +113,7 @@ def mad_scale(ws: WeightedSample, normal_consistency: bool = False) -> ScaleFit:
         scale /= 0.6745
     if scale <= 0.0:
         raise ValueError("degenerate scale")
-    return ScaleFit(scale=scale, s_location=med, b=0.5, iterations=0, converged=True)
+    return ScaleFit(scale=scale, s_location=med, iterations=0, converged=True)
 
 
 def m_location(

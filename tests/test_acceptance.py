@@ -30,13 +30,9 @@ from robmarg.propensity import (
     fit_logistic,
     kernel_propensity,
 )
-from robmarg.regression import exp_linear_model, fit_mm
+from robmarg.regression import MODELS, fit_mm
 from robmarg.scaleloc import m_location, s_scale
-from robmarg.scores import (
-    SCALE_B_TARGET,
-    location_bisquare,
-    scale_bisquare,
-)
+from robmarg.scores import location_bisquare, scale_bisquare
 from robmarg.simulation import (
     ScenarioConfig,
     generate_sample,
@@ -348,8 +344,8 @@ def test_criterion_10_property_suites():
     w = rng.random(80) + 0.1
     base = WeightedSample(y, w)
     moved = WeightedSample(3.0 * y - 4.0, w)
-    s0 = s_scale(base, scale_bisquare(), SCALE_B_TARGET)
-    s1 = s_scale(moved, scale_bisquare(), SCALE_B_TARGET)
+    s0 = s_scale(base)
+    s1 = s_scale(moved)
     th0 = m_location(base, SF, s0.scale)
     th1 = m_location(moved, SF, s1.scale)
     eq_err = max(
@@ -365,7 +361,7 @@ def test_criterion_10_property_suites():
     for _ in range(3):
         yy = rng.standard_cauchy(40) * rng.uniform(0.5, 3.0)
         sample = WeightedSample(yy, rng.random(40) + 0.05)
-        sfit = s_scale(sample, scale_bisquare(), SCALE_B_TARGET)
+        sfit = s_scale(sample)
         th = m_location(sample, SF, sfit.scale)
         grid_pts = np.linspace(yy.min(), yy.max(), 20_000)
         vals = SF.rho((yy[None, :] - grid_pts[:, None]) / sfit.scale) @ (
@@ -404,7 +400,7 @@ def test_criterion_10_property_suites():
         WeightedSample(truth.y_complete, np.ones(truth.y_complete.size)), SF
     )
     pf = constant_propensity(data.delta)
-    model = exp_linear_model(intercept=False)
+    model = MODELS["exp_linear"]
     fit = fit_mm(model, data, seed=31)
     mu = model.mean(data.x, fit.beta)
     eps = data.y - mu

@@ -578,6 +578,32 @@ class TestEstimateInputErrors:
             "z must be fully observed", capsys,
         )
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize("column", ["y", "x1", "x2"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, capsys,
+                                                  cell, column):
+        # float() accepts these cells; a row with one must not pass as
+        # incomplete (y, x2) or be blamed on a missing z value (x1).
+        rows = [["1.0", "2.0", "3.0"], ["4.0", "5.0", "6.0"],
+                ["7.0", "8.0", "9.0"]]
+        rows[1]["y,x1,x2".split(",").index(column)] = cell
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("y,x1,x2\n" + "".join(",".join(r) + "\n"
+                                              for r in rows))
+        self.run_expecting_error(
+            tmp_path, str(path), write_config(tmp_path, toy_config()),
+            f"row 3: non-finite value {cell!r} in column {column!r}", capsys,
+        )
+
+    @pytest.mark.parametrize("complete", [0, 1])
+    def test_fewer_than_two_complete_rows(self, tmp_path, capsys, complete):
+        data = toy_csv(tmp_path, n=6, blank_rows=range(complete, 6))
+        self.run_expecting_error(
+            tmp_path, data, write_config(tmp_path, toy_config()),
+            f"data file has {complete} complete row(s); the estimators need "
+            "at least two", capsys,
+        )
+
     def test_unknown_scale_method_names_field(self, tmp_path, capsys):
         data = toy_csv(tmp_path)
         err = self.run_expecting_error(

@@ -21,9 +21,9 @@ from robmarg.propensity import (
     kernel_propensity,
     known_propensity,
 )
-from robmarg.regression import RegressionFit, fit_mm, linear_model
+from robmarg.regression import MODELS, RegressionFit, fit_mm
 from robmarg.scaleloc import mad_scale, s_scale
-from robmarg.scores import SCALE_B_TARGET, location_bisquare, scale_bisquare
+from robmarg.scores import location_bisquare
 from robmarg.weighted import WeightedSample
 
 SF = location_bisquare()
@@ -126,7 +126,7 @@ class TestIPW:
         est = estimate_ipw(
             data, constant_propensity(data.delta), SF, scale_method="s"
         )
-        refit = s_scale(est.distribution, scale_bisquare(), SCALE_B_TARGET)
+        refit = s_scale(est.distribution)
         assert est.scale == pytest.approx(refit.scale, rel=1e-9)
         # the two preliminary-scale conventions genuinely differ
         mad_refit = mad_scale(est.distribution, normal_consistency=True)
@@ -145,7 +145,7 @@ class TestConv:
         data = gen_mar(150, 11)
         pf = fit_logistic(data.z, data.delta)
         fit = RegressionFit(
-            model=linear_model(),
+            model=MODELS["linear"],
             beta=np.array([0.0, 0.0, 7.5]),
             residual_scale=1.0,
             weights_used=None,
@@ -171,7 +171,7 @@ class TestConv:
             delta=np.ones(3, dtype=int),
         )
         fit = RegressionFit(
-            model=linear_model(),
+            model=MODELS["linear"],
             beta=np.array([1.0, 0.0, 0.0]),
             residual_scale=1.0,
             weights_used=None,
@@ -199,7 +199,7 @@ class TestConv:
         data = gen_mar(100, 2)
         pf = constant_propensity(data.delta)
         fit = RegressionFit(
-            model=linear_model(),
+            model=MODELS["linear"],
             beta=np.zeros(3),
             residual_scale=1.0,
             weights_used=None,
@@ -216,7 +216,7 @@ class TestConv:
         data = complete_dataset(y)
         pf = unit_propensity()
         fit = RegressionFit(
-            model=linear_model(),
+            model=MODELS["linear"],
             beta=np.array([0.0, 0.0, 5.0]),
             residual_scale=1.0,
             weights_used=None,
@@ -446,8 +446,8 @@ class TestEquivariance:
             lambda z: 1.0 / (1.0 + np.exp(-0.2 * z[..., 0] - 0.2)), k=1
         )
         d0, d1 = build(y), build(a * y + b)
-        fit0 = fit_mm(linear_model(), d0, seed=0)
-        fit1 = fit_mm(linear_model(), d1, seed=0)
+        fit0 = fit_mm(MODELS["linear"], d0, seed=0)
+        fit1 = fit_mm(MODELS["linear"], d1, seed=0)
         est0 = estimate_conv(d0, pf, fit0, SF)
         est1 = estimate_conv(d1, pf, fit1, SF)
         assert est1.theta_mean == pytest.approx(a * est0.theta_mean + b, abs=1e-6)
@@ -461,9 +461,8 @@ def test_estimators_agree_reasonably_on_mar_data():
     """All three estimators target the same marginal law."""
     data = gen_mar(800, 61)
     pf = fit_logistic(data.z, data.delta)
-    from robmarg.regression import exp_linear_model
 
-    fit = fit_mm(exp_linear_model(), data, seed=0)
+    fit = fit_mm(MODELS["exp_linear"], data, seed=0)
     est_i = estimate_ipw(data, pf, SF)
     est_c = estimate_conv(data, pf, fit, SF)
     est_a = estimate_aipw(data, pf, float(800) ** (-1 / 3), SF)

@@ -16,10 +16,8 @@ from robmarg.regression import (
     MODELS,
     RegressionFit,
     RegressionModel,
-    exp_linear_model,
     fit_mm,
     hard_rejection_weights,
-    linear_model,
     predict,
 )
 from robmarg.scores import SCALE_B_TARGET, location_bisquare, scale_bisquare
@@ -94,30 +92,30 @@ def gauss_newton_least_squares(model, data, beta_start, iterations=100):
 
 class TestPredict:
     def test_linear_arithmetic(self):
-        fit = make_fit(linear_model(), [1.0, 1.0, 0.0])
+        fit = make_fit(MODELS["linear"], [1.0, 1.0, 0.0])
         assert predict(fit, np.array([2.0, 3.0])) == pytest.approx(5.0)
 
     def test_exp_arithmetic(self):
-        fit = make_fit(exp_linear_model(), BETA_TRUE)
+        fit = make_fit(MODELS["exp_linear"], BETA_TRUE)
         assert predict(fit, np.array([0.0, 1.0])) == pytest.approx(5.1)
 
     def test_exp_intercept_arithmetic(self):
         a, b, c, d = 3.5, 0.7, -1.25, 2.0
-        fit = make_fit(exp_linear_model(intercept=True), [a, b, c, d])
+        fit = make_fit(MODELS["exp_linear_intercept"], [a, b, c, d])
         assert predict(fit, np.array([0.0, 0.0])) == pytest.approx(a + c)
 
     def test_matrix_input(self):
-        fit = make_fit(linear_model(), [2.0, 0.0, 1.0])
+        fit = make_fit(MODELS["linear"], [2.0, 0.0, 1.0])
         out = predict(fit, np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert np.allclose(out, [1.0, 3.0])
 
     def test_requires_convergence(self):
-        fit = make_fit(linear_model(), [1.0, 1.0, 0.0], converged=False)
+        fit = make_fit(MODELS["linear"], [1.0, 1.0, 0.0], converged=False)
         with pytest.raises(ValueError, match="did not converge"):
             predict(fit, np.array([2.0, 3.0]))
 
     def test_covariate_dimension_mismatch(self):
-        fit = make_fit(linear_model(), [1.0, 1.0, 0.0])
+        fit = make_fit(MODELS["linear"], [1.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
             predict(fit, np.array([2.0, 3.0, 4.0]))
 
@@ -273,14 +271,14 @@ def test_model_terms_are_checked(terms):
 class TestFitQuality:
     def test_recovers_true_beta_within_mc_bands(self):
         data = gen_nonlinear(100, np.random.default_rng(1000))
-        fit = fit_mm(exp_linear_model(), data, seed=0)
+        fit = fit_mm(MODELS["exp_linear"], data, seed=0)
         assert fit.converged
         assert np.all(np.abs(fit.beta - BETA_TRUE) <= 3.0 * MC_SD_N100)
         assert fit.complete_case_count == 100
         assert 0.7 < fit.residual_scale < 1.4  # true noise SD is 1
 
     def test_vertical_outliers_barely_move_mm_but_break_least_squares(self):
-        model = exp_linear_model()
+        model = MODELS["exp_linear"]
         mm_clean, mm_bad, ls_clean, ls_bad = [], [], [], []
         for r in range(20):
             clean = gen_nonlinear(100, np.random.default_rng(3000 + r))
@@ -311,7 +309,7 @@ class TestFitQuality:
         assert ls_ratio >= 2.0
 
     def test_consistency_error_decreases_with_n(self):
-        model = exp_linear_model()
+        model = MODELS["exp_linear"]
         medians = []
         for n in (100, 400, 1600):
             errs = [
@@ -337,7 +335,7 @@ class TestFitQuality:
             y=y, x=np.column_stack([x1, x2]), z_index=(0,),
             delta=np.ones(n, dtype=int),
         )
-        fit = fit_mm(exp_linear_model(intercept=True), data, seed=0)
+        fit = fit_mm(MODELS["exp_linear_intercept"], data, seed=0)
         assert fit.converged
         pred = predict(fit, data.x)
         truth = 4.0 * np.exp(0.8 * x1) + 2.0 + 0.7 * x2
@@ -356,7 +354,7 @@ class TestDegenerateAndErrors:
             delta=np.ones(n, dtype=int),
         )
         with pytest.raises(ValueError, match="degenerate scale"):
-            fit_mm(linear_model(), data, seed=0)
+            fit_mm(MODELS["linear"], data, seed=0)
 
     def test_near_interpolation_recovers_exact_beta(self):
         rng = np.random.default_rng(3)
@@ -368,7 +366,7 @@ class TestDegenerateAndErrors:
             y=y, x=np.column_stack([x1, x2]), z_index=(0,),
             delta=np.ones(n, dtype=int),
         )
-        fit = fit_mm(linear_model(), data, seed=0)
+        fit = fit_mm(MODELS["linear"], data, seed=0)
         assert np.max(np.abs(fit.beta - [2.0, 0.5, 3.0])) < 1e-6
 
     def test_insufficient_complete_cases(self):
@@ -381,7 +379,7 @@ class TestDegenerateAndErrors:
             delta=np.ones(n, dtype=int),
         )
         with pytest.raises(ValueError, match="insufficient complete cases"):
-            fit_mm(linear_model(), data, seed=0)
+            fit_mm(MODELS["linear"], data, seed=0)
 
     @pytest.mark.parametrize("columns", [1, 3])
     def test_fit_requires_two_covariate_columns(self, columns):
@@ -392,7 +390,7 @@ class TestDegenerateAndErrors:
             z_index=(0,), delta=np.ones(n, dtype=int),
         )
         with pytest.raises(ValueError, match="dimension mismatch"):
-            fit_mm(linear_model(), data, seed=0)
+            fit_mm(MODELS["linear"], data, seed=0)
 
     def test_only_complete_cases_enter_the_fit(self):
         rng = np.random.default_rng(12)
@@ -415,8 +413,8 @@ class TestDegenerateAndErrors:
             z_index=(0,),
             delta=np.ones(int(delta.sum()), dtype=int),
         )
-        fit_full = fit_mm(linear_model(), data, seed=0)
-        fit_sub = fit_mm(linear_model(), sub, seed=0)
+        fit_full = fit_mm(MODELS["linear"], data, seed=0)
+        fit_sub = fit_mm(MODELS["linear"], sub, seed=0)
         assert fit_full.complete_case_count == data.n_obs
         assert np.array_equal(fit_full.beta, fit_sub.beta)
 
@@ -435,8 +433,8 @@ class TestEquivarianceAndStructure:
             y=y + x @ gamma[:2] + gamma[2], x=x, z_index=(0,),
             delta=np.ones(n, dtype=int),
         )
-        fit0 = fit_mm(linear_model(), base, seed=0)
-        fit1 = fit_mm(linear_model(), shifted, seed=0)
+        fit0 = fit_mm(MODELS["linear"], base, seed=0)
+        fit1 = fit_mm(MODELS["linear"], shifted, seed=0)
         assert np.max(np.abs(fit1.beta - fit0.beta - gamma)) < 1e-6
 
     def test_residual_scale_equivariance(self):
@@ -451,8 +449,8 @@ class TestEquivarianceAndStructure:
         scaled = ObservedDataset(
             y=k * y, x=x, z_index=(0,), delta=np.ones(n, dtype=int)
         )
-        fit0 = fit_mm(linear_model(), base, seed=0)
-        fit1 = fit_mm(linear_model(), scaled, seed=0)
+        fit0 = fit_mm(MODELS["linear"], base, seed=0)
+        fit1 = fit_mm(MODELS["linear"], scaled, seed=0)
         assert fit1.residual_scale == pytest.approx(
             k * fit0.residual_scale, rel=1e-6
         )
@@ -460,7 +458,7 @@ class TestEquivarianceAndStructure:
 
     def test_m_step_objective_dominates_s_step_candidate(self):
         rho = location_bisquare()
-        model = exp_linear_model()
+        model = MODELS["exp_linear"]
         for r in range(5):
             data = gen_nonlinear(100, np.random.default_rng(7000 + r))
             fit = fit_mm(model, data, seed=0)
@@ -473,8 +471,8 @@ class TestEquivarianceAndStructure:
 
     def test_deterministic_given_seed(self):
         data = gen_nonlinear(100, np.random.default_rng(31))
-        fit_a = fit_mm(exp_linear_model(), data, seed=42)
-        fit_b = fit_mm(exp_linear_model(), data, seed=42)
+        fit_a = fit_mm(MODELS["exp_linear"], data, seed=42)
+        fit_b = fit_mm(MODELS["exp_linear"], data, seed=42)
         assert np.array_equal(fit_a.beta, fit_b.beta)
         assert fit_a.residual_scale == fit_b.residual_scale
 
@@ -492,7 +490,7 @@ class TestEquivarianceAndStructure:
             return drawn[-1][1]
 
         monkeypatch.setattr(regression, "_subsets", recorded)
-        model = exp_linear_model()
+        model = MODELS["exp_linear"]
         fit = fit_mm(model, data, seed=5)
         again = fit_mm(model, data, seed=5)
         assert np.array_equal(again.s_step_beta, fit.s_step_beta)
@@ -547,7 +545,7 @@ class TestHardRejectionWeights:
             delta=np.ones(n, dtype=int),
         )
         fit = fit_mm(
-            linear_model(), data, covariate_weights=hard_rejection_weights,
+            MODELS["linear"], data, covariate_weights=hard_rejection_weights,
             seed=0,
         )
         assert fit.weights_used is not None
@@ -556,17 +554,17 @@ class TestHardRejectionWeights:
 
         with pytest.raises(ValueError, match="one value per row"):
             fit_mm(
-                linear_model(), data,
+                MODELS["linear"], data,
                 covariate_weights=lambda x: np.ones(3), seed=0,
             )
         with pytest.raises(ValueError, match="lie in"):
             fit_mm(
-                linear_model(), data,
+                MODELS["linear"], data,
                 covariate_weights=lambda x: np.full(x.shape[0], 2.0), seed=0,
             )
         with pytest.raises(ValueError, match="all zero"):
             fit_mm(
-                linear_model(), data,
+                MODELS["linear"], data,
                 covariate_weights=lambda x: np.zeros(x.shape[0]), seed=0,
             )
 
@@ -1069,7 +1067,7 @@ def test_polish_converges_on_simulated_samples(model_id):
 
 def test_work_counters_leave_the_fit_unchanged():
     data = ozone_data()
-    model = exp_linear_model(intercept=True)
+    model = MODELS["exp_linear_intercept"]
     fit = fit_mm(model, data, covariate_weights=hard_rejection_weights, seed=0)
     assert 1 <= fit.candidates_solved < 500
     assert 0 <= fit.polish_steps <= regression._POLISH_ITER

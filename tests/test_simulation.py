@@ -11,7 +11,7 @@ import pytest
 from robmarg import parallel, simulation
 from robmarg.marginal import estimate_aipw, estimate_conv, estimate_ipw, functional_summary
 from robmarg.propensity import constant_propensity, kernel_propensity
-from robmarg.regression import exp_linear_model, fit_mm
+from robmarg.regression import MODELS, fit_mm
 from robmarg.scores import LOCATION_BISQUARE_C, ScoreFamily, location_bisquare
 from robmarg.simulation import (
     ScenarioConfig,
@@ -140,7 +140,7 @@ class TestM1Collapse:
         # even though its median and M-location are smoothed versions
         data, truth = generate_sample(150, 37, "C0", "M1")
         pf = true_propensity("M1")
-        model = exp_linear_model(intercept=False)
+        model = MODELS["exp_linear"]
         fit = fit_mm(model, data, seed=37)
         est = estimate_conv(data, pf, fit, SF)
         ref = classical(truth.y_complete)
