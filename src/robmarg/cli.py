@@ -140,6 +140,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _make_out_dir(path: str) -> None:
+    """Make the output directory ``path``, before any estimation, or raise
+    the InputError that names it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot use {path!r} as an output directory: "
+                         f"{exc.strerror or exc}") from exc
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -474,6 +484,7 @@ def cmd_estimate(args) -> int:
     ]
     table = _read_csv_columns(args.data, columns)
     data = _build_dataset(table, settings)
+    _make_out_dir(args.out)
 
     missing_counts = {
         name: int(np.sum(~np.isfinite(table[name]))) for name in columns
@@ -514,7 +525,6 @@ def cmd_estimate(args) -> int:
         | {"a_n": a_n},
         "estimates": entries,
     }
-    os.makedirs(args.out, exist_ok=True)
     _atomic_write(
         os.path.join(args.out, "report.json"),
         json.dumps(report, indent=2, sort_keys=True) + "\n",
@@ -548,8 +558,7 @@ def cmd_simulate(args) -> int:
     targets = _check(config["targets"] or {}, _TARGET_FIELDS,
                      f"{what}: 'targets'")
     workers = config["workers"]
-
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     combined = StringIO()
     combined.write(
         "scenario,functional,estimator,propensity,bias,sd,mse,L10,L20,L1,L2\n"
@@ -586,6 +595,10 @@ def cmd_targets(args) -> int:
         raise InputError("--n must be at least 2")
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
+    if args.out:
+        _make_out_dir(os.path.dirname(os.path.abspath(args.out)))
+        if os.path.isdir(args.out):
+            raise InputError(f"--out {args.out!r} is a directory")
     tv = target_values(reps=args.reps, n=args.n, seed=args.seed)
     text = json.dumps(dataclasses.asdict(tv), indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
@@ -631,14 +644,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if parallel.importing_main_in_worker():
-        print(
-            "abort: robmarg was called while a spawned worker process "
-            "imported the calling script; start it under "
-            "'if __name__ == \"__main__\":'",
-            file=sys.stderr,
-        )
-        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -706,14 +706,23 @@ def fit_mm_stack(
     the bisquare (c = 4.685) objective at that scale by the same steps, to
     tolerance 1e-8 (``converged``).  ``covariate_weights`` maps a dataset's
     complete-case covariates to weights in [0, 1] on the M-step objective.
+    Datasets with the same seed, complete cases and covariate weights are
+    fitted once and share that fit object.
     """
     out: list = [None] * len(datasets)
-    cases = []
+    cases, first, same = [], {}, list(range(len(datasets)))
     for k, data in enumerate(datasets):
         try:
-            cases.append((k, *_complete_cases(model, data, covariate_weights)))
+            case = _complete_cases(model, data, covariate_weights)
         except ValueError as exc:
             out[k] = exc
+            continue
+        # A leave-one-out set that drops an incomplete row repeats the cases
+        # of every other such set.
+        key = (seeds[k], *(a.tobytes() for a in case))
+        same[k] = first.setdefault(key, k)
+        if same[k] == k:
+            cases.append((k, *case))
     found = _s_search(model, [c[1:3] for c in cases],
                       [seeds[c[0]] for c in cases])
     for c, best in zip(cases, found):
@@ -721,7 +730,7 @@ def fit_mm_stack(
             out[c[0]] = ValueError("no valid elemental candidate found")
     cases = [c + best for c, best in zip(cases, found) if best is not None]
     if not cases:
-        return out
+        return [out[j] for j in same]
     keys, yc, xc, w, beta, s, solved = zip(*cases)
     counts = np.array([y.size for y in yc])
     # The S-step weighs every case alike; the covariate weights act on the
@@ -747,7 +756,7 @@ def fit_mm_stack(
             s_step_beta=s_beta[j], candidates_solved=solved[j],
             polish_steps=int(steps[j]), polish_converged=bool(polished[j]),
             m_iterations=int(iterations))
-    return out
+    return [out[j] for j in same]
 
 
 def fit_mm(

@@ -280,7 +280,7 @@ class TestEstimateJackknife:
             return real(d, *args)
 
         monkeypatch.setattr(cli, "estimate_conv", fails_once)
-        # The patch reaches the calling process only.
+        # Its count of calls lives in one process.
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         cli._attach_jackknife(entries, data, settings, a_n)
         assert [e["jackknife_n"] for e in entries] == [data.n - 1] * 3
@@ -308,7 +308,6 @@ def ozone_jackknife_runs():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "fit_mm", counted)
             mp.setattr(parallel, "available_cpus", lambda: cpus)
-            mp.setattr(parallel, "_START_FACTOR", 0.0)
             entries, fits, a_n = estimate_entries(data, settings)
             cli._attach_jackknife(entries, data, settings, a_n)
         runs[name] = (entries, len(calls))
@@ -358,7 +357,6 @@ class TestJackknifeSetsAreTheirOwn:
             k = i - i % 19
             assert thetas(sets[k:k + 19])[i % 19] == in_64[i]
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
         assert parallel.ordered_map(thetas, sets, workers=2) == in_64
         assert multiprocessing.active_children() == []
 
@@ -546,6 +544,20 @@ class TestEstimateInputErrors:
             write_config(tmp_path, toy_config(seed=-1)),
             "field 'seed' must be an integer >= 0", capsys,
         )
+
+    def test_output_path_that_is_a_file_fails_before_estimating(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_estimates",
+                            lambda *args: calls.append(args))
+        (tmp_path / "taken").write_text("")
+        code = main(["estimate", "--data", toy_csv(tmp_path), "--config",
+                     write_config(tmp_path, toy_config(jackknife=True)),
+                     "--out", str(tmp_path / "taken")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"cannot use {str(tmp_path / 'taken')!r} as an output " in err
+        assert calls == []
 
     def test_missing_column_is_named(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -832,6 +844,19 @@ class TestSimulate:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_output_path_that_is_a_file_fails_before_the_scenarios(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda *args, **kwargs: calls.append(args))
+        (tmp_path / "taken").write_text("")
+        code = main(["simulate", "--config", self.simulate_config(tmp_path),
+                     "--out", str(tmp_path / "taken")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"cannot use {str(tmp_path / 'taken')!r} as an output " in err
+        assert calls == []
+
     @pytest.mark.parametrize("field", ["estimators", "functionals"])
     def test_repeated_name_is_an_input_error(self, tmp_path, capsys, field):
         names = {"estimators": ["ipw", "ipw"],
@@ -951,6 +976,34 @@ class TestTargets:
         assert "--seed must be non-negative" in capsys.readouterr().err
 
 
+    def test_output_path_is_checked_before_computing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """A file's directory that cannot be made, or a directory in the
+        file's place, is an input error before any target is computed; a
+        missing directory is made."""
+        calls = []
+        real = cli.target_values
+
+        def recorded(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(cli, "target_values", recorded)
+        (tmp_path / "taken").write_text("")
+        args = ["targets", "--reps", "1", "--n", "50", "--out"]
+        assert main(args + [str(tmp_path / "taken" / "x.json")]) == 1
+        assert (f"cannot use {str(tmp_path / 'taken')!r} as an output "
+                in capsys.readouterr().err)
+        assert main(args + [str(tmp_path)]) == 1
+        assert f"--out {str(tmp_path)!r} is a directory" in (
+            capsys.readouterr().err)
+        assert calls == []
+        out = tmp_path / "missing_dir" / "x.json"
+        assert main(args + [str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert len(calls) == 1
+
+
 class TestArgumentParsing:
     def test_missing_subcommand_is_input_error(self, capsys):
         assert main([]) == 1
@@ -983,8 +1036,7 @@ print(json.dumps("numpy.ma" in sys.modules))
 
 def test_commands_do_not_import_numpy_ma(tmp_path):
     """``simulate`` and ``estimate`` (with a jackknife) leave numpy.ma
-    unimported: its import costs every invocation, and every spawned
-    worker, about 15 ms."""
+    unimported: its import costs every invocation about 15 ms."""
     simulate = write_config(tmp_path, {"workers": 1, "scenarios": [{
         "id": "s", "n": 100, "reps": 3, "seed": 1,
         "propensity_method": "kernel"}]}, "simulate.json")

@@ -224,7 +224,6 @@ class TestJackknifeInProcesses:
     @pytest.fixture
     def pool_always(self, monkeypatch):
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
 
     def test_failed_set_is_skipped_for_every_component(self, pool_always):
         y = np.arange(40.0) ** 1.5

@@ -16,9 +16,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 @pytest.fixture
 def pool_always(monkeypatch):
-    """Two workers, and a pool for any projected time."""
+    """Two usable workers, so that a pool starts."""
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
 
 
 def squares_and_pid(chunk):
@@ -37,23 +36,22 @@ def exit_in_worker(chunk):
 
 
 class TestOrderedMap:
-    def test_in_process_below_the_start_threshold(self):
+    def test_two_usable_workers_start_a_pool(self, pool_always):
         results = ordered_map(squares_and_pid, range(20), workers=2)
         assert [r for r, _ in results] == [x * x for x in range(20)]
-        assert {pid for _, pid in results} == {os.getpid()}
+        assert os.getpid() not in {pid for _, pid in results}
+        assert multiprocessing.active_children() == []
 
     def test_pool_keeps_item_order(self, pool_always):
         results = ordered_map(squares_and_pid, range(37), workers=8)
         assert [r for r, _ in results] == [x * x for x in range(37)]
-        pids = [pid for _, pid in results]
-        assert pids[0] == os.getpid()
-        assert os.getpid() not in pids[1:]
-        assert len(set(pids[1:])) in (1, 2)
+        pids = {pid for _, pid in results}
+        assert os.getpid() not in pids
+        assert len(pids) in (1, 2)
         assert multiprocessing.active_children() == []
 
     def test_one_worker_runs_every_chunk_in_process(self, monkeypatch):
         """One usable worker: chunks of 64 from the first item on."""
-        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
         assert ordered_map(chunk_sizes, range(150), workers=1) == (
             [64] * 128 + [22] * 22)
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
@@ -62,20 +60,15 @@ class TestOrderedMap:
         assert ordered_map(chunk_sizes, range(1), workers=4) == [1]
         assert ordered_map(chunk_sizes, [], workers=4) == []
 
-    def test_first_item_alone_then_chunks(self, monkeypatch):
-        """More usable workers: the first item alone, then chunks of 64 in
-        the calling process below the start threshold, or pool chunks of
-        at most 64 and a quarter of each worker's share above it."""
-        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    def test_pool_chunks_split_each_workers_share(self, pool_always):
+        """More usable workers: pool chunks of at most 64 items and a
+        quarter of each worker's share."""
+        # 150 items for 2 workers: chunks of 19, the last of 17.
         assert ordered_map(chunk_sizes, range(150), workers=2) == (
-            [1] + [64] * 128 + [21] * 21)
-        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
-        # 149 left for 2 workers: chunks of 19, the last of 16.
-        assert ordered_map(chunk_sizes, range(150), workers=2) == (
-            [1] + [19] * 133 + [16] * 16)
-        # 599 left: chunks of 64, the last of 23.
+            [19] * 133 + [17] * 17)
+        # 600 items: chunks of 64, the last of 24.
         assert ordered_map(chunk_sizes, range(600), workers=2) == (
-            [1] + [64] * 576 + [23] * 23)
+            [64] * 576 + [24] * 24)
         assert multiprocessing.active_children() == []
 
     def test_a_chunk_must_give_one_result_per_item(self):
@@ -84,7 +77,6 @@ class TestOrderedMap:
 
     def test_one_cpu_never_starts_a_pool(self, monkeypatch):
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
-        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
         results = ordered_map(squares_and_pid, range(5), workers=4)
         assert {pid for _, pid in results} == {os.getpid()}
 
@@ -93,14 +85,15 @@ class TestOrderedMap:
             ordered_map(squares_and_pid, [1], workers=0)
 
     def test_dead_worker_raises_and_leaves_no_process(self, pool_always):
-        with pytest.raises(RuntimeError, match="__name__"):
+        with pytest.raises(RuntimeError, match="ended abruptly"):
             ordered_map(exit_in_worker, range(12), workers=2)
         assert multiprocessing.active_children() == []
 
 
-def test_script_without_main_guard_aborts(tmp_path):
-    """Spawned workers re-run a script that lacks the guard; the CLI stops
-    with exit 2 and names the guard instead of hanging."""
+def test_script_without_main_guard_runs_once(tmp_path, monkeypatch):
+    """Forked workers never import the caller's script: a script without
+    the guard, with a pool of two, reads its data once, exits 0 and writes
+    what the in-process run writes."""
     lines = ["y,x1,x2"] + [
         f"{2.0 + 3.0 * (i % 7) + 0.1 * i},{i % 7},{0.5 * i}" for i in range(30)
     ]
@@ -114,7 +107,22 @@ def test_script_without_main_guard_aborts(tmp_path):
         import sys
         from robmarg import cli, parallel
         parallel.available_cpus = lambda: 2
-        parallel._START_FACTOR = 0.0
+        read, pool_map = cli._read_csv_columns, parallel._pool_map
+
+        def log(line):
+            with open("calls.log", "a") as handle:
+                handle.write(line + "\\n")
+
+        def logged_read(*args):
+            log("read")
+            return read(*args)
+
+        def logged_pool_map(fn, chunks, workers):
+            log(f"pool of {workers}")
+            return pool_map(fn, chunks, workers)
+
+        cli._read_csv_columns = logged_read
+        parallel._pool_map = logged_pool_map
         sys.exit(cli.main(["estimate", "--data", "toy.csv",
                            "--config", "config.json", "--out", "out"]))
     """))
@@ -122,46 +130,8 @@ def test_script_without_main_guard_aborts(tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=120)
-    assert proc.returncode == 2
-    assert "if __name__ == \"__main__\":" in proc.stderr
-
-
-def test_script_without_main_guard_that_does_not_exit(tmp_path, monkeypatch):
-    """A spawned worker imports the caller's script; a script that lacks the
-    guard and does not exit gets its estimate made once, in the caller, and
-    the workers' import of it stops at the CLI with the guard named."""
-    lines = ["y,x1,x2"] + [
-        f"{2.0 + 3.0 * (i % 7) + 0.1 * i},{i % 7},{0.5 * i}" for i in range(30)
-    ]
-    (tmp_path / "toy.csv").write_text("\n".join(lines) + "\n")
-    (tmp_path / "config.json").write_text(
-        '{"response": "y", "z": ["x1"], "covariates": ["x1", "x2"], '
-        '"estimators": ["ipw"], "propensities": ["constant"]}'
-    )
-    script = tmp_path / "unguarded.py"
-    script.write_text(textwrap.dedent("""\
-        from robmarg import cli, parallel
-        parallel.available_cpus = lambda: 2
-        parallel._START_FACTOR = 0.0
-        read = cli._read_csv_columns
-
-        def logged_read(*args):
-            with open("reads.log", "a") as log:
-                log.write("read\\n")
-            return read(*args)
-
-        cli._read_csv_columns = logged_read
-        cli.main(["estimate", "--data", "toy.csv",
-                  "--config", "config.json", "--out", "out"])
-    """))
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "abort: estimation failed" not in proc.stderr
-    assert "if __name__ == \"__main__\":" in proc.stderr
-    assert (tmp_path / "reads.log").read_text() == "read\n"
+    assert (tmp_path / "calls.log").read_text() == "read\npool of 2\n"
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
@@ -170,3 +140,4 @@ def test_script_without_main_guard_that_does_not_exit(tmp_path, monkeypatch):
     for name in ("report.json", "table.csv"):
         assert ((tmp_path / "out" / name).read_bytes()
                 == (tmp_path / "in_process" / name).read_bytes())
+    assert multiprocessing.active_children() == []

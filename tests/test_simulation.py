@@ -200,8 +200,7 @@ class TestRunScenario:
         )
         t1 = run_scenario(cfg, workers=1)
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
-        # The first replication runs alone, the other six in the pool.
+        # Chunks of one replication each, in the pool.
         t2 = run_scenario(cfg, workers=4)
         assert t1.to_csv_text() == t2.to_csv_text()
         assert t1.to_json_text() == t2.to_json_text()
@@ -216,8 +215,8 @@ class TestRunScenario:
         )
         counts = [int(generate_sample(cfg.n, cfg.seed ^ j)[0].delta.sum())
                   for j in range(cfg.reps)]
-        # One replication other than the first (which always runs in the
-        # calling process) has a complete-case count of its own.
+        # One replication other than the first has a complete-case count of
+        # its own.
         size = next(c for c in counts[1:] if counts.count(c) == 1)
         sf = FailsOnSize(LOCATION_BISQUARE_C, size=size)
         reasons = {f"ValueError: injected at {size} complete cases": 1}
@@ -226,9 +225,7 @@ class TestRunScenario:
         assert t1.failure_reasons == reasons
         assert json.loads(t1.to_json_text())["failure_reasons"] == reasons
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
-        # The first replication runs alone, the others (the failing one
-        # among them) in the pool.
+        # Every replication, the failing one among them, runs in the pool.
         t2 = run_scenario(cfg, workers=2, sf=sf)
         assert t2.failure_reasons == reasons
         assert t1.to_json_text() == t2.to_json_text()
@@ -324,7 +321,6 @@ class TestRunScenario:
             tens = range(j - j % 10, j - j % 10 + 10)
             assert block(tens)[j % 10] == in_64[j]
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "_START_FACTOR", 0.0)
         assert parallel.ordered_map(block, range(64), workers=2) == in_64
         assert multiprocessing.active_children() == []
         table = run_scenario(cfg)
