@@ -264,6 +264,9 @@ def _build_estimate_settings(config: dict) -> dict:
             )
         labels.add(model["label"])
     covariates = settings["covariates"]
+    if settings["response"] in covariates:
+        raise InputError(f"{what}: field 'covariates' lists the response "
+                         f"{settings['response']!r}")
     for name in settings["z"]:
         if name not in covariates:
             raise InputError(
@@ -397,20 +400,25 @@ def _report_entries(estimates: dict, fits: dict) -> list[dict]:
     ]
 
 
-def _jackknife_thetas(datasets: list, settings: dict, a_n: float) -> list:
+def _jackknife_thetas(datasets: list, settings: dict, a_n: float,
+                      full_fits: dict) -> list:
     """theta_m of every jackknifed entry on each leave-one-out set, or the
     exception that set raised; a model's fits to the sets are one stack
-    (``fit_mm_stack``).  Module level, so that workers can unpickle it."""
+    (``fit_mm_stack``), but for the sets with the full data's complete-case
+    count: they left out an incomplete row, so they take the full data's
+    fit (``full_fits``, by label).  Module level, for the workers."""
     models = settings["models"] if "conv" in settings["estimators"] else []
-    stacks = {
-        m["label"]: fit_mm_stack(MODELS[m["id"]], datasets,
-                                 [settings["seed"]] * len(datasets),
-                                 _WEIGHT_IDS[m["weights"]])
-        for m in models
-    }
+    stacks = {}
+    for m in models:
+        own = [k for k, d in enumerate(datasets)
+               if d.delta.sum() != full_fits[m["label"]].complete_case_count]
+        stacks[m["label"]] = dict(zip(own, fit_mm_stack(
+            MODELS[m["id"]], [datasets[k] for k in own],
+            [settings["seed"]] * len(own), _WEIGHT_IDS[m["weights"]])))
     thetas = []
     for k, data in enumerate(datasets):
-        fits = {label: stack[k] for label, stack in stacks.items()}
+        fits = {label: stack.get(k, full_fits[label])
+                for label, stack in stacks.items()}
         try:
             for fit in fits.values():
                 if isinstance(fit, ValueError):
@@ -423,7 +431,7 @@ def _jackknife_thetas(datasets: list, settings: dict, a_n: float) -> list:
 
 
 def _attach_jackknife(entries: list[dict], data: ObservedDataset,
-                      settings: dict, a_n: float) -> None:
+                      settings: dict, a_n: float, fits: dict) -> None:
     """Jackknife SE and CI for each estimator under the designated propensity.
 
     The convolution estimator is jackknifed under its first configured
@@ -431,7 +439,8 @@ def _attach_jackknife(entries: list[dict], data: ObservedDataset,
     dataset is estimated once for all of them, with the full data's
     ``a_n``, so one propensity fit and one model fit serve every jackknifed
     entry.  The sets run in chunks whose model fits are one stack, across
-    the available CPUs.
+    the available CPUs; a set that leaves out an incomplete row takes the
+    full data's model fit from ``fits``.
     """
     if not settings["jackknife"]:
         return
@@ -440,7 +449,8 @@ def _attach_jackknife(entries: list[dict], data: ObservedDataset,
         propensities=[settings["jackknife_propensity"]],
         models=settings["models"][:1],
     )
-    estimator = functools.partial(_jackknife_thetas, settings=rerun, a_n=a_n)
+    estimator = functools.partial(_jackknife_thetas, settings=rerun, a_n=a_n,
+                                  full_fits=fits)
     ve = jackknife_se(estimator, data, workers=parallel.available_cpus())
     rows = {(e["estimator"], e["model"], e["propensity"]): e for e in entries}
     for key, se in zip(_entry_keys(rerun), ve.se):
@@ -479,9 +489,7 @@ def _report_csv(entries: list[dict]) -> str:
 def cmd_estimate(args) -> int:
     config = _load_json(args.config, "estimate config")
     settings = _build_estimate_settings(config)
-    columns = [settings["response"]] + [
-        c for c in settings["covariates"] if c != settings["response"]
-    ]
+    columns = [settings["response"], *settings["covariates"]]
     table = _read_csv_columns(args.data, columns)
     data = _build_dataset(table, settings)
     _make_out_dir(args.out)
@@ -494,7 +502,7 @@ def cmd_estimate(args) -> int:
     try:
         fits = _fit_models(data, settings)
         entries = _report_entries(_estimates(data, settings, fits, a_n), fits)
-        _attach_jackknife(entries, data, settings, a_n)
+        _attach_jackknife(entries, data, settings, a_n, fits)
     except Exception as exc:
         raise RuntimeError(f"estimation failed: {exc}") from exc
 

@@ -221,13 +221,15 @@ def predict(fit: RegressionFit, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _median(a, axis=-1):
+def _median(a, axis=-1, overwrite=False):
     """np.median of finite values, by partition (np.median imports
-    numpy.ma): the middle value, or the two middle ones' (lo + hi) / 2."""
+    numpy.ma): the middle value, or the two middle ones' (lo + hi) / 2;
+    with ``overwrite``, ``a`` is partitioned in place."""
     k = a.shape[axis] // 2
+    part = a if overwrite else a.copy(order="K")  # as np.partition copies
+    part.partition(k if a.shape[axis] % 2 else (k - 1, k), axis=axis)
     if a.shape[axis] % 2:
-        return np.partition(a, k, axis=axis).take(k, axis=axis)
-    part = np.partition(a, (k - 1, k), axis=axis)
+        return part.take(k, axis=axis)
     return (part.take(k - 1, axis=axis) + part.take(k, axis=axis)) / 2.0
 
 
@@ -288,12 +290,17 @@ def _screened_scales(resids):
     sets' survivors are kept and solved in one call.  The others score inf,
     which keeps the argmin and its first-index tie rule; so do non-finite
     rows, while rows with median |r| = 0 score 0 and end the set's search.
-    Returns each set's scores and number of rows solved."""
+    Returns each set's scores and number of rows solved.  The median and
+    the rho0 pass (rho0's operations, in order) reuse two buffers."""
     scores, solved, rows, blocks = [], [], [], []
+    spare = np.empty(0)
     for resid in resids:
+        if spare.size < 2 * resid.size:
+            spare = np.empty(2 * resid.size)
+        work, poly = spare[:2 * resid.size].reshape(2, *resid.shape)
         finite = np.all(np.isfinite(resid), axis=1)
         with np.errstate(invalid="ignore"):
-            med = _median(np.abs(resid), axis=1)
+            med = _median(np.abs(resid, out=work), axis=1, overwrite=True)
         med[~finite] = np.inf
         score = np.where(med <= 0.0, 0.0, np.inf)
         pivot = int(np.argmin(med))
@@ -302,7 +309,15 @@ def _screened_scales(resids):
             one = slice(pivot, pivot + 1)
             score[pivot] = residual_scales(resid[one], med[one])[0]
             with np.errstate(all="ignore"):
-                m_avg = np.mean(_RHO0.rho(resid / score[pivot]), axis=1)
+                t2 = np.divide(resid, score[pivot], out=work)
+                t2 /= _RHO0.c
+                np.square(t2, out=t2)
+                np.subtract(t2, 3.0, out=poly)
+                poly *= t2
+                poly += 3.0
+                poly *= t2
+                np.copyto(poly, 1.0, where=~(t2 < 1.0))
+                m_avg = np.mean(poly, axis=1)
             survive = finite & (
                 m_avg <= SCALE_B_TARGET * (1.0 + _SCREEN_SLACK))
             survive[pivot] = False
@@ -331,24 +346,13 @@ def _subsets(m, q, rng):
                      for _ in range(_N_SUBSETS)])
 
 
-def _elemental_candidates(model, yc, xc, rng):
-    """Coefficients fitted to each of ``_N_SUBSETS`` random subsets of
-    dim_beta + 1 complete cases.
-
-    The rate is profiled over ``_RATE_GRID`` scaled to the observed x1
-    span (a one-point grid for a model without a rate); at each grid point
-    the linear coefficients solve the subset's ridged normal equations,
-    and each subset keeps the grid point with the least squared error.
-    """
-    # A subset's rows along axis 0, subsets along axis 1.
-    rows = _subsets(yc.size, model.dim_beta + 1, rng).T
-    ys = yc[rows][:, :, None]
-    x1 = xc[rows, 0][:, :, None]
-    x2 = xc[rows, 1][:, :, None]
-    grid = np.zeros(1)
-    if "rate" in model.terms:
-        span = float(np.ptp(xc[:, 0]))
-        grid = _RATE_GRID / (span if span > 0.0 else 1.0)
+def _candidates(model, ys, x1, x2, grid):
+    """Coefficients fitted to C elemental subsets with rows ``ys``, ``x1``,
+    ``x2`` ((q, C, 1) each): at each point of the rate ``grid``, (G,) or
+    (C, G), the linear coefficients solve the subset's ridged normal
+    equations, and a subset keeps the point of least squared error.  Each
+    subset's arithmetic is its own, so its coefficients are bit for bit
+    the same beside any others."""
 
     def dot(a, b):
         return np.einsum("qcg,qcg->cg", a, b)
@@ -367,19 +371,85 @@ def _elemental_candidates(model, yc, xc, rng):
         np.subtract(ys, resid, out=resid)
         sse = dot(resid, resid)
     gi = np.argmin(np.where(np.isfinite(sse), sse, np.inf), axis=1)
-    subsets = np.arange(_N_SUBSETS)
+    subsets = np.arange(ys.shape[1])
+    rates = np.broadcast_to(grid, (subsets.size, grid.shape[-1]))
     linear = iter(coef)
     return np.column_stack([
-        grid[gi] if t == "rate" else next(linear)[subsets, gi]
+        rates[subsets, gi] if t == "rate" else next(linear)[subsets, gi]
         for t in model.terms
     ])
 
 
+def _grid(model, xc):
+    """``_RATE_GRID`` scaled to the x1 span of ``xc`` (1.0 where x1 is
+    constant), or a one-point grid for a model without a rate."""
+    if "rate" not in model.terms:
+        return np.zeros(1)
+    return _RATE_GRID / (float(np.ptp(xc[:, 0])) or 1.0)
+
+
+def _elemental_candidates(model, yc, xc, rng):
+    """Coefficients fitted to each of ``_N_SUBSETS`` random subsets of
+    dim_beta + 1 complete cases (``_candidates``)."""
+    rows = _subsets(yc.size, model.dim_beta + 1, rng).T
+    return _candidates(model, yc[rows][:, :, None], xc[rows, 0][:, :, None],
+                       xc[rows, 1][:, :, None], _grid(model, xc))
+
+
+def _subset_hash(bits):
+    """A 64-bit hash of each row of a uint64 matrix (multiply-xorshift)."""
+    h = np.zeros(len(bits), dtype=np.uint64)
+    for col in bits.T:
+        h = (h ^ col) * np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(29)
+    return h
+
+
+def _shared_candidates(model, cases, rows):
+    """``_elemental_candidates`` of cases that drew the row indices ``rows``
+    (subsets, q), fitting each distinct subset (the bits of its rows'
+    y, x1, x2 and its rate grid) once.  A subset's bits are checked against
+    its hash group's first, so a collision is fitted apart.  The arrays are
+    laid out as ``_elemental_candidates`` lays them, as einsum sums in
+    layout order."""
+    q = rows.shape[1]
+    keys = np.concatenate([np.column_stack(
+        [yc[rows], xc[rows, 0], xc[rows, 1],
+         np.tile(_grid(model, xc), (len(rows), 1))]) for yc, xc in cases])
+    bits = keys.view(np.uint64)
+    _, first, group = np.unique(_subset_hash(bits), return_index=True,
+                                return_inverse=True)
+    rep = first[group.ravel()]
+    clash = np.flatnonzero((bits != bits[rep]).any(axis=1))
+    rep[clash] = clash
+    distinct, where = np.unique(rep, return_inverse=True)
+    ys, x1, x2, grid = (np.ascontiguousarray(keys[distinct, j:k])
+                        for j, k in ((0, q), (q, 2 * q), (2 * q, 3 * q),
+                                     (3 * q, None)))
+    betas = _candidates(model, ys.T[:, :, None], x1.T[:, :, None],
+                        x2.T[:, :, None], grid)
+    return np.split(betas[where.ravel()], len(cases))
+
+
 def _s_search(model, cases, seeds):
     """Each (responses, covariates) case's best elemental candidate: its
-    coefficients, S-scale and candidate scales solved, or None."""
-    betas = [_elemental_candidates(model, yc, xc, np.random.default_rng(seed))
-             for (yc, xc), seed in zip(cases, seeds)]
+    coefficients, S-scale and candidate scales solved, or None.
+
+    Cases with one seed and complete-case count draw the same row indices,
+    once, and fit each distinct subset once (``_shared_candidates``;
+    leave-one-out sets share most); a case alone builds its own.  The
+    candidates are the same bit for bit either way."""
+    groups = {}
+    for k, ((yc, _), seed) in enumerate(zip(cases, seeds)):
+        groups.setdefault((seed, yc.size), []).append(k)
+    betas = [None] * len(cases)
+    for (seed, m), ks in groups.items():
+        rng, group = np.random.default_rng(seed), [cases[k] for k in ks]
+        found = ([_elemental_candidates(model, *group[0], rng)] if len(ks) == 1
+                 else _shared_candidates(model, group, _subsets(
+                     m, model.dim_beta + 1, rng)))
+        for k, b in zip(ks, found):
+            betas[k] = b
     with np.errstate(over="ignore", invalid="ignore"):
         screens = _screened_scales(  # candidates along a leading axis
             yc - model.mean(xc, b.T[:, :, None])
@@ -707,7 +777,9 @@ def fit_mm_stack(
     tolerance 1e-8 (``converged``).  ``covariate_weights`` maps a dataset's
     complete-case covariates to weights in [0, 1] on the M-step objective.
     Datasets with the same seed, complete cases and covariate weights are
-    fitted once and share that fit object.
+    fitted once and share that fit object; with the same seed and number of
+    complete cases, they draw one set of subsets and fit each distinct one
+    once.
     """
     out: list = [None] * len(datasets)
     cases, first, same = [], {}, list(range(len(datasets)))

@@ -258,7 +258,7 @@ class TestEstimateJackknife:
         entries, fits, a_n = estimate_entries(data, settings)
         expected = [dict(e) for e in entries]
         reference_attach_jackknife(expected, data, settings, a_n)
-        cli._attach_jackknife(entries, data, settings, a_n)
+        cli._attach_jackknife(entries, data, settings, a_n, fits)
         assert sum(e["se"] is not None for e in entries) == 3
         for got, want in zip(entries, expected):
             for field in ("se", "ci", "jackknife_n"):
@@ -282,7 +282,7 @@ class TestEstimateJackknife:
         monkeypatch.setattr(cli, "estimate_conv", fails_once)
         # Its count of calls lives in one process.
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
-        cli._attach_jackknife(entries, data, settings, a_n)
+        cli._attach_jackknife(entries, data, settings, a_n, fits)
         assert [e["jackknife_n"] for e in entries] == [data.n - 1] * 3
         assert [e["jackknife_skipped"] for e in entries] == [
             {"ValueError: no convergence": 1}] * 3
@@ -309,7 +309,7 @@ def ozone_jackknife_runs():
             mp.setattr(cli, "fit_mm", counted)
             mp.setattr(parallel, "available_cpus", lambda: cpus)
             entries, fits, a_n = estimate_entries(data, settings)
-            cli._attach_jackknife(entries, data, settings, a_n)
+            cli._attach_jackknife(entries, data, settings, a_n, fits)
         runs[name] = (entries, len(calls))
     return runs
 
@@ -338,7 +338,8 @@ def jackknife_estimator(settings, data):
     rerun = dict(settings, propensities=[settings["jackknife_propensity"]],
                  models=settings["models"][:1])
     return functools.partial(cli._jackknife_thetas, settings=rerun,
-                             a_n=cli._a_n(settings, data))
+                             a_n=cli._a_n(settings, data),
+                             full_fits=cli._fit_models(data, settings))
 
 
 class TestJackknifeSetsAreTheirOwn:
@@ -358,6 +359,56 @@ class TestJackknifeSetsAreTheirOwn:
             assert thetas(sets[k:k + 19])[i % 19] == in_64[i]
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         assert parallel.ordered_map(thetas, sets, workers=2) == in_64
+        assert multiprocessing.active_children() == []
+
+    def test_set_without_an_incomplete_row_takes_the_full_fit(
+            self, monkeypatch):
+        """A set that leaves out an incomplete row is given the full data's
+        fit object, and only the sets that leave out a complete row are
+        fitted."""
+        settings, data = settings_and_data(dict(OZONE_CONFIG), AIRQ)
+        thetas = jackknife_estimator(settings, data)
+        full = thetas.keywords["full_fits"][settings["models"][0]["label"]]
+        incomplete = np.flatnonzero(data.delta == 0)[:2]
+        complete = np.flatnonzero(data.delta == 1)[:3]
+        rows = [incomplete[0], complete[0], incomplete[1], *complete[1:]]
+        sets = [inference._drop_row(data, i) for i in rows]
+        fitted, used = [], []
+        real_stack, real_conv = cli.fit_mm_stack, cli.estimate_conv
+
+        def stack(model, datasets, *args):
+            fitted.append(len(datasets))
+            return real_stack(model, datasets, *args)
+
+        def conv(d, pf, fit, *args):
+            used.append(fit)
+            return real_conv(d, pf, fit, *args)
+
+        monkeypatch.setattr(cli, "fit_mm_stack", stack)
+        monkeypatch.setattr(cli, "estimate_conv", conv)
+        out = thetas(sets)
+        assert fitted == [3]
+        assert used[0] is full and used[2] is full
+        assert all(fit is not full for k, fit in enumerate(used)
+                   if k not in (0, 2))
+        monkeypatch.setattr(cli, "fit_mm_stack", real_stack)
+        assert out == [thetas([d])[0] for d in sets]
+
+    def test_report_is_byte_identical_in_a_pool(self, tmp_path,
+                                                monkeypatch):
+        """The packaged ozone report, jackknife on, is the same bytes run
+        in the calling process and in a pool of two workers."""
+        outs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+            outs.append(tmp_path / f"cpus{cpus}")
+            code = main(["estimate", "--data", AIRQ, "--config",
+                         str(DATA_DIR / "ozone_config.json"),
+                         "--out", str(outs[-1])])
+            assert code == 0
+        for name in ("report.json", "table.csv"):
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes())
         assert multiprocessing.active_children() == []
 
     def test_failed_fit_fails_only_its_set(self, tmp_path):
@@ -384,7 +435,7 @@ class TestJackknifeSetsAreTheirOwn:
             "ValueError: insufficient complete cases"] * 15
         entries, fits, a_n = estimate_entries(data, settings)
         with pytest.warns(UserWarning, match="skipped 15 of 20"):
-            cli._attach_jackknife(entries, data, settings, a_n)
+            cli._attach_jackknife(entries, data, settings, a_n, fits)
         assert [e["jackknife_n"] for e in entries] == [5] * 3
         assert [e["jackknife_skipped"] for e in entries] == [
             {"ValueError: insufficient complete cases": 15}] * 3
@@ -713,6 +764,19 @@ class TestEstimateInputErrors:
             write_config(tmp_path, toy_config(covariates=covariates)),
             f"need exactly 2 'covariates', got {len(covariates)}", capsys,
         )
+
+    def test_response_among_covariates_names_the_field(self, tmp_path,
+                                                       capsys):
+        """A response listed among the covariates would be regressed on
+        itself; it is an input error before any estimation."""
+        config = {"response": "wind", "z": ["wind"],
+                  "covariates": ["wind", "solar"],
+                  "models": [{"id": "linear"}], "jackknife": False}
+        self.run_expecting_error(
+            tmp_path, AIRQ, write_config(tmp_path, config),
+            "field 'covariates' lists the response 'wind'", capsys,
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_config_missing_field(self, tmp_path, capsys):
         data = toy_csv(tmp_path)

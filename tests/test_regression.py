@@ -1199,6 +1199,111 @@ def test_repeated_datasets_are_fitted_once(monkeypatch):
         assert same_fit(fit, fit_mm(model, a, seed=seed))
 
 
+def ozone_leave_one_out(model):
+    """The packaged ozone data's leave-one-out sets, and each one's fit
+    alone at seed 0."""
+    data = ozone_data()
+    sets = []
+    for i in range(data.n):
+        keep = np.arange(data.n) != i
+        sets.append(ObservedDataset(y=data.y[keep], x=data.x[keep],
+                                    z_index=data.z_index,
+                                    delta=data.delta[keep]))
+    return sets, [fit_mm(model, d, hard_rejection_weights) for d in sets]
+
+
+@pytest.mark.parametrize("model_id", sorted(MODELS))
+def test_leave_one_out_stacks_share_their_subsets(model_id, monkeypatch):
+    """Ozone leave-one-out sets in stacks of 19 and 64, which draw their
+    subsets once per complete-case count and fit each distinct subset once,
+    get the fits they get alone, bit for bit."""
+    model = MODELS[model_id]
+    sets, alone = ozone_leave_one_out(model)
+    built = []
+    real = regression._candidates
+
+    def counted(model, ys, *args):
+        built.append(ys.shape[1])
+        return real(model, ys, *args)
+
+    monkeypatch.setattr(regression, "_candidates", counted)
+    for size in (19, 64):
+        for k in range(0, len(sets), size):
+            fits = regression.fit_mm_stack(
+                model, sets[k:k + size], [0] * len(sets[k:k + size]),
+                hard_rejection_weights)
+            for j, fit in enumerate(fits):
+                assert same_fit(fit, alone[k + j]), (size, k + j)
+    # The sets that leave out a complete row share most of their subsets.
+    assert sum(built) < 0.5 * len(sets) * regression._N_SUBSETS
+
+
+def distinct_subsets(model, cases, seed=0):
+    """The number of distinct elemental subsets, by their rows' values and
+    x1 span, that a stack of distinct (responses, covariates) cases draws:
+    500 for a case alone with its seed and complete-case count, and the
+    distinct ones over each group of several."""
+    groups = {}
+    for yc, xc in cases:
+        groups.setdefault(yc.size, []).append((yc, xc))
+    total = 0
+    for m, group in groups.items():
+        rows = regression._subsets(m, model.dim_beta + 1,
+                                   np.random.default_rng(seed))
+        if len(group) == 1:
+            total += len(rows)
+            continue
+        total += len({
+            (yc[r].tobytes(), xc[r].tobytes(),
+             float(np.ptp(xc[:, 0])) if "rate" in model.terms else None)
+            for yc, xc in group for r in rows})
+    return total
+
+
+def test_each_distinct_subset_is_fitted_once(monkeypatch):
+    """The candidate builder gets one column per distinct subset of a stack
+    of ozone leave-one-out sets."""
+    data = ozone_data()
+    built = []
+    real = regression._candidates
+
+    def counted(model, ys, *args):
+        built.append(ys.shape[1])
+        return real(model, ys, *args)
+
+    monkeypatch.setattr(regression, "_candidates", counted)
+    for model in MODELS.values():
+        for rows in (range(19), range(38, 57), range(134, 153)):
+            sets = [ObservedDataset(
+                y=np.delete(data.y, i), x=np.delete(data.x, i, axis=0),
+                z_index=data.z_index, delta=np.delete(data.delta, i))
+                for i in rows]
+            cases = {}
+            for d in sets:
+                obs = d.delta == 1
+                cases[d.y[obs].tobytes() + d.x[obs].tobytes()] = (
+                    d.y[obs], d.x[obs])
+            built.clear()
+            regression.fit_mm_stack(model, sets, [0] * len(sets))
+            assert sum(built) == distinct_subsets(model, cases.values())
+            assert sum(built) < len(cases) * regression._N_SUBSETS
+
+
+def test_hash_collisions_are_not_merged(monkeypatch):
+    """With a hash that maps every subset to one key, every subset whose
+    bits differ from the first is fitted on its own, and each fit is the
+    one its set gets alone."""
+    model = MODELS["exp_linear"]
+    sets, alone = ozone_leave_one_out(model)
+    monkeypatch.setattr(regression, "_subset_hash",
+                        lambda bits: np.zeros(len(bits), dtype=np.uint64))
+    for k in range(0, 38, 19):
+        fits = regression.fit_mm_stack(model, sets[k:k + 19], [0] * 19,
+                                       hard_rejection_weights)
+        for j, fit in enumerate(fits):
+            assert same_fit(fit, alone[k + j]), k + j
+
+
 def test_median_is_numpy_median_bit_for_bit():
     rng = np.random.default_rng(3)
     for m in (1, 2, 7, 8, 57, 100):

@@ -24,6 +24,11 @@ each after one untimed call:
   chunks whose model fits are one stack), run across the available CPUs as
   ``robmarg estimate`` runs it, timed once per sample, with the SEs and
   their hash;
+* the jackknife fits (``jackknife_fits``): ``fit_mm_stack`` of the ozone
+  config's first model over the 152 leave-one-out sets that the jackknife
+  gives its chunks (sets 1 to 152), in chunks of ``JACKKNIFE_CHUNKS`` rows,
+  in one process, with the split into the S-search, the polish and the
+  M-step and a hash of the fits;
 * the Monte Carlo block layer (``mc_block``): ``run_scenario`` of the
   benchmark's ``mc_n100`` scenario (n = 100, kernel propensity, the true
   nonlinear model, every estimator and functional) at ``MC_REPS``
@@ -53,6 +58,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -64,7 +70,7 @@ import warnings
 
 import numpy as np
 
-from robmarg import cli, parallel, regression
+from robmarg import cli, inference, parallel, regression
 from robmarg.inference import plugin_var_ipw
 from robmarg.marginal import (estimate_aipw, estimate_conv, estimate_ipw,
                               functional_summary)
@@ -98,6 +104,7 @@ SUMMARY_LAYERS = {f"{est}_summary_{method}": (est, method)
                   for est in ("conv", "ipw", "aipw") for method in ("mad", "s")}
 SF = location_bisquare()
 MC_REPS = (10, 64)
+JACKKNIFE_CHUNKS = (19, 64)
 FAULT_FITS = 60
 PACKAGE_DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 
@@ -226,7 +233,9 @@ def bench_summaries() -> tuple[list[dict], str]:
     return rows, digest.hexdigest()[:16]
 
 
-def bench_jackknife() -> dict:
+def _ozone():
+    """The packaged ozone config's settings and data, as the CLI reads
+    them."""
     with open(os.path.join(PACKAGE_DATA, "ozone_config.json"),
               encoding="utf-8") as handle:
         settings = cli._build_estimate_settings(json.load(handle))
@@ -235,15 +244,22 @@ def bench_jackknife() -> dict:
     ]
     table = cli._read_csv_columns(
         os.path.join(PACKAGE_DATA, "airquality.csv"), columns)
-    data = cli._build_dataset(table, settings)
+    return settings, cli._build_dataset(table, settings)
+
+
+def bench_jackknife() -> dict:
+    settings, data = _ozone()
     a_n = cli._a_n(settings, data)
     fits = cli._fit_models(data, settings)
     entries = cli._report_entries(
         cli._estimates(data, settings, fits, a_n), fits)
+    # The full data's fits, for a CLI whose jackknife takes them.
+    extra = ((fits,) if "fits" in inspect.signature(
+        cli._attach_jackknife).parameters else ())
 
     def call():
         fresh = [dict(e) for e in entries]
-        cli._attach_jackknife(fresh, data, settings, a_n)
+        cli._attach_jackknife(fresh, data, settings, a_n, *extra)
         return [e["se"] for e in fresh if e["se"] is not None]
 
     ms, _, ses = _least_ms(call)
@@ -251,6 +267,36 @@ def bench_jackknife() -> dict:
           file=sys.stderr)
     return {"n": data.n, "entries": len(ses), "ms": ms, "ses": ses,
             "output_hash": _hash(ses)}
+
+
+def bench_jackknife_fits(clock: dict) -> list[dict]:
+    settings, data = _ozone()
+    first = settings["models"][0]
+    model = regression.MODELS[first["id"]]
+    weights = cli._WEIGHT_IDS[first["weights"]]
+    sets = [inference._drop_row(data, i) for i in range(1, data.n)]
+    rows = []
+    for size in JACKKNIFE_CHUNKS:
+        def call():
+            fits = []
+            for k in range(0, len(sets), size):
+                part = sets[k:k + size]
+                fits += regression.fit_mm_stack(
+                    model, part, [settings["seed"]] * len(part), weights)
+            return fits
+
+        ms, split, fits = _least_ms(call, clock)
+        values = [v for fit in fits
+                  for v in [*fit.beta, fit.residual_scale]]
+        rows.append({
+            "sets": len(sets), "chunk": size, "ms": ms,
+            **{f"{stage}_ms": round(split[stage], 4) for stage in STAGES},
+            "output_hash": _hash(values),
+        })
+        print(f"chunk={size:3d} {'jackknife_fits':35s} {ms:9.2f} ms  "
+              + "  ".join(f"{s} {rows[-1][s + '_ms']:8.2f}" for s in STAGES),
+              file=sys.stderr)
+    return rows
 
 
 def bench_faults() -> dict:
@@ -335,6 +381,7 @@ def bench() -> dict:
         "summary_output_hash": summary_hash,
         "summary_layers": summary_rows,
         "jackknife_layer": bench_jackknife(),
+        "jackknife_fits": bench_jackknife_fits(clock),
         "fit_faults_n100": faults,
         "mc_block": bench_mc(clock),
     }
