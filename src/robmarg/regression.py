@@ -419,7 +419,7 @@ def _shared_candidates(model, cases, rows):
     bits = keys.view(np.uint64)
     _, first, group = np.unique(_subset_hash(bits), return_index=True,
                                 return_inverse=True)
-    rep = first[group.ravel()]
+    rep = first[group]
     clash = np.flatnonzero((bits != bits[rep]).any(axis=1))
     rep[clash] = clash
     distinct, where = np.unique(rep, return_inverse=True)
@@ -428,7 +428,7 @@ def _shared_candidates(model, cases, rows):
                                      (3 * q, None)))
     betas = _candidates(model, ys.T[:, :, None], x1.T[:, :, None],
                         x2.T[:, :, None], grid)
-    return np.split(betas[where.ravel()], len(cases))
+    return np.split(betas[where], len(cases))
 
 
 def _s_search(model, cases, seeds):
