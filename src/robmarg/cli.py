@@ -51,8 +51,9 @@ _CLI_PROPENSITIES = ("logistic", "kernel", "constant")
 
 
 def _is_number(value, kind=(int, float)) -> bool:
-    """A JSON number of ``kind``; ``true`` and ``false`` are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A finite JSON number of ``kind``: not a bool, NaN or Infinity."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) < math.inf)
 
 
 def _names(known=None):
@@ -282,6 +283,13 @@ def _build_estimate_settings(config: dict) -> dict:
         raise InputError(
             f"{what}: the conv estimator needs at least one entry in 'models'"
         )
+    # A field that no requested estimate reads is an error, not ignored.
+    for name, reader, where in (
+            ("models", "conv", "estimators"), ("a_n", "aipw", "estimators"),
+            ("kernel_bandwidth", "kernel", "propensities")):
+        if settings[name] and reader not in settings[where]:
+            raise InputError(f"{what}: field {name!r} is read only by "
+                             f"{reader}, which is not in {where!r}")
     settings["estimators"] = [e for e in ESTIMATORS if e in estimators]
     propensities = settings["propensities"]
     jk_prop = settings["jackknife_propensity"]
@@ -327,17 +335,16 @@ def _a_n(settings: dict, data: ObservedDataset) -> float:
 
 
 def _fit_models(data: ObservedDataset, settings: dict) -> dict:
-    """label -> fit of each configured model, when conv needs them.
+    """label -> fit of each configured model (only conv reads them).
 
     Each fit is deterministic, so one per dataset serves every estimator
     and propensity.
     """
-    models = settings["models"] if "conv" in settings["estimators"] else []
     return {
         m["label"]: fit_mm(MODELS[m["id"]], data,
                            covariate_weights=_WEIGHT_IDS[m["weights"]],
                            seed=settings["seed"])
-        for m in models
+        for m in settings["models"]
     }
 
 
@@ -407,9 +414,8 @@ def _jackknife_thetas(datasets: list, settings: dict, a_n: float,
     (``fit_mm_stack``), but for the sets with the full data's complete-case
     count: they left out an incomplete row, so they take the full data's
     fit (``full_fits``, by label).  Module level, for the workers."""
-    models = settings["models"] if "conv" in settings["estimators"] else []
     stacks = {}
-    for m in models:
+    for m in settings["models"]:
         own = [k for k, d in enumerate(datasets)
                if d.delta.sum() != full_fits[m["label"]].complete_case_count]
         stacks[m["label"]] = dict(zip(own, fit_mm_stack(

@@ -346,17 +346,19 @@ def _subsets(m, q, rng):
                      for _ in range(_N_SUBSETS)])
 
 
-def _candidates(model, ys, x1, x2, grid):
+def _candidates(model, ys, x1, x2, span):
     """Coefficients fitted to C elemental subsets with rows ``ys``, ``x1``,
-    ``x2`` ((q, C, 1) each): at each point of the rate ``grid``, (G,) or
-    (C, G), the linear coefficients solve the subset's ridged normal
-    equations, and a subset keeps the point of least squared error.  Each
-    subset's arithmetic is its own, so its coefficients are bit for bit
-    the same beside any others."""
+    ``x2`` ((q, C, 1) each): at each point of the rate grid,
+    ``_RATE_GRID / span`` for an x1 ``span`` that is a scalar or (C, 1),
+    the linear coefficients solve the subset's ridged normal equations, and
+    a subset keeps the point of least squared error.  Each subset's
+    arithmetic is its own, so its coefficients are bit for bit the same
+    beside any others."""
 
     def dot(a, b):
         return np.einsum("qcg,qcg->cg", a, b)
 
+    grid = _RATE_GRID / span if "rate" in model.terms else np.zeros(1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e = grid * x1  # (row, subset, grid point)
         np.exp(e, out=e)
@@ -380,12 +382,11 @@ def _candidates(model, ys, x1, x2, grid):
     ])
 
 
-def _grid(model, xc):
-    """``_RATE_GRID`` scaled to the x1 span of ``xc`` (1.0 where x1 is
-    constant), or a one-point grid for a model without a rate."""
+def _span(model, xc):
+    """The rate grid's x1 span in ``xc``: 1.0 if constant or rate-free."""
     if "rate" not in model.terms:
-        return np.zeros(1)
-    return _RATE_GRID / (float(np.ptp(xc[:, 0])) or 1.0)
+        return 1.0
+    return float(np.ptp(xc[:, 0])) or 1.0
 
 
 def _elemental_candidates(model, yc, xc, rng):
@@ -393,7 +394,7 @@ def _elemental_candidates(model, yc, xc, rng):
     dim_beta + 1 complete cases (``_candidates``)."""
     rows = _subsets(yc.size, model.dim_beta + 1, rng).T
     return _candidates(model, yc[rows][:, :, None], xc[rows, 0][:, :, None],
-                       xc[rows, 1][:, :, None], _grid(model, xc))
+                       xc[rows, 1][:, :, None], _span(model, xc))
 
 
 def _subset_hash(bits):
@@ -407,15 +408,15 @@ def _subset_hash(bits):
 
 def _shared_candidates(model, cases, rows):
     """``_elemental_candidates`` of cases that drew the row indices ``rows``
-    (subsets, q), fitting each distinct subset (the bits of its rows'
-    y, x1, x2 and its rate grid) once.  A subset's bits are checked against
-    its hash group's first, so a collision is fitted apart.  The arrays are
-    laid out as ``_elemental_candidates`` lays them, as einsum sums in
-    layout order."""
+    (subsets, q), fitting each distinct subset once.  A subset is keyed by
+    the bits of its rows' y, x1 and x2 and of its case's x1 span
+    (``_span``), and checked against its hash group's first, so a
+    collision is fitted apart.  The arrays are laid out as
+    ``_elemental_candidates`` lays them, as einsum sums in layout order."""
     q = rows.shape[1]
     keys = np.concatenate([np.column_stack(
         [yc[rows], xc[rows, 0], xc[rows, 1],
-         np.tile(_grid(model, xc), (len(rows), 1))]) for yc, xc in cases])
+         np.full(len(rows), _span(model, xc))]) for yc, xc in cases])
     bits = keys.view(np.uint64)
     _, first, group = np.unique(_subset_hash(bits), return_index=True,
                                 return_inverse=True)
@@ -423,11 +424,10 @@ def _shared_candidates(model, cases, rows):
     clash = np.flatnonzero((bits != bits[rep]).any(axis=1))
     rep[clash] = clash
     distinct, where = np.unique(rep, return_inverse=True)
-    ys, x1, x2, grid = (np.ascontiguousarray(keys[distinct, j:k])
-                        for j, k in ((0, q), (q, 2 * q), (2 * q, 3 * q),
-                                     (3 * q, None)))
+    ys, x1, x2, span = (np.ascontiguousarray(a) for a in np.split(
+        keys[distinct], (q, 2 * q, 3 * q), axis=1))
     betas = _candidates(model, ys.T[:, :, None], x1.T[:, :, None],
-                        x2.T[:, :, None], grid)
+                        x2.T[:, :, None], span)
     return np.split(betas[where], len(cases))
 
 
@@ -437,8 +437,8 @@ def _s_search(model, cases, seeds):
 
     Cases with one seed and complete-case count draw the same row indices,
     once, and fit each distinct subset once (``_shared_candidates``;
-    leave-one-out sets share most); a case alone builds its own.  The
-    candidates are the same bit for bit either way."""
+    leave-one-out sets share most); a case alone builds its own, which is
+    faster for one.  The candidates are the same bit for bit either way."""
     groups = {}
     for k, ((yc, _), seed) in enumerate(zip(cases, seeds)):
         groups.setdefault((seed, yc.size), []).append(k)
@@ -776,25 +776,17 @@ def fit_mm_stack(
     the bisquare (c = 4.685) objective at that scale by the same steps, to
     tolerance 1e-8 (``converged``).  ``covariate_weights`` maps a dataset's
     complete-case covariates to weights in [0, 1] on the M-step objective.
-    Datasets with the same seed, complete cases and covariate weights are
-    fitted once and share that fit object; with the same seed and number of
-    complete cases, they draw one set of subsets and fit each distinct one
-    once.
+    Datasets with the same seed and number of complete cases draw one set
+    of subsets and fit each distinct one once; every dataset gets its own
+    fit, even one that repeats another.
     """
     out: list = [None] * len(datasets)
-    cases, first, same = [], {}, list(range(len(datasets)))
+    cases = []
     for k, data in enumerate(datasets):
         try:
-            case = _complete_cases(model, data, covariate_weights)
+            cases.append((k, *_complete_cases(model, data, covariate_weights)))
         except ValueError as exc:
             out[k] = exc
-            continue
-        # A leave-one-out set that drops an incomplete row repeats the cases
-        # of every other such set.
-        key = (seeds[k], *(a.tobytes() for a in case))
-        same[k] = first.setdefault(key, k)
-        if same[k] == k:
-            cases.append((k, *case))
     found = _s_search(model, [c[1:3] for c in cases],
                       [seeds[c[0]] for c in cases])
     for c, best in zip(cases, found):
@@ -802,7 +794,7 @@ def fit_mm_stack(
             out[c[0]] = ValueError("no valid elemental candidate found")
     cases = [c + best for c, best in zip(cases, found) if best is not None]
     if not cases:
-        return [out[j] for j in same]
+        return out
     keys, yc, xc, w, beta, s, solved = zip(*cases)
     counts = np.array([y.size for y in yc])
     # The S-step weighs every case alike; the covariate weights act on the
@@ -828,7 +820,7 @@ def fit_mm_stack(
             s_step_beta=s_beta[j], candidates_solved=solved[j],
             polish_steps=int(steps[j]), polish_converged=bool(polished[j]),
             m_iterations=int(iterations))
-    return [out[j] for j in same]
+    return out
 
 
 def fit_mm(

@@ -217,6 +217,7 @@ class TestEstimateJackknife:
         config["jackknife_propensity"] = "constant"
         config["models"] = [{"id": "linear", "label": "linear"}]
         config["estimators"] = ["ipw", "conv"]
+        del config["a_n"]  # only aipw reads it
         out = tmp_path / "out"
         code = main(
             ["estimate", "--data", AIRQ, "--config",
@@ -734,10 +735,24 @@ class TestEstimateInputErrors:
           "model #1: field 'label' must be a string"),
          ({"estimators": ["ipw", "aipw", "ipw"]}, "field 'estimators'"),
          ({"z": ["x1", "x1"]}, "field 'z'"),
-         ({"covariates": ["x1", "x2", "x1"]}, "field 'covariates'")],
+         ({"covariates": ["x1", "x2", "x1"]}, "field 'covariates'"),
+         ({"a_n": float("nan")}, "'a_n' must be a positive number"),
+         ({"a_n": float("inf")}, "'a_n' must be a positive number"),
+         ({"kernel_bandwidth": float("inf"), "propensities": ["kernel"]},
+          "'kernel_bandwidth' must be a positive number"),
+         ({"estimators": ["ipw", "aipw"]},
+          "field 'models' is read only by conv, which is not in "
+          "'estimators'"),
+         ({"estimators": ["ipw", "conv"], "a_n": 0.5},
+          "field 'a_n' is read only by aipw, which is not in 'estimators'"),
+         ({"kernel_bandwidth": 0.5},
+          "field 'kernel_bandwidth' is read only by kernel, which is not "
+          "in 'propensities'")],
         ids=["jacknife", "scale_methd", "wieghts", "repeated_propensity",
              "numeric_label", "repeated_estimator", "repeated_z",
-             "repeated_covariate"],
+             "repeated_covariate", "nan_a_n", "infinite_a_n",
+             "infinite_kernel_bandwidth", "models_without_conv",
+             "a_n_without_aipw", "kernel_bandwidth_without_kernel"],
     )
     def test_bad_config_names_field(self, tmp_path, capsys, overrides,
                                     fragment):
@@ -955,8 +970,13 @@ class TestSimulate:
          ({"targets": {"mean": "x"}},
           "'targets': field 'mean' must be a number"),
          ({"targets": {"mean": True}},
-          "'targets': field 'mean' must be a number")],
-        ids=["worker", "mena", "string_target", "boolean_target"],
+          "'targets': field 'mean' must be a number"),
+         ({"targets": {"mean": float("nan")}},
+          "'targets': field 'mean' must be a number"),
+         ({"targets": {"median": float("-inf")}},
+          "'targets': field 'median' must be a number")],
+        ids=["worker", "mena", "string_target", "boolean_target",
+             "nan_target", "infinite_target"],
     )
     def test_bad_config_names_field(self, tmp_path, capsys, extra, fragment):
         self.simulate_config(tmp_path)

@@ -24,11 +24,13 @@ each after one untimed call:
   chunks whose model fits are one stack), run across the available CPUs as
   ``robmarg estimate`` runs it, timed once per sample, with the SEs and
   their hash;
-* the jackknife fits (``jackknife_fits``): ``fit_mm_stack`` of the ozone
-  config's first model over the 152 leave-one-out sets that the jackknife
-  gives its chunks (sets 1 to 152), in chunks of ``JACKKNIFE_CHUNKS`` rows,
-  in one process, with the split into the S-search, the polish and the
-  M-step and a hash of the fits;
+* the jackknife fits (``jackknife_fits``): the ozone config's first
+  model's fits to the 152 leave-one-out sets that the jackknife gives its
+  chunks (sets 1 to 152), in chunks of ``JACKKNIFE_CHUNKS`` rows, in one
+  process, as the CLI's jackknife makes them: a chunk's sets that leave
+  out a complete row are one ``fit_mm_stack``, and the others take the
+  full data's fit, made once before the timing; with the split into the
+  S-search, the polish and the M-step and a hash of all 152 fits;
 * the Monte Carlo block layer (``mc_block``): ``run_scenario`` of the
   benchmark's ``mc_n100`` scenario (n = 100, kernel propensity, the true
   nonlinear model, every estimator and functional) at ``MC_REPS``
@@ -274,22 +276,27 @@ def bench_jackknife_fits(clock: dict) -> list[dict]:
     first = settings["models"][0]
     model = regression.MODELS[first["id"]]
     weights = cli._WEIGHT_IDS[first["weights"]]
+    full = regression.fit_mm(model, data, weights, settings["seed"])
     sets = [inference._drop_row(data, i) for i in range(1, data.n)]
+    own = [int(d.delta.sum()) != full.complete_case_count for d in sets]
     rows = []
     for size in JACKKNIFE_CHUNKS:
         def call():
             fits = []
             for k in range(0, len(sets), size):
-                part = sets[k:k + size]
-                fits += regression.fit_mm_stack(
-                    model, part, [settings["seed"]] * len(part), weights)
+                part = [d for d, o in zip(sets[k:k + size], own[k:k + size])
+                        if o]
+                stacked = iter(regression.fit_mm_stack(
+                    model, part, [settings["seed"]] * len(part), weights))
+                fits += [next(stacked) if o else full
+                         for o in own[k:k + size]]
             return fits
 
         ms, split, fits = _least_ms(call, clock)
         values = [v for fit in fits
                   for v in [*fit.beta, fit.residual_scale]]
         rows.append({
-            "sets": len(sets), "chunk": size, "ms": ms,
+            "sets": len(sets), "stacked": sum(own), "chunk": size, "ms": ms,
             **{f"{stage}_ms": round(split[stage], 4) for stage in STAGES},
             "output_hash": _hash(values),
         })
