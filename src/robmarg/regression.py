@@ -397,33 +397,20 @@ def _elemental_candidates(model, yc, xc, rng):
                        xc[rows, 1][:, :, None], _span(model, xc))
 
 
-def _subset_hash(bits):
-    """A 64-bit hash of each row of a uint64 matrix (multiply-xorshift)."""
-    h = np.zeros(len(bits), dtype=np.uint64)
-    for col in bits.T:
-        h = (h ^ col) * np.uint64(0x9E3779B97F4A7C15)
-        h ^= h >> np.uint64(29)
-    return h
-
-
 def _shared_candidates(model, cases, rows):
     """``_elemental_candidates`` of cases that drew the row indices ``rows``
-    (subsets, q), fitting each distinct subset once.  A subset is keyed by
-    the bits of its rows' y, x1 and x2 and of its case's x1 span
-    (``_span``), and checked against its hash group's first, so a
-    collision is fitted apart.  The arrays are laid out as
+    (subsets, q), fitting each distinct subset once.  A subset's key is its
+    rows' y, x1 and x2 and its case's x1 span (``_span``), compared as one
+    opaque value of their bytes, so subsets are grouped exactly: two that
+    differ in one bit are fitted apart.  The arrays are laid out as
     ``_elemental_candidates`` lays them, as einsum sums in layout order."""
     q = rows.shape[1]
     keys = np.concatenate([np.column_stack(
         [yc[rows], xc[rows, 0], xc[rows, 1],
          np.full(len(rows), _span(model, xc))]) for yc, xc in cases])
-    bits = keys.view(np.uint64)
-    _, first, group = np.unique(_subset_hash(bits), return_index=True,
-                                return_inverse=True)
-    rep = first[group]
-    clash = np.flatnonzero((bits != bits[rep]).any(axis=1))
-    rep[clash] = clash
-    distinct, where = np.unique(rep, return_inverse=True)
+    _, distinct, where = np.unique(
+        keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
     ys, x1, x2, span = (np.ascontiguousarray(a) for a in np.split(
         keys[distinct], (q, 2 * q, 3 * q), axis=1))
     betas = _candidates(model, ys.T[:, :, None], x1.T[:, :, None],
@@ -462,12 +449,14 @@ def _s_search(model, cases, seeds):
 
 @dataclass(frozen=True)
 class _Stack:
-    """Fits' complete cases laid end to end, ``counts`` rows each, summed by
-    ``np.add.reduceat`` in an order fixed by a fit's rows alone; ``w`` holds
-    each row's observation weight in the descent run on the stack."""
+    """Groups of rows of a stacked computation laid end to end, ``counts``
+    rows each, summed by ``np.add.reduceat`` in an order fixed by a group's
+    rows alone: fits' complete cases in a descent, or the residuals of a
+    scale solve, whose ``x`` is None.  ``w`` holds each row's observation
+    weight."""
 
     y: np.ndarray
-    x: np.ndarray
+    x: np.ndarray | None
     w: np.ndarray
     counts: np.ndarray
 
@@ -487,8 +476,8 @@ class _Stack:
         if keep.all():
             return self
         rows = np.repeat(keep, self.counts)
-        return _Stack(self.y[rows], self.x[rows], self.w[rows],
-                      self.counts[keep])
+        return _Stack(self.y[rows], None if self.x is None else self.x[rows],
+                      self.w[rows], self.counts[keep])
 
     def rows(self, beta):  # each row's fit's coefficients, (p, rows)
         return self.spread(beta).T
@@ -547,48 +536,39 @@ def residual_scales(resid, start, counts=None, weights=None):
     Solves avg rho0(r/s) = b (bisquare c0 = 1.54764, b = 0.5) for each row
     from ``start`` by safeguarded Newton steps in s,
     s <- s (1 + (avg rho0(u) - b) / avg psi0(u) u).  The average is the
-    row's mean, or its ``weights``-weighted mean (one weight per residual),
-    summed by ``np.add.reduceat`` in an order fixed by the row.  The
-    fixed-point step s <- s sqrt(avg rho0(u) / b) never overshoots the
-    root, so a Newton step is taken only when it lies inside the bracket
-    seen so far and goes at least as far as the fixed-point step.  Each row
-    stops on its own once its step is below 1e-10 relative, so a row's
-    value does not depend on the other rows, bit for bit.  A row scores 0.0
-    when its start is zero or its residuals all vanish, and inf when it
-    holds a non-finite value.
+    row's ``weights``-weighted mean (one weight per residual; unit weights
+    when none are given, which is the plain mean bit for bit), summed on a
+    ``_Stack`` of the rows.  The fixed-point step s <- s sqrt(avg rho0(u) / b)
+    never overshoots the root, so a Newton step is taken only when it lies
+    inside the bracket seen so far and goes at least as far as the
+    fixed-point step.  Each row stops, and leaves the stack, once its step
+    is below 1e-10 relative, so a row's value does not depend on the other
+    rows, bit for bit.  A row scores 0.0 when its start is zero or its
+    residuals all vanish, and inf when it holds a non-finite value.
     """
     if counts is None:
         resid = np.atleast_2d(resid)
         counts = np.full(resid.shape[0], resid.shape[1])
         resid = resid.ravel()
-
-    def avg(v):
-        if w is None:
-            return np.add.reduceat(v, starts) / counts
-        return np.add.reduceat(w * v, starts) / total
-
+    if weights is None:
+        weights = np.broadcast_to(1.0, resid.shape)
+    stack = _Stack(resid, None, weights, counts)
     start = np.asarray(start, dtype=float)
     out = np.full(counts.size, np.inf)
-    starts = np.cumsum(counts) - counts
-    finite = np.logical_and.reduceat(np.isfinite(resid), starts)
+    finite = np.logical_and.reduceat(np.isfinite(resid), stack.starts)
     out[finite & (start <= 0.0)] = 0.0
-    active = finite & (start > 0.0)
-    rows = None if active.all() else np.repeat(active, counts)
-    r = resid if rows is None else resid[rows]
-    w = weights if weights is None or rows is None else weights[rows]
-    active = np.flatnonzero(active)
-    counts, s = counts[active], start[active]
-    starts = np.cumsum(counts) - counts
-    total = None if w is None else np.add.reduceat(w, starts)
+    keep = finite & (start > 0.0)
+    active, s, stack = np.flatnonzero(keep), start[keep], stack.take(keep)
     lo = np.zeros_like(s)
     hi = np.full_like(s, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_SCALE_ITER):
             if active.size == 0:
                 break
-            u = r / (s if s.size == 1 else np.repeat(s, counts))
-            m_avg = avg(_RHO0.rho(u))
-            slope = avg(_RHO0.psi(u) * u)
+            u = stack.y / stack.spread(s)
+            total = stack.sum(stack.w)
+            m_avg = stack.sum(stack.w * _RHO0.rho(u)) / total
+            slope = stack.sum(stack.w * (_RHO0.psi(u) * u)) / total
             below = m_avg > SCALE_B_TARGET  # s lies below the root
             lo = np.where(below, s, lo)
             hi = np.where(below, hi, s)
@@ -604,13 +584,8 @@ def residual_scales(resid, start, counts=None, weights=None):
             if done.any():
                 out[active[done]] = s_new[done]
                 keep = ~done
-                rows = np.repeat(keep, counts)
-                active, r = active[keep], r[rows]
-                counts, s_new = counts[keep], s_new[keep]
-                starts = np.cumsum(counts) - counts
-                lo, hi = lo[keep], hi[keep]
-                if w is not None:
-                    w, total = w[rows], total[keep]
+                active, stack = active[keep], stack.take(keep)
+                s_new, lo, hi = s_new[keep], lo[keep], hi[keep]
             s = s_new
     out[active] = s
     out[~np.isfinite(out)] = np.inf

@@ -120,21 +120,19 @@ def m_location(
     ws: WeightedSample,
     rho: ScoreFamily,
     scale: float,
-    start: float | None = None,
 ) -> float:
     """Weighted M-location of ``ws`` at a fixed scale.
 
     Runs the IRWLS iteration theta <- sum(W y)/sum(W) with
-    W = w * psi(u)/u, u = (y - theta)/scale, started at ``start`` (the
-    weighted median when omitted, which for the redescending bisquare
-    selects the solution in the median's basin), to absolute tolerance
-    1e-10 * scale or 500 iterations.
+    W = w * psi(u)/u, u = (y - theta)/scale, started at the weighted median
+    (which for the redescending bisquare selects the solution in the
+    median's basin), to absolute tolerance 1e-10 * scale or 500 iterations.
     """
     if not scale > 0.0:
         raise ValueError("scale must be positive")
 
     y, w = _positive_part(ws)
-    th = float(weighted_quantile(ws, 0.5)) if start is None else float(start)
+    th = float(weighted_quantile(ws, 0.5))
     for _ in range(_LOC_MAX_ITER):
         wt = w * rho.weight((y - th) / scale)
         denom = float(wt.sum())

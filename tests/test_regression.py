@@ -1278,19 +1278,36 @@ def test_each_distinct_subset_is_fitted_once(monkeypatch):
             assert sum(built) < len(cases) * regression._N_SUBSETS
 
 
-def test_hash_collisions_are_not_merged(monkeypatch):
-    """With a hash that maps every subset to one key, every subset whose
-    bits differ from the first is fitted on its own, and each fit is the
-    one its set gets alone."""
+def test_near_duplicate_subsets_are_fitted_apart(monkeypatch):
+    """A stack of ozone leave-one-out sets and a copy of one whose first
+    complete-case response is one ulp higher: every subset holding that row
+    is fitted apart from its twin, the candidate builder gets one column per
+    distinct subset, and each fit is the one its set gets alone."""
     model = MODELS["exp_linear"]
     sets, alone = ozone_leave_one_out(model)
-    monkeypatch.setattr(regression, "_subset_hash",
-                        lambda bits: np.zeros(len(bits), dtype=np.uint64))
-    for k in range(0, 38, 19):
-        fits = regression.fit_mm_stack(model, sets[k:k + 19], [0] * 19,
-                                       hard_rejection_weights)
-        for j, fit in enumerate(fits):
-            assert same_fit(fit, alone[k + j]), k + j
+    sets, alone = sets[:19], alone[:19]
+    base = sets[3]
+    y = base.y.copy()
+    first = int(np.flatnonzero(base.delta == 1)[0])
+    y[first] = np.nextafter(y[first], np.inf)
+    moved = ObservedDataset(y=y, x=base.x, z_index=base.z_index,
+                            delta=base.delta)
+    built = []
+    real = regression._candidates
+
+    def counted(model, ys, *args):
+        built.append(ys.shape[1])
+        return real(model, ys, *args)
+
+    monkeypatch.setattr(regression, "_candidates", counted)
+    stack = sets + [moved]
+    fits = regression.fit_mm_stack(model, stack, [0] * len(stack),
+                                   hard_rejection_weights)
+    cases = [(d.y[d.delta == 1], d.x[d.delta == 1]) for d in stack]
+    assert sum(built) == distinct_subsets(model, cases)
+    for fit, want in zip(fits, alone):
+        assert same_fit(fit, want)
+    assert same_fit(fits[-1], fit_mm(model, moved, hard_rejection_weights))
 
 
 def test_median_is_numpy_median_bit_for_bit():

@@ -224,7 +224,7 @@ class TestMLocation:
             rho = location_bisquare()
             sfit = s_scale(sample)
             start = weighted_quantile(sample, 0.5)
-            th = m_location(sample, rho, sfit.scale, start=start)
+            th = m_location(sample, rho, sfit.scale)
             assert d_n(sample, rho, sfit.scale, th) <= d_n(
                 sample, rho, sfit.scale, start
             ) + 1e-12

@@ -52,6 +52,11 @@ hashes of the outputs at 6 significant digits, so that two records can show
 that a speed-up kept the numbers, and the machine facts (CPU count, the
 CPUs this process may use, numpy and Python versions).
 
+It measures commit 7e27a71 and later, whose CLI jackknife takes the full
+data's fits and whose fits carry every counter in ``COUNTERS``; run it from
+one commit's ``tools/`` with ``PYTHONPATH`` at another's ``src`` to measure
+a pair with one script.
+
 This is a measuring tool, not a test: it is kept out of the test suite.
 """
 
@@ -60,7 +65,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -255,13 +259,10 @@ def bench_jackknife() -> dict:
     fits = cli._fit_models(data, settings)
     entries = cli._report_entries(
         cli._estimates(data, settings, fits, a_n), fits)
-    # The full data's fits, for a CLI whose jackknife takes them.
-    extra = ((fits,) if "fits" in inspect.signature(
-        cli._attach_jackknife).parameters else ())
 
     def call():
         fresh = [dict(e) for e in entries]
-        cli._attach_jackknife(fresh, data, settings, a_n, *extra)
+        cli._attach_jackknife(fresh, data, settings, a_n, fits)
         return [e["se"] for e in fresh if e["se"] is not None]
 
     ms, _, ses = _least_ms(call)
@@ -359,9 +360,7 @@ def bench() -> dict:
             row.update(
                 {f"{stage}_ms": round(split[stage], 4) for stage in STAGES})
             row["other_ms"] = round(ms - sum(split.values()), 4)
-            # None for a counter that the measured commit's fits lack, so
-            # that a parent and its change are measured with one script.
-            row.update({c: getattr(fit, c, None) for c in COUNTERS})
+            row.update({c: getattr(fit, c) for c in COUNTERS})
             row["beta"] = [float(v) for v in fit.beta]
             row["residual_scale"] = fit.residual_scale
             rows.append(row)
