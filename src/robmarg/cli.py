@@ -25,12 +25,7 @@ import numpy as np
 from . import parallel
 from .dataset import ObservedDataset
 from .inference import confidence_interval, jackknife_se
-from .marginal import (
-    SCALE_METHODS,
-    estimate_aipw,
-    estimate_conv,
-    estimate_ipw,
-)
+from .marginal import SCALE_METHODS, estimate_chunk
 from .propensity import DEFAULT_FLOOR, fit_propensity
 from .regression import MODELS, fit_mm, fit_mm_stack, hard_rejection_weights
 from .scores import location_bisquare
@@ -159,7 +154,7 @@ def _fmt(value) -> str:
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
@@ -177,7 +172,7 @@ def _read_csv_columns(path: str, columns: list[str]) -> dict[str, np.ndarray]:
     Errors carry the 1-based file row number (the header is row 1).
     """
     try:
-        handle = open(path, encoding="utf-8", newline="")
+        handle = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise InputError(f"cannot read data file: {exc}") from exc
     with handle:
@@ -360,29 +355,14 @@ def _entry_keys(settings: dict) -> list[tuple]:
     ]
 
 
-def _estimates(data: ObservedDataset, settings: dict, fits: dict,
-               a_n: float) -> dict:
-    """Key of ``_entry_keys`` -> marginal estimate on ``data``.
-
-    ``fits`` holds the models' fits to ``data`` (from ``_fit_models``); one
-    fit of each propensity serves every entry.
-    """
-    pfs = {
-        prop: fit_propensity(prop, data.z, data.delta, settings["floor"],
-                             settings["kernel_bandwidth"])
-        for prop in settings["propensities"]
-    }
-    sm = settings["scale_method"]
-    estimates = {}
-    for est_name, label, prop in _entry_keys(settings):
-        if est_name == "ipw":
-            est = estimate_ipw(data, pfs[prop], _SF, sm)
-        elif est_name == "aipw":
-            est = estimate_aipw(data, pfs[prop], a_n, _SF, sm)
-        else:
-            est = estimate_conv(data, pfs[prop], fits[label], _SF, sm)
-        estimates[est_name, label, prop] = est
-    return estimates
+def _estimates(datasets: list, settings: dict, fits: list, a_n: float):
+    """Each dataset's estimates, keyed as ``_entry_keys``, or the exception
+    it raised, in turn (``marginal.estimate_chunk``); ``fits[k]`` holds the
+    models' fits to dataset k (from ``_fit_models``)."""
+    propensity = functools.partial(fit_propensity, floor=settings["floor"],
+                                   bandwidth=settings["kernel_bandwidth"])
+    return estimate_chunk(datasets, propensity, fits, _entry_keys(settings),
+                          a_n, _SF, settings["scale_method"])
 
 
 def _report_entries(estimates: dict, fits: dict) -> list[dict]:
@@ -421,19 +401,13 @@ def _jackknife_thetas(datasets: list, settings: dict, a_n: float,
         stacks[m["label"]] = dict(zip(own, fit_mm_stack(
             MODELS[m["id"]], [datasets[k] for k in own],
             [settings["seed"]] * len(own), _WEIGHT_IDS[m["weights"]])))
-    thetas = []
-    for k, data in enumerate(datasets):
-        fits = {label: stack.get(k, full_fits[label])
-                for label, stack in stacks.items()}
-        try:
-            for fit in fits.values():
-                if isinstance(fit, ValueError):
-                    raise fit
-            estimates = _estimates(data, settings, fits, a_n)
-            thetas.append([est.theta_m for est in estimates.values()])
-        except Exception as exc:
-            thetas.append(exc)
-    return thetas
+    fits = [{label: stack.get(k, full_fits[label])
+             for label, stack in stacks.items()} for k in range(len(datasets))]
+    # map drops each set's estimates before the next set is estimated.
+    return list(map(
+        lambda r: r if isinstance(r, Exception)
+        else [est.theta_m for est in r.values()],
+        _estimates(datasets, settings, fits, a_n)))
 
 
 def _attach_jackknife(entries: list[dict], data: ObservedDataset,
@@ -507,7 +481,12 @@ def cmd_estimate(args) -> int:
     a_n = _a_n(settings, data)
     try:
         fits = _fit_models(data, settings)
-        entries = _report_entries(_estimates(data, settings, fits, a_n), fits)
+        (estimates,) = _estimates([data], settings, [fits], a_n)
+        if isinstance(estimates, Exception):
+            raise estimates
+        entries = _report_entries(estimates, fits)
+        # The jackknife does not need the full data's laws.
+        del estimates
         _attach_jackknife(entries, data, settings, a_n, fits)
     except Exception as exc:
         raise RuntimeError(f"estimation failed: {exc}") from exc

@@ -41,6 +41,7 @@ __all__ = [
     "estimate_ipw",
     "estimate_conv",
     "estimate_aipw",
+    "estimate_chunk",
     "functional_summary",
     "signed_cdf_sample",
 ]
@@ -272,6 +273,42 @@ def estimate_aipw(
         negative_weights_floored=floored,
         signed_weights=signed,
     )
+
+
+def estimate_chunk(datasets, propensity, fits, keys, a_n: float,
+                   sf: ScoreFamily, scale_method: str = "mad"):
+    """Yield each dataset's estimates in turn, or the exception it raised:
+    the one estimate path of the CLI's report and jackknife and of the
+    Monte Carlo replications.
+
+    Estimates map each key (estimator, model label, propensity name) of
+    ``keys``, in order, to its MarginalEstimate; only "conv" reads the
+    label.  ``fits[k]`` maps dataset k's model labels to their fits, or to
+    the ValueError a fit raised; ``propensity(name, z, delta)`` fits each
+    propensity named in ``keys`` once per dataset.  A dataset's result is
+    its first failure: a model fit, a propensity, then the estimators in
+    key order.
+    """
+    names = dict.fromkeys(name for *_, name in keys)
+    for data, models in zip(datasets, fits):
+        try:
+            for fit in models.values():
+                if isinstance(fit, ValueError):
+                    raise fit
+            pfs = {name: propensity(name, data.z, data.delta)
+                   for name in names}
+            yield {
+                (est, label, name): (
+                    estimate_ipw(data, pfs[name], sf, scale_method)
+                    if est == "ipw" else
+                    estimate_aipw(data, pfs[name], a_n, sf, scale_method)
+                    if est == "aipw" else
+                    estimate_conv(data, pfs[name], models[label], sf,
+                                  scale_method))
+                for est, label, name in keys
+            }
+        except Exception as exc:
+            yield exc
 
 
 def signed_cdf_sample(est: MarginalEstimate) -> WeightedSample:

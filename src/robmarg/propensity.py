@@ -80,14 +80,16 @@ class PropensityFit:
             raise ValueError("floor must lie in (0, 1]")
 
 
-def _clamped(raw: Callable[[np.ndarray], np.ndarray], floor: float, k: int):
-    """Wrap a matrix-input prediction with shape handling and the clamp."""
+def _clamped(raw: Callable[[np.ndarray], np.ndarray], floor: float,
+             k: int | None):
+    """Wrap a matrix-input prediction with shape handling and the clamp;
+    ``k`` is the number of columns of z, None for any number."""
 
     def predict(z):
         zq = np.asarray(z, dtype=float)
         scalar = zq.ndim == 0
         mat = _as_matrix(zq)
-        if mat.shape[1] != k:
+        if k is not None and mat.shape[1] != k:
             # A single k-dim query point may arrive as a flat vector.
             if scalar or zq.ndim == 1 and zq.size == k:
                 mat = zq.reshape(1, k)
@@ -119,7 +121,8 @@ def known_propensity(
 
 
 def constant_propensity(delta, floor: float = DEFAULT_FLOOR) -> PropensityFit:
-    """MCAR propensity: the observed fraction, floored."""
+    """MCAR propensity: the observed fraction, floored, at z with any
+    number of columns."""
     d = _as_delta(delta)
     if d.size < 1:
         raise ValueError("delta must be nonempty")
@@ -130,7 +133,7 @@ def constant_propensity(delta, floor: float = DEFAULT_FLOOR) -> PropensityFit:
 
     return PropensityFit(
         method="constant",
-        predict=_clamped(raw, floor, 1),
+        predict=_clamped(raw, floor, None),
         params={"p_hat": p_hat},
         floor=floor,
     )

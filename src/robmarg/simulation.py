@@ -19,13 +19,7 @@ from io import StringIO
 import numpy as np
 
 from .dataset import ObservedDataset
-from .marginal import (
-    FunctionalSummary,
-    estimate_aipw,
-    estimate_conv,
-    estimate_ipw,
-    functional_summary,
-)
+from .marginal import FunctionalSummary, estimate_chunk, functional_summary
 from .parallel import ordered_map
 from .propensity import PropensityFit, fit_propensity, known_propensity
 from .regression import MODELS, fit_mm_stack
@@ -319,68 +313,55 @@ def _classical(y: np.ndarray, sf: ScoreFamily) -> FunctionalSummary:
     return functional_summary(WeightedSample(y, np.ones(y.size)), sf)
 
 
-def _fit_propensity(cfg: ScenarioConfig, data: ObservedDataset) -> PropensityFit:
-    if cfg.propensity_method == "true_p":
+def _fit_propensity(cfg, method: str, z, delta) -> PropensityFit:
+    if method == "true_p":
         return true_propensity(cfg.missing)
-    return fit_propensity(cfg.propensity_method, data.z, data.delta)
+    return fit_propensity(method, z, delta)
 
 
-def _rep_values(cfg, sf, data, truth, pf, fit) -> dict:
-    """A replication's values; ``fit`` is its MM fit, None without conv."""
-    estimates = {}
-    if fit is not None:
-        estimates["conv"] = estimate_conv(data, pf, fit, sf)
-    if "ipw" in cfg.estimators:
-        estimates["ipw"] = estimate_ipw(data, pf, sf)
-    if "aipw" in cfg.estimators:
-        estimates["aipw"] = estimate_aipw(data, pf, cfg.n ** (-1.0 / 3.0), sf)
-
+def _rep_values(data, comp0, comps, estimates) -> dict:
+    """A replication's values from its estimates (keyed as
+    ``estimate_chunk`` keys them) and its complete-data functionals on the
+    clean and the contaminated responses, or the exception it raised."""
+    if isinstance(estimates, Exception):
+        return estimates
     values = {}
-    for est_name, est in estimates.items():
+    for (est_name, _, _), est in estimates.items():
         values[("mean", est_name)] = est.theta_mean
         values[("median", est_name)] = est.theta_median
         values[("m_est", est_name)] = est.theta_m
-
-    comp0 = _classical(truth.y_clean, sf)
-    comps = (
-        comp0
-        if cfg.contamination == "C0"
-        else _classical(truth.y_complete, sf)
-    )
-    return {
-        "values": values,
-        "comp0": {"mean": comp0.mean, "median": comp0.median, "m_est": comp0.m_est},
-        "comps": {"mean": comps.mean, "median": comps.median, "m_est": comps.m_est},
-        "observed": float(np.mean(data.delta)),
-    }
+    return {"values": values, "comp0": comp0, "comps": comps,
+            "observed": float(np.mean(data.delta))}
 
 
 def _block(cfg: ScenarioConfig, sf: ScoreFamily, reps: list) -> list:
     """Replications ``reps``: their values, or the reasons ("Type: message")
-    they raised; their MM regressions are fitted as one stack.  The chunk
-    function of ``run_scenario``."""
+    they raised; their MM regressions are fitted as one stack, and they are
+    estimated by ``marginal.estimate_chunk``.  The chunk function of
+    ``run_scenario``."""
     out, drawn = {}, {}
     for j in reps:
         try:
             data, truth = generate_sample(cfg.n, cfg.seed ^ j,
                                           cfg.contamination, cfg.missing)
-            drawn[j] = (data, truth, _fit_propensity(cfg, data))
+            comp0 = _classical(truth.y_clean, sf)
+            drawn[j] = (data, comp0, comp0 if cfg.contamination == "C0"
+                        else _classical(truth.y_complete, sf))
         except Exception as exc:
             out[j] = exc
-    fits = dict.fromkeys(drawn)
+    datasets = [d[0] for d in drawn.values()]
+    fits = [{}] * len(datasets)
     if "conv" in cfg.estimators:
         model = MODELS["exp_linear" if cfg.regression_spec == "true_nonlinear"
                        else "linear"]
-        stack = fit_mm_stack(model, [d[0] for d in drawn.values()],
-                             [cfg.seed ^ j for j in drawn])
-        fits = dict(zip(drawn, stack))
-    for j, (data, truth, pf) in drawn.items():
-        try:
-            if isinstance(fits[j], ValueError):
-                raise fits[j]
-            out[j] = _rep_values(cfg, sf, data, truth, pf, fits[j])
-        except Exception as exc:
-            out[j] = exc
+        fits = [{"model": fit} for fit in fit_mm_stack(
+            model, datasets, [cfg.seed ^ j for j in drawn])]
+    keys = [(est_name, "model", cfg.propensity_method)
+            for est_name in cfg.estimators]
+    chunk = estimate_chunk(datasets, partial(_fit_propensity, cfg), fits,
+                           keys, cfg.n ** (-1.0 / 3.0), sf)
+    for j, (data, comp0, comps) in drawn.items():
+        out[j] = _rep_values(data, comp0, comps, next(chunk))
     return [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else r
             for r in (out[j] for j in reps)]
 
@@ -419,8 +400,8 @@ def run_scenario(
 
     rows = []
     for functional in cfg.functionals:
-        ref0 = np.array([r["comp0"][functional] for r in kept])
-        refs = np.array([r["comps"][functional] for r in kept])
+        ref0 = np.array([getattr(r["comp0"], functional) for r in kept])
+        refs = np.array([getattr(r["comps"], functional) for r in kept])
         for est_name in cfg.estimators:
             vals = np.array([r["values"][(functional, est_name)] for r in kept])
             bias = float(np.mean(vals) - tgt[functional])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import robmarg
-from robmarg import cli, inference, parallel, propensity
+from robmarg import cli, inference, marginal, parallel, propensity
 from robmarg.cli import main
 from robmarg.inference import confidence_interval, jackknife_se
 
@@ -72,7 +72,7 @@ def estimate_entries(data, settings):
     a_n they were made with, as ``robmarg estimate`` makes them."""
     a_n = cli._a_n(settings, data)
     fits = cli._fit_models(data, settings)
-    estimates = cli._estimates(data, settings, fits, a_n)
+    (estimates,) = cli._estimates([data], settings, [fits], a_n)
     return cli._report_entries(estimates, fits), fits, a_n
 
 
@@ -110,7 +110,10 @@ def reference_attach_jackknife(entries, data, settings, a_n):
 
         def rerun(d):
             fits = cli._fit_models(d, single)
-            (est,) = cli._estimates(d, single, fits, a_n).values()
+            (estimates,) = cli._estimates([d], single, [fits], a_n)
+            if isinstance(estimates, Exception):
+                raise estimates
+            (est,) = estimates.values()
             return est.theta_m
 
         return rerun
@@ -271,7 +274,7 @@ class TestEstimateJackknife:
             toy_config(jackknife=True), toy_csv(tmp_path)
         )
         entries, fits, a_n = estimate_entries(data, settings)
-        real = cli.estimate_conv
+        real = marginal.estimate_conv
         calls = []
 
         def fails_once(d, *args):
@@ -280,7 +283,7 @@ class TestEstimateJackknife:
                 raise ValueError("no convergence")
             return real(d, *args)
 
-        monkeypatch.setattr(cli, "estimate_conv", fails_once)
+        monkeypatch.setattr(marginal, "estimate_conv", fails_once)
         # Its count of calls lives in one process.
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         cli._attach_jackknife(entries, data, settings, a_n, fits)
@@ -375,7 +378,7 @@ class TestJackknifeSetsAreTheirOwn:
         rows = [incomplete[0], complete[0], incomplete[1], *complete[1:]]
         sets = [inference._drop_row(data, i) for i in rows]
         fitted, used = [], []
-        real_stack, real_conv = cli.fit_mm_stack, cli.estimate_conv
+        real_stack, real_conv = cli.fit_mm_stack, marginal.estimate_conv
 
         def stack(model, datasets, *args):
             fitted.append(len(datasets))
@@ -386,7 +389,7 @@ class TestJackknifeSetsAreTheirOwn:
             return real_conv(d, pf, fit, *args)
 
         monkeypatch.setattr(cli, "fit_mm_stack", stack)
-        monkeypatch.setattr(cli, "estimate_conv", conv)
+        monkeypatch.setattr(marginal, "estimate_conv", conv)
         out = thetas(sets)
         assert fitted == [3]
         assert used[0] is full and used[2] is full
@@ -549,6 +552,58 @@ class TestEstimateCollapse:
         assert (outs[0] / "table.csv").read_bytes() == (
             outs[1] / "table.csv"
         ).read_bytes()
+
+
+class TestEstimateInputForms:
+    def run(self, tmp_path, data, config, tag):
+        out = tmp_path / tag
+        code = main(["estimate", "--data", data, "--config",
+                     write_config(tmp_path, config, f"{tag}.json"),
+                     "--out", str(out)])
+        return code, out
+
+    def test_constant_propensity_takes_two_z_columns(self, tmp_path):
+        data = toy_csv(tmp_path, blank_rows=(3, 11, 24, 35))
+        code, out = self.run(tmp_path, data,
+                             toy_config(z=["x1", "x2"], jackknife=True), "two")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["estimates"]) == 3
+        assert all(e["se"] is not None for e in report["estimates"])
+
+    def test_constant_ipw_reads_no_z(self, tmp_path):
+        """The constant propensity reads no z, so adding the fully observed
+        x2 to z leaves the ipw/constant entry the same, bit for bit."""
+        data = toy_csv(tmp_path, blank_rows=(3, 11, 24, 35))
+        entries = []
+        for tag, z in (("one", ["x1"]), ("two", ["x1", "x2"])):
+            code, out = self.run(tmp_path, data, toy_config(
+                z=z, estimators=["ipw"], models=[]), tag)
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["dataset"]["complete"] == 36
+            entries.append(report["estimates"])
+        assert entries[1] == entries[0]
+
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        """A CSV file and a config that start with a UTF-8 byte order mark,
+        as spreadsheet programs write them, give the plain files'
+        estimates."""
+        plain = toy_csv(tmp_path, blank_rows=(3, 11, 24, 35))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + open(plain, "rb").read())
+        config = toy_config()
+        marked_config = tmp_path / "marked.json"
+        marked_config.write_bytes(b"\xef\xbb\xbf"
+                                  + json.dumps(config).encode())
+        code, out = self.run(tmp_path, plain, config, "plain")
+        assert code == 0
+        code = main(["estimate", "--data", str(marked), "--config",
+                     str(marked_config), "--out", str(tmp_path / "marked")])
+        assert code == 0
+        reports = [json.loads((d / "report.json").read_text())
+                   for d in (out, tmp_path / "marked")]
+        assert reports[1]["estimates"] == reports[0]["estimates"]
 
 
 class TestEstimateInputErrors:

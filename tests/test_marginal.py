@@ -1,15 +1,18 @@
 """Tests for the marginal distribution estimators."""
 
 import warnings
+import weakref
 from math import erf, sqrt
 
 import numpy as np
 import pytest
 
+from robmarg import marginal
 from robmarg.dataset import ObservedDataset
 from robmarg.marginal import (
     _spread,
     estimate_aipw,
+    estimate_chunk,
     estimate_conv,
     estimate_ipw,
     functional_summary,
@@ -470,3 +473,151 @@ def test_estimators_agree_reasonably_on_mar_data():
     assert max(vals) - min(vals) < 1.0
     for est in (est_i, est_c, est_a):
         assert 10.0 < est.theta_mean < 22.0
+
+
+CHUNK_KEYS = [("ipw", None, "constant"), ("conv", "exp", "logistic"),
+              ("aipw", None, "logistic"), ("ipw", None, "logistic")]
+CHUNK_A_N = 0.2
+
+
+def chunk_propensity(name, z, delta):
+    if name == "constant":
+        return constant_propensity(delta)
+    return fit_logistic(z, delta)
+
+
+@pytest.fixture(scope="module")
+def chunk_data():
+    """Three MAR datasets of different sizes and each one's model fits."""
+    datasets = [gen_mar(n, seed) for n, seed in ((80, 1), (90, 2), (100, 3))]
+    fits = [{"exp": fit_mm(MODELS["exp_linear"], d, seed=0)}
+            for d in datasets]
+    return datasets, fits
+
+
+def direct_estimates(data, models):
+    pfs = {name: chunk_propensity(name, data.z, data.delta)
+           for name in ("constant", "logistic")}
+    return {
+        ("ipw", None, "constant"): estimate_ipw(data, pfs["constant"], SF),
+        ("conv", "exp", "logistic"): estimate_conv(
+            data, pfs["logistic"], models["exp"], SF),
+        ("aipw", None, "logistic"): estimate_aipw(
+            data, pfs["logistic"], CHUNK_A_N, SF),
+        ("ipw", None, "logistic"): estimate_ipw(data, pfs["logistic"], SF),
+    }
+
+
+def assert_same_estimates(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        a, b = got[key], want[key]
+        assert (a.scale, a.theta_mean, a.theta_median, a.theta_m, a.method,
+                a.propensity_tag) == (b.scale, b.theta_mean, b.theta_median,
+                                      b.theta_m, b.method, b.propensity_tag)
+        np.testing.assert_array_equal(a.distribution.atoms,
+                                      b.distribution.atoms)
+        np.testing.assert_array_equal(a.distribution.weights,
+                                      b.distribution.weights)
+
+
+class TestEstimateChunk:
+    def test_is_a_generator(self, chunk_data):
+        datasets, fits = chunk_data
+        chunk = estimate_chunk(datasets, chunk_propensity, fits, CHUNK_KEYS,
+                               CHUNK_A_N, SF)
+        assert iter(chunk) is chunk
+        assert len(list(chunk)) == len(datasets)
+
+    def test_estimates_are_the_datasets_own(self, chunk_data):
+        """A dataset's estimates are bit for bit the same alone, in a
+        chunk, and from direct estimator calls, in key order."""
+        datasets, fits = chunk_data
+        together = list(estimate_chunk(datasets, chunk_propensity, fits,
+                                       CHUNK_KEYS, CHUNK_A_N, SF))
+        for k, (data, models) in enumerate(zip(datasets, fits)):
+            (alone,) = estimate_chunk([data], chunk_propensity, [models],
+                                      CHUNK_KEYS, CHUNK_A_N, SF)
+            want = direct_estimates(data, models)
+            assert_same_estimates(alone, want)
+            assert_same_estimates(together[k], want)
+
+    def test_scale_method_reaches_every_estimator(self, chunk_data):
+        datasets, fits = chunk_data
+        (got,) = estimate_chunk(datasets[:1], chunk_propensity, fits[:1],
+                                CHUNK_KEYS, CHUNK_A_N, SF, "s")
+        pf = constant_propensity(datasets[0].delta)
+        want = estimate_ipw(datasets[0], pf, SF, "s")
+        assert got["ipw", None, "constant"].scale == want.scale
+
+    def test_failure_is_its_datasets_own_and_first(self, chunk_data,
+                                                  monkeypatch):
+        """A failed fit, then a propensity that raises, then the first
+        failing estimator in key order: a dataset's result is the first of
+        these, and the other datasets keep their estimates."""
+        datasets, fits = chunk_data
+        bad_fit = ValueError("insufficient complete cases")
+
+        def propensity(name, z, delta):
+            if delta.size != 90 and name == "logistic":
+                raise ValueError(f"separation at {delta.size}")
+            return chunk_propensity(name, z, delta)
+
+        fits = [{"exp": bad_fit}, fits[1], fits[2]]
+        results = list(estimate_chunk(datasets, propensity, fits,
+                                      CHUNK_KEYS, CHUNK_A_N, SF))
+        assert results[0] is bad_fit
+        assert str(results[2]) == "separation at 100"
+        assert_same_estimates(results[1],
+                              direct_estimates(datasets[1], fits[1]))
+
+        def fails(name):
+            def estimator(data, *args):
+                raise RuntimeError(name)
+            return estimator
+
+        monkeypatch.setattr(marginal, "estimate_conv", fails("conv"))
+        monkeypatch.setattr(marginal, "estimate_aipw", fails("aipw"))
+        (result,) = estimate_chunk(datasets[1:2], chunk_propensity, fits[1:2],
+                                   CHUNK_KEYS, CHUNK_A_N, SF)
+        assert isinstance(result, RuntimeError) and str(result) == "conv"
+        (result,) = estimate_chunk(datasets[1:2], chunk_propensity, fits[1:2],
+                                   CHUNK_KEYS[2:], CHUNK_A_N, SF)
+        assert str(result) == "aipw"
+
+    def test_each_propensity_is_fitted_once_per_dataset(self, chunk_data):
+        datasets, fits = chunk_data
+        calls = []
+
+        def propensity(name, z, delta):
+            calls.append((delta.size, name))
+            return chunk_propensity(name, z, delta)
+
+        list(estimate_chunk(datasets, propensity, fits, CHUNK_KEYS,
+                            CHUNK_A_N, SF))
+        assert calls == [(d.n, name) for d in datasets
+                         for name in ("constant", "logistic")]
+
+    def test_laws_are_freed_before_the_next_dataset(self, chunk_data,
+                                                   monkeypatch):
+        """The chunk holds no dataset's estimates once it has yielded them:
+        a law the caller dropped is gone when the next dataset is
+        estimated."""
+        datasets, fits = chunk_data
+        refs, alive = [], []
+        real = marginal.estimate_ipw
+
+        def ipw(data, *args):
+            alive.append([ref() is not None for ref in refs])
+            return real(data, *args)
+
+        monkeypatch.setattr(marginal, "estimate_ipw", ipw)
+        chunk = estimate_chunk(datasets, chunk_propensity, fits, CHUNK_KEYS,
+                               CHUNK_A_N, SF)
+        for estimates in chunk:
+            refs += [weakref.ref(est.distribution)
+                     for est in estimates.values()]
+            del estimates
+        # Two ipw calls per dataset, each before that dataset's laws exist.
+        assert len(refs) == 12
+        assert alive == [[]] * 2 + [[False] * 4] * 2 + [[False] * 8] * 2

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from robmarg import parallel, simulation
+from robmarg import marginal, parallel, simulation
 from robmarg.marginal import estimate_aipw, estimate_conv, estimate_ipw, functional_summary
 from robmarg.propensity import constant_propensity, kernel_propensity
 from robmarg.regression import MODELS, fit_mm
@@ -348,6 +348,26 @@ class TestRunScenario:
                 f"{len(failed)} of 20 replications failed: .*"
                 "'ValueError: insufficient complete cases'")):
             run_scenario(cfg)
+
+    def test_failing_estimator_fails_only_its_replication(self,
+                                                          monkeypatch):
+        """The conv estimate of replication 2 raises: that replication
+        fails with the reason, and the others keep their values."""
+        cfg = ScenarioConfig(n=100, reps=6, seed=11,
+                             propensity_method="logistic")
+        want = simulation._block(cfg, SF, range(cfg.reps))
+        target = generate_sample(cfg.n, cfg.seed ^ 2)[0].y
+        real = marginal.estimate_conv
+
+        def conv(data, *args):
+            if np.array_equal(data.y, target, equal_nan=True):
+                raise ValueError("injected")
+            return real(data, *args)
+
+        monkeypatch.setattr(marginal, "estimate_conv", conv)
+        got = simulation._block(cfg, SF, range(cfg.reps))
+        assert got[2] == "ValueError: injected"
+        assert got[:2] + got[3:] == want[:2] + want[3:]
 
 
 @pytest.fixture(scope="module")

@@ -53,9 +53,12 @@ that a speed-up kept the numbers, and the machine facts (CPU count, the
 CPUs this process may use, numpy and Python versions).
 
 It measures commit 7e27a71 and later, whose CLI jackknife takes the full
-data's fits and whose fits carry every counter in ``COUNTERS``; run it from
-one commit's ``tools/`` with ``PYTHONPATH`` at another's ``src`` to measure
-a pair with one script.
+data's fits and whose fits carry every counter in ``COUNTERS``.  Its
+jackknife layer calls ``cli._estimates`` in its chunk form (a list of
+datasets, estimated by ``marginal.estimate_chunk``), so that layer measures
+the change that brought the chunk form and later.  Run it from one commit's
+``tools/`` with ``PYTHONPATH`` at another's ``src`` to measure a pair with
+one script.
 
 This is a measuring tool, not a test: it is kept out of the test suite.
 """
@@ -257,8 +260,8 @@ def bench_jackknife() -> dict:
     settings, data = _ozone()
     a_n = cli._a_n(settings, data)
     fits = cli._fit_models(data, settings)
-    entries = cli._report_entries(
-        cli._estimates(data, settings, fits, a_n), fits)
+    (estimates,) = cli._estimates([data], settings, [fits], a_n)
+    entries = cli._report_entries(estimates, fits)
 
     def call():
         fresh = [dict(e) for e in entries]
