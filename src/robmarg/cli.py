@@ -387,13 +387,11 @@ def _report_entries(estimates: dict, fits: dict) -> list[dict]:
     ]
 
 
-def _jackknife_thetas(datasets: list, settings: dict, a_n: float,
-                      full_fits: dict) -> list:
-    """theta_m of every jackknifed entry on each leave-one-out set, or the
-    exception that set raised; a model's fits to the sets are one stack
-    (``fit_mm_stack``), but for the sets with the full data's complete-case
-    count: they left out an incomplete row, so they take the full data's
-    fit (``full_fits``, by label).  Module level, for the workers."""
+def _jackknife_fits(datasets: list, settings: dict, full_fits: dict) -> list:
+    """Each leave-one-out set's fits, by model label: a model's fits to the
+    sets are one stack (``fit_mm_stack``), but for the sets with the full
+    data's complete-case count: they left out an incomplete row, so they
+    take the full data's fit (``full_fits``, by label)."""
     stacks = {}
     for m in settings["models"]:
         own = [k for k, d in enumerate(datasets)
@@ -401,8 +399,16 @@ def _jackknife_thetas(datasets: list, settings: dict, a_n: float,
         stacks[m["label"]] = dict(zip(own, fit_mm_stack(
             MODELS[m["id"]], [datasets[k] for k in own],
             [settings["seed"]] * len(own), _WEIGHT_IDS[m["weights"]])))
-    fits = [{label: stack.get(k, full_fits[label])
+    return [{label: stack.get(k, full_fits[label])
              for label, stack in stacks.items()} for k in range(len(datasets))]
+
+
+def _jackknife_thetas(datasets: list, settings: dict, a_n: float,
+                      full_fits: dict) -> list:
+    """theta_m of every jackknifed entry on each leave-one-out set under
+    ``_jackknife_fits``, or the exception it raised; module level, for the
+    workers."""
+    fits = _jackknife_fits(datasets, settings, full_fits)
     # map drops each set's estimates before the next set is estimated.
     return list(map(
         lambda r: r if isinstance(r, Exception)

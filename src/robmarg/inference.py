@@ -204,7 +204,7 @@ def plugin_var_ipw(
     scale: float,
     sf: ScoreFamily,
     variant: str = "known",
-    bandwidth: float | None = None,
+    bandwidth=None,
     scale_method: str | None = "mad",
 ) -> VarianceEstimate:
     """Plug-in asymptotic standard error of the IPW M-location.
@@ -226,8 +226,9 @@ def plugin_var_ipw(
     * gamma_3   = gamma_1 - mean over all rows of
                   ((1 - p_hat)/p_hat) * r_hat(z)^2, where r_hat is an
                   Epanechnikov kernel regression of IF_i on z over the
-                  complete cases (variant="kernel" only; the bandwidth
-                  defaults to the one stored in a kernel propensity fit),
+                  complete cases (variant="kernel" only; the bandwidth,
+                  one for every column of z or one per column, defaults to
+                  the one stored in a kernel propensity fit),
     * se        = sqrt(gamma / n).
     """
     if variant not in ("known", "kernel"):
@@ -262,14 +263,14 @@ def plugin_var_ipw(
     if variant == "kernel":
         if bandwidth is None:
             bandwidth = pf.params.get("bandwidth")
-        if bandwidth is None or not bandwidth > 0:
+        if bandwidth is None:
             raise ValueError(
-                "kernel variant needs a positive bandwidth (none stored in "
-                "the propensity fit)"
+                "kernel variant needs a bandwidth (none stored in the "
+                "propensity fit)"
             )
         z_all = data.z
         window = SortedWindow(z_obs, (np.ones(phi.size), phi))
-        den, num = window.sums(z_all, float(bandwidth), "epanechnikov").T
+        den, num = window.sums(z_all, bandwidth, "epanechnikov").T
         fallback = float(phi.mean())
         with np.errstate(invalid="ignore", divide="ignore"):
             r_hat = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),

@@ -7,6 +7,8 @@ training points are sorted on that coordinate once, and each block of sorted
 queries is evaluated against the contiguous run of training points that can
 reach it.  Kernel values are computed exactly as a dense query-by-training
 panel would compute them; only the order of adding the nonzero ones differs.
+Swapping queries and training points gives the same kernel values bit for
+bit: z - q = -(q - z) exactly, and t * t is the same for -t.
 """
 
 from __future__ import annotations
@@ -38,32 +40,34 @@ def _matrix(z) -> np.ndarray:
 
 class SortedWindow:
     """Training points (n x k, or a vector) sorted on the first coordinate,
-    with optional value vectors (c of length n, or one) for ``sums``."""
+    with value vectors (c of length n, or one) to sum."""
 
-    def __init__(self, train, values=None):
+    def __init__(self, train, values):
         zt = _matrix(train)
-        self.order = np.argsort(zt[:, 0], kind="stable")
-        self._coords = np.ascontiguousarray(zt[self.order].T)
+        order = np.argsort(zt[:, 0], kind="stable")
+        self._coords = np.ascontiguousarray(zt[order].T)
         key = self._coords[0]
         self._magnitude = max(abs(key[0]), abs(key[-1])) if key.size else 0.0
-        if values is not None:
-            vals = np.atleast_2d(np.asarray(values, dtype=float))
-            if vals.ndim != 2 or vals.shape[1] != len(zt):
-                raise ValueError("each value vector needs one entry per point")
-            self._values = vals.take(self.order, axis=1)
+        vals = np.atleast_2d(np.asarray(values, dtype=float))
+        if vals.ndim != 2 or vals.shape[1] != len(zt):
+            raise ValueError("each value vector needs one entry per point")
+        self._values = vals.take(order, axis=1)
 
-    def panels(self, query, h: float, family: str):
-        """Yield (rows, window, kern) per block of queries: ``kern[q, w]`` is
-        the kernel weight of query ``rows[q]`` at sorted training point
-        ``window[w]`` (see ``order``).  Blocks with empty windows are skipped."""
+    def sums(self, query, h, family: str) -> np.ndarray:
+        """(m, c) sums of kernel weight times each value vector per query;
+        zero for a query with no training point in its window.  ``h`` is one
+        bandwidth for every coordinate or one per coordinate."""
         if family not in ("epanechnikov", "biweight"):
             raise ValueError(f"unknown kernel family: {family!r}")
-        if not h > 0:
-            raise ValueError("bandwidth must be positive")
         zq = _matrix(query)
         m, k = zq.shape
         if k != self._coords.shape[0]:
             raise ValueError(f"query must have {self._coords.shape[0]} columns")
+        hs = np.asarray(h, dtype=float)
+        if hs.shape not in ((), (k,)) or not (hs > 0).all():
+            raise ValueError(f"bandwidth must be positive, one value or {k}")
+        hs = hs.tolist() if hs.ndim else [hs.item()] * k
+        out = np.zeros((m, self._values.shape[0]))
         # A single block needs no sorting, only its extremes.
         qorder = np.argsort(zq[:, 0], kind="stable") if m > _BLOCK else None
         if qorder is not None:
@@ -75,23 +79,18 @@ class SortedWindow:
             q_min, q_max = (first.min(), first.max()) if qorder is None else (
                 first[0], first[-1])
             # reach > h, so a point at either edge has zero kernel weight.
-            reach = h + _EDGE_SLACK * (h + self._magnitude + max(-q_min, q_max))
+            reach = hs[0] + _EDGE_SLACK * (
+                hs[0] + self._magnitude + max(-q_min, q_max))
             left, right = np.searchsorted(key, (q_min - reach, q_max + reach))
             if right <= left:
                 continue
             kern = None
             for c in range(k):
                 t = self._coords[c, left:right] - qt[c, lo:hi, None]
-                t /= h
+                t /= hs[c]
                 kern = _factor(t, family) if kern is None else (
                     np.multiply(kern, _factor(t, family), out=kern))
             rows = slice(lo, hi) if qorder is None else qorder[lo:hi]
-            yield rows, slice(left, right), kern
-
-    def sums(self, query, h: float, family: str) -> np.ndarray:
-        """(m, c) sums of kernel weight times each value vector per query;
-        zero for a query with no training point in its window."""
-        out = np.zeros((len(_matrix(query)), self._values.shape[0]))
-        for rows, window, kern in self.panels(query, h, family):
-            out[rows] = np.einsum("qw,cw->qc", kern, self._values[:, window])
+            out[rows] = np.einsum("qw,cw->qc", kern,
+                                  self._values[:, left:right])
         return out

@@ -208,23 +208,18 @@ def _spread(z_obs: np.ndarray, z_rows: np.ndarray, a_n: float, values):
     Row i's share profile over the complete cases is its biweight kernel
     weight at each z_obs_j divided by their total; a row with no complete
     case in its window shares uniformly.  Returns, for each complete case j,
-    sum_i share_ji * values_i.
+    sum_i share_ji * values_i: the kernel sum at z_obs_j of the rows' values
+    over their totals (the kernel is symmetric bit for bit), plus the
+    uniform share.
     """
     values = np.asarray(values, dtype=float)
-    window = SortedWindow(z_obs)
-    spread = np.zeros(z_obs.shape[0])
-    empty = np.ones(values.size, dtype=bool)
-    for rows, cases, kern in window.panels(z_rows, a_n, "biweight"):
-        # A block's window holds every complete case near its rows, so the
-        # row totals are complete.
-        den = np.einsum("qw->q", kern)
-        good = den > 0.0
-        empty[rows] = ~good
-        scaled = np.where(good, values[rows] / np.where(good, den, 1.0), 0.0)
-        spread[cases] += np.einsum("qw,q->w", kern, scaled)
-    out = np.empty_like(spread)
-    out[window.order] = spread + float(values[empty].sum()) / spread.size
-    return out
+    n_obs = len(z_obs)
+    (den,) = SortedWindow(z_obs, np.ones(n_obs)).sums(
+        z_rows, a_n, "biweight").T
+    good = den > 0.0
+    scaled = np.where(good, values / np.where(good, den, 1.0), 0.0)
+    (spread,) = SortedWindow(z_rows, scaled).sums(z_obs, a_n, "biweight").T
+    return spread + float(values[~good].sum()) / n_obs
 
 
 def estimate_aipw(

@@ -220,15 +220,20 @@ def fit_logistic(z, delta, floor: float = DEFAULT_FLOOR) -> PropensityFit:
     )
 
 
-def kernel_propensity(z, delta, b_n: float, floor: float = DEFAULT_FLOOR) -> PropensityFit:
+def _bandwidth(h) -> float | tuple[float, ...]:
+    """One bandwidth for every column as a float, or one per column."""
+    h = np.asarray(h, dtype=float)
+    return h.item() if h.size == 1 else tuple(h.tolist())
+
+
+def kernel_propensity(z, delta, b_n, floor: float = DEFAULT_FLOOR) -> PropensityFit:
     """Kernel-smoothed propensity with product Epanechnikov weights.
 
     predict(z) is the locally weighted observed fraction; query points with
     no training point inside the bandwidth fall back to the overall mean of
-    delta, then everything is clamped to [floor, 1].
+    delta, then everything is clamped to [floor, 1].  ``b_n`` is one
+    bandwidth for every column of z, or one per column.
     """
-    if not b_n > 0:
-        raise ValueError("bandwidth must be positive")
     zm = _as_matrix(z)
     d = _as_delta(delta)
     n, k = zm.shape
@@ -240,6 +245,7 @@ def kernel_propensity(z, delta, b_n: float, floor: float = DEFAULT_FLOOR) -> Pro
     # The weight totals are a value vector summed like the weighted counts,
     # so that with every row observed the ratio is exactly 1.
     window = SortedWindow(zm, (np.ones(n), d))
+    window.sums(zm[:0], b_n, "epanechnikov")  # checks the bandwidth now
 
     def raw(mat):
         den, num = window.sums(mat, b_n, "epanechnikov").T
@@ -248,31 +254,35 @@ def kernel_propensity(z, delta, b_n: float, floor: float = DEFAULT_FLOOR) -> Pro
     return PropensityFit(
         method="kernel",
         predict=_clamped(raw, floor, k),
-        params={"bandwidth": float(b_n)},
+        params={"bandwidth": _bandwidth(b_n)},
         floor=floor,
     )
 
 
-def cv_bandwidth(z, delta, grid) -> float:
+def cv_bandwidth(z, delta, grid) -> float | tuple[float, ...]:
     """Grid bandwidth minimizing leave-one-out squared prediction error.
 
-    Each candidate is scored by sum_i (delta_i - p_loo_i)^2 where p_loo_i is
-    the kernel estimate at z_i with observation i removed; a point left with
-    an empty neighborhood predicts the mean of the remaining deltas.  Ties
-    (exact score equality) go to the smaller bandwidth.
+    The grid is a vector of bandwidths, each for every column of z, or a
+    matrix of rows, one bandwidth per column.  Each candidate is scored by
+    sum_i (delta_i - p_loo_i)^2 where p_loo_i is the kernel estimate at z_i
+    with observation i removed; a point left with an empty neighborhood
+    predicts the mean of the remaining deltas.  Ties (exact score equality)
+    go to the smaller bandwidth, or to the row with the smaller first one.
     """
     zm = _as_matrix(z)
     d = _as_delta(delta)
     n, k = zm.shape
     grid_arr = np.asarray(grid, dtype=float)
-    if grid_arr.ndim != 1 or grid_arr.size == 0:
-        raise ValueError("grid must be a nonempty vector")
+    if (grid_arr.ndim not in (1, 2) or grid_arr.size == 0
+            or grid_arr.shape[1:] not in ((), (k,))):
+        raise ValueError(f"grid must be a nonempty vector or {k}-column rows")
     if np.any(grid_arr <= 0):
         raise ValueError("bandwidths must be positive")
 
     loo_mean = (d.sum() - d) / (n - 1) if n > 1 else np.full(n, d.mean())
-    bandwidths = np.sort(grid_arr)
-    scores = np.empty(bandwidths.size)
+    bandwidths = grid_arr[np.argsort(grid_arr.reshape(len(grid_arr), -1)[:, 0],
+                                     kind="stable")]
+    scores = np.empty(len(bandwidths))
     window = SortedWindow(zm, (np.ones(n), d))
     self_k = 0.75**k  # each point's own kernel weight, at t = 0
     for j, b in enumerate(bandwidths):
@@ -284,20 +294,21 @@ def cv_bandwidth(z, delta, grid) -> float:
     # Scores equal up to rounding noise count as ties, and ties go to the
     # smallest bandwidth.
     cutoff = scores.min() * (1.0 + 1e-10) + 1e-12
-    return float(bandwidths[np.argmax(scores <= cutoff)])
+    return _bandwidth(bandwidths[np.argmax(scores <= cutoff)])
 
 
-def auto_bandwidth(z, delta) -> float:
+def auto_bandwidth(z, delta) -> float | tuple[float, ...]:
     """Cross-validated bandwidth over a scale-aware default grid.
 
-    The grid spans 0.3 to 3 times sd(z) * n^(-1/5), the usual smoothing
-    order for a univariate kernel regression, and the winner is chosen by
-    cv_bandwidth's leave-one-out criterion.
+    Column c's bandwidth is g * sd(z_c) * n^(-1/5), the usual smoothing
+    order for a univariate kernel regression, for g from 0.3 to 3; the
+    winning g is chosen by cv_bandwidth's leave-one-out criterion.  One
+    column gives a float, more give one bandwidth per column.
     """
     zm = _as_matrix(z)
     n = zm.shape[0]
-    spread = max(float(np.std(zm[:, 0])), 1e-8)
-    grid = spread * n ** (-0.2) * np.geomspace(0.3, 3.0, 8)
+    spread = np.array([max(float(np.std(col)), 1e-8) for col in zm.T])
+    grid = spread * n ** (-0.2) * np.geomspace(0.3, 3.0, 8)[:, None]
     return cv_bandwidth(zm, delta, grid)
 
 
@@ -306,10 +317,11 @@ def fit_propensity(
     z,
     delta,
     floor: float = DEFAULT_FLOOR,
-    bandwidth: float | None = None,
+    bandwidth=None,
 ) -> PropensityFit:
     """Fit the propensity named by ``method``: "logistic", "kernel" (at
-    ``bandwidth``, or at ``auto_bandwidth`` when it is None) or "constant"."""
+    ``bandwidth``, one for every column of z or one per column, or at
+    ``auto_bandwidth`` when it is None) or "constant"."""
     if method == "logistic":
         return fit_logistic(z, delta, floor=floor)
     if method == "kernel":

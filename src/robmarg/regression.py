@@ -485,16 +485,22 @@ class _Stack:
     def residuals(self, model, beta):
         return self.y - model.mean(self.x, self.rows(beta))
 
-    def moments(self, model, beta_rows, u, weights):
-        """Each fit's sums of w v v', v = (u, dm/dbeta), per w of weights."""
-        v = np.concatenate([u[None], model.gradient(self.x, beta_rows).T])
-        out = np.empty((self.counts.size, len(weights), len(v), len(v)))
+    def moments(self, model, beta, s, score):
+        """Both descents' sums at each fit's ``beta`` and scale ``s``, u = r/s:
+        its sums of w v v', v = (u, dm/dbeta), for w the observation weight
+        times score.weight(u) and times score.psi_prime(u), and its
+        sum of w weight(u) u Hess m."""
+        rows = self.rows(beta)
+        u = (self.y - model.mean(self.x, rows)) / self.spread(s)
+        wts = self.w * score.weight(u)
+        v = np.concatenate([u[None], model.gradient(self.x, rows).T])
+        out = np.empty((self.counts.size, 2, len(v), len(v)))
         wv = np.empty_like(v)  # one buffer for every w v bounds memory
-        for k, w in enumerate(weights):
+        for k, w in enumerate((wts, self.w * score.psi_prime(u))):
             np.multiply(w, v, out=wv)
             for j, (a, m) in enumerate(zip(self.starts, self.counts)):
                 out[j, k] = wv[:, a:a + m] @ v[:, a:a + m].T
-        return out
+        return out, model.curvature(self.x, rows, wts * u, self.starts)
 
 
 def _within(move, beta, tol):
@@ -508,8 +514,7 @@ def _halve(model, stack, beta, step, tol, better):
     halved up to 29 times that ``better(fits, r, part)`` accepts (residuals
     r of a trial of each flagged fit, on their stack), or stays, as does one
     whose full step is within tol (1 + |beta|_inf).  Returns the new points,
-    their values, step lengths, which moved, and the residuals there if no
-    fit halved its step."""
+    their values, step lengths and which moved."""
     cand, value = beta.copy(), np.full(len(beta), np.inf)
     t, moved = np.ones(len(beta)), np.zeros(len(beta), dtype=bool)
     searching, part, trial = ~moved, stack, beta + step
@@ -526,7 +531,7 @@ def _halve(model, stack, beta, step, tol, better):
         t[searching] *= 0.5
         part = stack.take(searching)
         trial = beta[searching] + t[searching, None] * step[searching]
-    return cand, value, t, moved, None if halving else r
+    return cand, value, t, moved
 
 
 def residual_scales(resid, start, counts=None, weights=None):
@@ -622,32 +627,22 @@ def _polish(model, stack, beta, s, floor):
         return solved < start, solved
 
     beta, s, steps = beta.copy(), s.copy(), np.zeros(s.size, dtype=int)
-    live, stack, r = np.flatnonzero(s > floor), stack.take(s > floor), None
+    live, stack = np.flatnonzero(s > floor), stack.take(s > floor)
     for _ in range(_POLISH_ITER):
         if live.size == 0:
             break
         b, sc = beta[live], s[live]
-        rows = stack.rows(b)
-        if r is None:
-            r = stack.y - model.mean(stack.x, rows)
-        u = r / stack.spread(sc)
-        wts = stack.w * _RHO0.weight(u)
-        mom = stack.moments(model, rows, u,
-                            [wts, stack.w * _RHO0.psi_prime(u)])
+        mom, curv = stack.moments(model, b, sc, _RHO0)
         a, bv, du = mom[:, 0, 0, 0, None], mom[:, 0, 0, 1:], mom[:, 1, 0, 1:]
         grad = -bv / a
         cd = -(du + bv + (mom[:, 1, 0, 0, None] + a) * grad)
         hess = ((bv[:, :, None] * cd[:, None, :] / a[:, :, None]
                  + mom[:, 1, 1:, 1:] + du[:, :, None] * grad[:, None, :])
-                / sc[:, None, None]
-                - model.curvature(stack.x, rows, wts * u, stack.starts)
-                ) / a[:, :, None]
+                / sc[:, None, None] - curv) / a[:, :, None]
         step = _descent_step(0.5 * (hess + hess.transpose(0, 2, 1)), grad,
                              mom[:, 0, 1:, 1:], sc[:, None] * bv)
-        # Freed before the trials: a sample's S-scale stacks every atom.
-        del r, u, wts
-        cand, s_new, t, moved, r = _halve(model, stack, b, step,
-                                          _POLISH_STEP_TOL, lower_scale)
+        cand, s_new, t, moved = _halve(model, stack, b, step,
+                                       _POLISH_STEP_TOL, lower_scale)
         s_new = np.where(moved, s_new, sc)
         small = (sc - s_new <= _POLISH_SCALE_TOL * sc) | _within(
             t[:, None] * step, cand, _POLISH_STEP_TOL)
@@ -655,7 +650,6 @@ def _polish(model, stack, beta, s, floor):
         steps[live] += moved
         go_on = moved & ~small & (s_new > floor[live])
         if not go_on.all():
-            r = None if r is None else r[np.repeat(go_on, stack.counts)]
             live, stack = live[go_on], stack.take(go_on)
     return beta, s, steps, ~np.isin(np.arange(s.size), live)
 
@@ -676,34 +670,27 @@ def _m_step(model, stack, beta, s):
         v = objective(part, r, sc[fits])
         return v < f[live][fits], v
 
-    beta, r = beta.copy(), stack.residuals(model, beta)
-    f = objective(stack, r, s)
+    beta = beta.copy()
+    f = objective(stack, stack.residuals(model, beta), s)
     converged, iterations = np.zeros(s.size, bool), np.full(s.size, _M_ITER)
     live = np.arange(s.size)
     for it in range(1, _M_ITER + 1):
         if live.size == 0:
             break
         b, sc = beta[live], s[live]
-        rows = stack.rows(b)
-        if r is None:
-            r = stack.y - model.mean(stack.x, rows)
-        u = r / stack.spread(sc)
-        wts = stack.w * _RHO_M.weight(u)
-        mom = stack.moments(model, rows, u,
-                            [wts, stack.w * _RHO_M.psi_prime(u)])
-        hess = (mom[:, 1, 1:, 1:] / sc[:, None, None] - model.curvature(
-            stack.x, rows, wts * u, stack.starts)) / sc[:, None, None]
+        mom, curv = stack.moments(model, b, sc, _RHO_M)
+        hess = (mom[:, 1, 1:, 1:] / sc[:, None, None]
+                - curv) / sc[:, None, None]
         wpsi_j = mom[:, 0, 0, 1:]
         step = _descent_step(hess, -wpsi_j / sc[:, None], mom[:, 0, 1:, 1:],
                              sc[:, None] * wpsi_j)
-        cand, fc, _, moved, r = _halve(model, stack, b, step, _M_TOL,
-                                       lower_objective)
+        cand, fc, _, moved = _halve(model, stack, b, step, _M_TOL,
+                                    lower_objective)
         beta[live], f[live[moved]] = cand, fc[moved]
         done = ~moved | _within(cand - b, cand, _M_TOL)
         if done.any():
             converged[live[done]] = True
             iterations[live[done]] = it
-            r = None if r is None else r[np.repeat(~done, stack.counts)]
             live, stack = live[~done], stack.take(~done)
     return beta, converged, iterations
 

@@ -59,9 +59,7 @@ def toy_config(**overrides):
 
 def settings_and_data(config, path):
     settings = cli._build_estimate_settings(config)
-    columns = [settings["response"]] + [
-        c for c in settings["covariates"] if c != settings["response"]
-    ]
+    columns = [settings["response"], *settings["covariates"]]
     return settings, cli._build_dataset(
         cli._read_csv_columns(path, columns), settings
     )
@@ -450,9 +448,7 @@ class TestPropensityFitPerDataset:
         config = dict(OZONE_CONFIG)
         config["jackknife"] = False
         settings = cli._build_estimate_settings(config)
-        columns = [settings["response"]] + [
-            c for c in settings["covariates"] if c != settings["response"]
-        ]
+        columns = [settings["response"], *settings["covariates"]]
         data = cli._build_dataset(cli._read_csv_columns(AIRQ, columns), settings)
         calls = []
         real = propensity.auto_bandwidth

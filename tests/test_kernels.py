@@ -71,9 +71,13 @@ def dense_kernel_propensity(z, d, b_n, query):
 
 
 def dense_cv_bandwidth(z, d, grid):
+    """A grid of bandwidths or of rows, one per column, taken in the order
+    of their first entries."""
     n, k = z.shape
     loo_mean = (d.sum() - d) / (n - 1)
-    bandwidths = np.sort(np.asarray(grid, dtype=float))
+    grid = np.asarray(grid, dtype=float)
+    bandwidths = grid[np.argsort(grid.reshape(len(grid), -1)[:, 0],
+                                 kind="stable")]
     scores = []
     for b in bandwidths:
         panel = epanechnikov_panel(z, z, b)
@@ -84,7 +88,8 @@ def dense_cv_bandwidth(z, d, grid):
         scores.append(float(((d - p_loo) ** 2).sum()))
     scores = np.asarray(scores)
     cutoff = scores.min() * (1.0 + 1e-10) + 1e-12
-    return float(bandwidths[np.argmax(scores <= cutoff)])
+    best = bandwidths[np.argmax(scores <= cutoff)]
+    return best.item() if best.size == 1 else tuple(best.tolist())
 
 
 def dense_shares(z_obs, z_rows, a_n):
@@ -96,9 +101,10 @@ def dense_shares(z_obs, z_rows, a_n):
 
 
 def auto_grid(z):
+    """Rows of one bandwidth per column, each scaled by its column's sd."""
     n = z.shape[0]
-    spread = max(float(np.std(z[:, 0])), 1e-8)
-    return spread * n ** (-0.2) * np.geomspace(0.3, 3.0, 8)
+    spread = np.array([max(float(np.std(col)), 1e-8) for col in z.T])
+    return spread * n ** (-0.2) * np.geomspace(0.3, 3.0, 8)[:, None]
 
 
 def ozone_data():
@@ -106,9 +112,7 @@ def ozone_data():
         (resources.files("robmarg") / "data" / "ozone_config.json").read_text()
     )
     settings_ = cli._build_estimate_settings(config)
-    columns = [settings_["response"]] + [
-        c for c in settings_["covariates"] if c != settings_["response"]
-    ]
+    columns = [settings_["response"], *settings_["covariates"]]
     path = str(resources.files("robmarg") / "data" / "airquality.csv")
     return cli._build_dataset(cli._read_csv_columns(path, columns), settings_)
 
@@ -164,6 +168,8 @@ def window_cases(draw):
         "medium": 0.4,
         "wide": 3.0,
     }[h]
+    if draw(st.booleans()):  # one bandwidth per column
+        h = h * rng.uniform(0.5, 2.0, k)
     c = draw(st.integers(1, 3))
     values = rng.standard_normal((n, c))
     family = draw(st.sampled_from(sorted(PANELS)))
@@ -204,6 +210,10 @@ def test_rejects_bad_arguments():
         window.sums(np.zeros((1, 2)), 1.0, "gaussian")
     with pytest.raises(ValueError, match="positive"):
         window.sums(np.zeros((1, 2)), 0.0, "biweight")
+    with pytest.raises(ValueError, match="positive"):
+        window.sums(np.zeros((1, 2)), [1.0, -1.0], "biweight")
+    with pytest.raises(ValueError, match="one value or 2"):
+        window.sums(np.zeros((1, 2)), [1.0, 1.0, 1.0], "biweight")
     with pytest.raises(ValueError, match="2 columns"):
         window.sums(np.zeros(4), 1.0, "biweight")
     with pytest.raises(ValueError, match="one entry per point"):
@@ -219,7 +229,7 @@ def test_kernel_propensity_matches_dense(k):
     z = np.round(rng.random((300, k)), 2)
     d = (rng.random(300) < 0.6).astype(float)
     query = np.concatenate([z, rng.uniform(-1.0, 2.0, (50, k))])
-    for b in (0.004, 0.05, 0.3):
+    for b in (0.004, 0.05, 0.3, np.linspace(0.02, 0.3, k)):
         fit = kernel_propensity(z, d, b, floor=1e-9)
         ref = np.clip(dense_kernel_propensity(z, d, b, query), 1e-9, 1.0)
         np.testing.assert_allclose(fit.predict(query), ref, rtol=1e-12, atol=0)
@@ -242,10 +252,13 @@ def test_cv_bandwidth_matches_dense_on_random_grids(k):
         assert cv_bandwidth(z, d, grid) == dense_cv_bandwidth(z, d, grid)
 
 
-@pytest.mark.parametrize("n", [100, 400, 1600])
-def test_cv_bandwidth_matches_dense_on_benchmark_samples(n):
+@pytest.mark.parametrize("n, k", [(100, 1), (400, 1), (1600, 1), (400, 2)],
+                         ids=["100", "400", "1600", "400-k2"])
+def test_cv_bandwidth_matches_dense_on_benchmark_samples(n, k):
     data, _ = generate_sample(n, 1)
     z, d = data.z, data.delta.astype(float)
+    if k == 2:  # a second column, on another scale
+        z = np.column_stack([z, 30.0 * np.random.default_rng(n).random(n)])
     assert auto_bandwidth(z, d) == dense_cv_bandwidth(z, d, auto_grid(z))
 
 
@@ -291,7 +304,7 @@ def test_plugin_kernel_correction_matches_dense(k):
     data = mar_dataset(np.round(rng.random((300, k)), 2), seed=9 + k)
     pf = linear_propensity(k)
     args = (data, pf, 0.2, 1.3, SF)
-    for b in (0.003, 0.08, 0.4):
+    for b in (0.003, 0.08, 0.4, np.linspace(0.05, 0.4, k)):
         known = plugin_var_ipw(*args, variant="known", scale_method=None)
         kernel = plugin_var_ipw(*args, variant="kernel", bandwidth=b,
                                 scale_method=None)

@@ -5,6 +5,7 @@ import pytest
 
 from robmarg import propensity
 from robmarg.propensity import (
+    auto_bandwidth,
     constant_propensity,
     cv_bandwidth,
     fit_logistic,
@@ -193,12 +194,55 @@ class TestCvBandwidth:
         assert scores[chosen] == pytest.approx(best, rel=1e-12)
         assert scores[chosen] <= 1.05 * best
 
+    def test_grid_of_rows_takes_a_bandwidth_per_column(self):
+        rng = np.random.default_rng(3)
+        z = rng.random((120, 2)) * [1.0, 50.0]
+        delta = (rng.random(120) < mh_probability(z[:, 0])).astype(int)
+        grid = [[0.3, 15.0], [0.1, 5.0], [0.2, 10.0]]
+        chosen = cv_bandwidth(z, delta, grid)
+        assert isinstance(chosen, tuple) and list(chosen) in grid
+        assert cv_bandwidth(z[:, :1], delta, [[0.2], [0.1]]) in (0.1, 0.2)
+        with pytest.raises(ValueError, match="2-column rows"):
+            cv_bandwidth(z, delta, [[0.1, 0.2, 0.3]])
+
     def test_grid_validation(self):
         z, delta = draw_mh(30, seed=1)
         with pytest.raises(ValueError, match="nonempty"):
             cv_bandwidth(z, delta, [])
         with pytest.raises(ValueError, match="positive"):
             cv_bandwidth(z, delta, [0.2, -0.1])
+
+
+class TestAutoBandwidth:
+    @staticmethod
+    def draw(n=200, seed=4):
+        """Two z columns of sd 0.1 and 10, both driving the propensity."""
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, 2)) * [0.1, 10.0]
+        eta = 0.4 + 8.0 * z[:, 0] + 0.08 * z[:, 1]
+        delta = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
+        return z, delta
+
+    @staticmethod
+    def predictions(z, delta):
+        return propensity.fit_propensity("kernel", z, delta).predict(z)
+
+    def test_each_column_gets_its_own_bandwidth(self):
+        z, delta = self.draw()
+        h = auto_bandwidth(z, delta)
+        assert isinstance(h, tuple) and len(h) == 2
+        assert isinstance(auto_bandwidth(z[:, :1], delta), float)
+        assert h[1] / h[0] == pytest.approx(np.std(z[:, 1]) / np.std(z[:, 0]))
+        base = self.predictions(z, delta)
+        # The predictions do not collapse to the floor or 1.
+        assert np.mean((base > 0.01) & (base < 1.0)) > 0.5
+
+    def test_predictions_ignore_column_order_and_units(self):
+        z, delta = self.draw()
+        base = self.predictions(z, delta)
+        for other in (z[:, ::-1], z * [1000.0, 1.0], z * [1.0, 1000.0]):
+            np.testing.assert_allclose(self.predictions(other, delta), base,
+                                       rtol=0, atol=1e-12)
 
 
 class TestConstant:

@@ -27,10 +27,10 @@ each after one untimed call:
 * the jackknife fits (``jackknife_fits``): the ozone config's first
   model's fits to the 152 leave-one-out sets that the jackknife gives its
   chunks (sets 1 to 152), in chunks of ``JACKKNIFE_CHUNKS`` rows, in one
-  process, as the CLI's jackknife makes them: a chunk's sets that leave
-  out a complete row are one ``fit_mm_stack``, and the others take the
-  full data's fit, made once before the timing; with the split into the
-  S-search, the polish and the M-step and a hash of all 152 fits;
+  process, made by the CLI's own ``_jackknife_fits``: a chunk's sets that
+  leave out a complete row are one ``fit_mm_stack``, and the others take
+  the full data's fit, made once before the timing; with the split into
+  the S-search, the polish and the M-step and a hash of all 152 fits;
 * the Monte Carlo block layer (``mc_block``): ``run_scenario`` of the
   benchmark's ``mc_n100`` scenario (n = 100, kernel propensity, the true
   nonlinear model, every estimator and functional) at ``MC_REPS``
@@ -55,10 +55,12 @@ CPUs this process may use, numpy and Python versions).
 It measures commit 7e27a71 and later, whose CLI jackknife takes the full
 data's fits and whose fits carry every counter in ``COUNTERS``.  Its
 jackknife layer calls ``cli._estimates`` in its chunk form (a list of
-datasets, estimated by ``marginal.estimate_chunk``), so that layer measures
-the change that brought the chunk form and later.  Run it from one commit's
-``tools/`` with ``PYTHONPATH`` at another's ``src`` to measure a pair with
-one script.
+datasets, estimated by ``marginal.estimate_chunk``), and its jackknife fits
+call ``cli._jackknife_fits``, so the script as a whole measures the change
+that split ``_jackknife_fits`` out of ``_jackknife_thetas`` and later; an
+earlier commit is measured with its own ``tools/bench.py``.  Run it from one
+commit's ``tools/`` with ``PYTHONPATH`` at another's ``src`` to measure a
+pair with one script.
 
 This is a measuring tool, not a test: it is kept out of the test suite.
 """
@@ -248,9 +250,7 @@ def _ozone():
     with open(os.path.join(PACKAGE_DATA, "ozone_config.json"),
               encoding="utf-8") as handle:
         settings = cli._build_estimate_settings(json.load(handle))
-    columns = [settings["response"]] + [
-        c for c in settings["covariates"] if c != settings["response"]
-    ]
+    columns = [settings["response"], *settings["covariates"]]
     table = cli._read_csv_columns(
         os.path.join(PACKAGE_DATA, "airquality.csv"), columns)
     return settings, cli._build_dataset(table, settings)
@@ -277,30 +277,24 @@ def bench_jackknife() -> dict:
 
 def bench_jackknife_fits(clock: dict) -> list[dict]:
     settings, data = _ozone()
-    first = settings["models"][0]
-    model = regression.MODELS[first["id"]]
-    weights = cli._WEIGHT_IDS[first["weights"]]
-    full = regression.fit_mm(model, data, weights, settings["seed"])
+    first = dict(settings, models=settings["models"][:1])
+    label = first["models"][0]["label"]
+    full = cli._fit_models(data, first)
     sets = [inference._drop_row(data, i) for i in range(1, data.n)]
-    own = [int(d.delta.sum()) != full.complete_case_count for d in sets]
+    stacked = sum(int(d.delta.sum()) != full[label].complete_case_count
+                  for d in sets)
     rows = []
     for size in JACKKNIFE_CHUNKS:
         def call():
-            fits = []
-            for k in range(0, len(sets), size):
-                part = [d for d, o in zip(sets[k:k + size], own[k:k + size])
-                        if o]
-                stacked = iter(regression.fit_mm_stack(
-                    model, part, [settings["seed"]] * len(part), weights))
-                fits += [next(stacked) if o else full
-                         for o in own[k:k + size]]
-            return fits
+            return [fits[label] for k in range(0, len(sets), size)
+                    for fits in cli._jackknife_fits(sets[k:k + size], first,
+                                                    full)]
 
         ms, split, fits = _least_ms(call, clock)
         values = [v for fit in fits
                   for v in [*fit.beta, fit.residual_scale]]
         rows.append({
-            "sets": len(sets), "stacked": sum(own), "chunk": size, "ms": ms,
+            "sets": len(sets), "stacked": stacked, "chunk": size, "ms": ms,
             **{f"{stage}_ms": round(split[stage], 4) for stage in STAGES},
             "output_hash": _hash(values),
         })
