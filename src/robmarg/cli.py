@@ -113,9 +113,10 @@ _TARGET_FIELDS = {
 }
 # ScenarioConfig checks its own values.
 _SCENARIO_FIELDS = {
-    "id": (None, lambda v: isinstance(v, str) and v != "" and all(
-        ch.isalnum() or ch in "_-" for ch in v
-    ), "must use only letters, digits, '_' or '-'"),
+    "id": (None, lambda v: isinstance(v, str) and v not in ("", "combined")
+           and all(ch.isalnum() or ch in "_-" for ch in v),
+           "must use only letters, digits, '_' or '-', and not be "
+           "'combined', the name of the table of all scenarios"),
 } | {f.name: (f.default, None, "") for f in dataclasses.fields(ScenarioConfig)}
 
 
@@ -153,9 +154,16 @@ def _fmt(value) -> str:
 
 
 def _load_json(path: str, what: str) -> dict:
+    def unique_keys(pairs: list) -> dict:
+        keys = [key for key, _ in pairs]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise InputError(f"{what}: field {key!r} is repeated")
+        return dict(pairs)
+
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -453,22 +461,13 @@ def _attach_jackknife(entries: list[dict], data: ObservedDataset,
 
 def _report_csv(entries: list[dict]) -> str:
     out = StringIO()
-    out.write(
-        "estimator,model,propensity,theta_m,scale,se,ci_low,ci_high\n"
-    )
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["estimator", "model", "propensity", "theta_m", "scale",
+                     "se", "ci_low", "ci_high"])
     for e in entries:
         ci = e["ci"] or (None, None)
-        cells = [
-            e["estimator"],
-            e["model"] or "",
-            e["propensity"],
-            _fmt(e["theta_m"]),
-            _fmt(e["scale"]),
-            _fmt(e["se"]),
-            _fmt(ci[0]),
-            _fmt(ci[1]),
-        ]
-        out.write(",".join(cells) + "\n")
+        writer.writerow([e["estimator"], e["model"] or "", e["propensity"],
+                         *map(_fmt, (e["theta_m"], e["scale"], e["se"], *ci))])
     return out.getvalue()
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .regression import RegressionModel, _polish, _Stack, residual_scales
 from .scores import SCALE_B_TARGET, ScoreFamily
-from .weighted import WeightedSample, serial_dot, weighted_quantile
+from .weighted import (WeightedSample, largest_atom_share, serial_dot,
+                       weighted_mad, weighted_quantile)
 
 __all__ = ["ScaleFit", "s_scale", "m_location", "mad_scale",
            "check_score_pair"]
@@ -47,11 +48,6 @@ class ScaleFit:
     converged: bool
 
 
-def _positive_part(ws: WeightedSample) -> tuple[np.ndarray, np.ndarray]:
-    keep = ws.weights > 0
-    return ws.atoms[keep], ws.weights[keep]
-
-
 def s_scale(ws: WeightedSample) -> ScaleFit:
     """Bisquare S-scale of a weighted sample (c0 = 1.54764, b = 0.5): the
     smallest dispersion over locations.
@@ -68,19 +64,12 @@ def s_scale(ws: WeightedSample) -> ScaleFit:
     least 1 - b of the weight: at that location avg rho0 stays at most b
     for every s, so the smallest dispersion is 0.
     """
-    # The weight share of each distinct atom value, read off the sorted
-    # table that the median below uses too.
-    sa, cw = ws._sorted
-    if np.diff(cw[np.append(sa[1:] != sa[:-1], True)],
-               prepend=0.0).max() >= 1.0 - SCALE_B_TARGET:
+    if largest_atom_share(ws) >= 1.0 - SCALE_B_TARGET:
         raise ValueError("degenerate scale")
-    y, w = _positive_part(ws)
-    a = weighted_quantile(ws, 0.5)
-    dev = np.abs(y - a)
-    s = float(weighted_quantile(WeightedSample(dev, w), 0.5))
+    y, w = ws.positive_part()
+    a, s = weighted_mad(ws)
     if s <= 0.0:
-        s = float(serial_dot(w, dev) / w.sum())
-    del dev
+        s = float(serial_dot(w, np.abs(y - a)) / w.sum())
     s = residual_scales(y - a, [s], weights=w)
     # A zero-stride covariate matrix: the model reads only its shape.
     stack = _Stack(y, np.broadcast_to(0.0, (y.size, 2)), w,
@@ -106,9 +95,7 @@ def mad_scale(ws: WeightedSample, normal_consistency: bool = False) -> ScaleFit:
     atom, e.g. atoms {-1, 1} with equal weights under the lower-median
     convention.
     """
-    med = weighted_quantile(ws, 0.5)
-    y, w = _positive_part(ws)
-    scale = float(weighted_quantile(WeightedSample(np.abs(y - med), w), 0.5))
+    med, scale = weighted_mad(ws)
     if normal_consistency:
         scale /= 0.6745
     if scale <= 0.0:
@@ -131,7 +118,7 @@ def m_location(
     if not scale > 0.0:
         raise ValueError("scale must be positive")
 
-    y, w = _positive_part(ws)
+    y, w = ws.positive_part()
     th = float(weighted_quantile(ws, 0.5))
     for _ in range(_LOC_MAX_ITER):
         wt = w * rho.weight((y - th) / scale)

@@ -3,8 +3,8 @@
 Every estimator in this package produces a discrete distribution: a vector of
 response-space atoms carrying nonnegative weights.  This module gives that
 object a type and the operations the rest of the code is built on:
-right-continuous CDF evaluation, left-continuous (lower) quantiles, and the
-Kolmogorov sup-distance between two weighted samples.
+right-continuous CDF evaluation, left-continuous (lower) quantiles, the MAD
+and the Kolmogorov sup-distance, all read off one sorted table per sample.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ __all__ = [
     "WeightedSample",
     "weighted_cdf",
     "weighted_quantile",
+    "weighted_mad",
+    "largest_atom_share",
     "kolmogorov_distance",
     "serial_dot",
 ]
@@ -100,27 +102,38 @@ class WeightedSample:
         """Weighted mean of the atoms."""
         return float(serial_dot(self.normalized_weights, self.atoms))
 
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted positive-weight atoms and cumulative normalized weights.
-
-        The final cumulative entry is forced to exactly 1.0 so quantile
-        lookups never fall off the end of the table.
-        """
+    def positive_part(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positive-weight atoms and weights in input order, for reading
+        only: the sample's own arrays when every weight is positive."""
         keep = self.weights > 0
-        atoms = self.atoms[keep]
-        order = np.argsort(atoms, kind="stable")
-        sa = atoms[order]
-        cw = np.cumsum(self.weights[keep][order])
-        cw /= cw[-1]
-        cw[-1] = 1.0
-        return sa, cw
+        if keep.all():
+            return self.atoms, self.weights
+        return self.atoms[keep], self.weights[keep]
 
     @cached_property
-    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted atoms with the cumulative vector padded by a leading 0."""
-        sa, cw = self._sorted
-        return sa, np.concatenate(([0.0], cw))
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one sorted table: positive-weight atoms in ascending order
+        (ties in input order), their weights and cumulative weights."""
+        atoms, weights = self.positive_part()
+        order = np.argsort(atoms, kind="stable")
+        sw = weights[order]
+        return atoms[order], sw, _cumulative(sw)
+
+
+def _cumulative(w: np.ndarray) -> np.ndarray:
+    """Cumulative sums of ``w`` over its total, the last one forced to
+    exactly 1.0 so that a lookup of q - _Q_SLACK < 1 never falls off the
+    end."""
+    cw = np.cumsum(w)
+    cw /= cw[-1]
+    cw[-1] = 1.0
+    return cw
+
+
+def _cdf_at(sa: np.ndarray, cw: np.ndarray, y, side: str = "right"):
+    """The table's cumulative weight before ``searchsorted(sa, y, side)``."""
+    idx = np.searchsorted(sa, y, side=side)
+    return np.where(idx > 0, cw[idx - 1], 0.0)
 
 
 def weighted_cdf(ws: WeightedSample, y) -> float | np.ndarray:
@@ -128,12 +141,9 @@ def weighted_cdf(ws: WeightedSample, y) -> float | np.ndarray:
 
     ``y`` may be a scalar or an array; the return type matches.
     """
-    sa, cw_pad = ws._cdf_table
-    yq = np.asarray(y, dtype=float)
-    out = cw_pad[np.searchsorted(sa, yq, side="right")]
-    if yq.ndim == 0:
-        return float(out)
-    return out
+    sa, _, cw = ws._sorted
+    out = _cdf_at(sa, cw, np.asarray(y, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def weighted_quantile(ws: WeightedSample, q) -> float | np.ndarray:
@@ -142,15 +152,33 @@ def weighted_quantile(ws: WeightedSample, q) -> float | np.ndarray:
     At q = 0.5 this is the lower median.  ``q`` may be a scalar or an array
     of probabilities, each strictly inside (0, 1).
     """
-    sa, cw = ws._sorted
+    sa, _, cw = ws._sorted
     qarr = np.asarray(q, dtype=float)
     if np.any(~((qarr > 0.0) & (qarr < 1.0))):
         raise ValueError("q must lie strictly between 0 and 1")
-    idx = np.searchsorted(cw, qarr - _Q_SLACK, side="left")
-    out = sa[np.minimum(idx, sa.size - 1)]
-    if qarr.ndim == 0:
-        return float(out)
-    return out
+    out = sa[np.searchsorted(cw, qarr - _Q_SLACK)]
+    return float(out) if qarr.ndim == 0 else out
+
+
+def weighted_mad(ws: WeightedSample) -> tuple[float, float]:
+    """Lower weighted median m of ``ws`` and the raw MAD, the lower weighted
+    median of |atom - m|, both read off the one sorted table.
+
+    Over the table |atom - m| falls, then rises: two runs, which a stable
+    argsort (timsort) merges in linear time when few atoms tie."""
+    sa, sw, cw = ws._sorted
+    m = sa[np.searchsorted(cw, 0.5 - _Q_SLACK)]
+    dev = np.abs(sa - m)
+    order = np.argsort(dev, kind="stable")
+    mad = dev[order[np.searchsorted(_cumulative(sw[order]), 0.5 - _Q_SLACK)]]
+    return float(m), float(mad)
+
+
+def largest_atom_share(ws: WeightedSample) -> float:
+    """The largest share of the total weight that one atom value carries."""
+    sa, _, cw = ws._sorted
+    return float(np.diff(cw[np.append(sa[1:] != sa[:-1], True)],
+                         prepend=0.0).max())
 
 
 def kolmogorov_distance(ws1: WeightedSample, ws2: WeightedSample) -> float:
@@ -162,12 +190,12 @@ def kolmogorov_distance(ws1: WeightedSample, ws2: WeightedSample) -> float:
     the two CDFs at the atoms of the sample with fewer atoms and at the left
     limits there.
     """
-    sa1, pad1 = ws1._cdf_table
-    sa2, pad2 = ws2._cdf_table
+    sa1, _, cw1 = ws1._sorted
+    sa2, _, cw2 = ws2._sorted
     pts = sa1 if sa1.size <= sa2.size else sa2
     d = 0.0
     for side in ("right", "left"):
-        f1 = pad1[np.searchsorted(sa1, pts, side=side)]
-        f2 = pad2[np.searchsorted(sa2, pts, side=side)]
+        f1 = _cdf_at(sa1, cw1, pts, side)
+        f2 = _cdf_at(sa2, cw2, pts, side)
         d = max(d, float(np.max(np.abs(f1 - f2))))
     return d

@@ -1,5 +1,6 @@
 """End-to-end tests of the batch command-line interface."""
 
+import csv
 import functools
 import json
 import multiprocessing
@@ -601,6 +602,17 @@ class TestEstimateInputForms:
                    for d in (out, tmp_path / "marked")]
         assert reports[1]["estimates"] == reports[0]["estimates"]
 
+    def test_label_with_comma_and_quote_reads_back(self, tmp_path):
+        label = 'lin,"ear"'
+        code, out = self.run(tmp_path, toy_csv(tmp_path, blank_rows=(3, 11)),
+                             toy_config(models=[{"id": "linear",
+                                                 "label": label}]), "label")
+        assert code == 0
+        with open(out / "table.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert all(len(row) == 8 for row in rows)
+        assert [row[1] for row in rows if row[0] == "conv"] == [label]
+
 
 class TestEstimateInputErrors:
     def run_expecting_error(self, tmp_path, data, config, fragment, capsys):
@@ -853,6 +865,17 @@ class TestEstimateInputErrors:
             "missing field 'response'", capsys,
         )
 
+    def test_repeated_key_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(toy_config(jackknife=True))[:-1]
+                        + ', "jackknife": false}')
+        self.run_expecting_error(
+            tmp_path, toy_csv(tmp_path), str(path),
+            "estimate config: field 'jackknife' is repeated",
+            capsys,
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_config_not_json(self, tmp_path, capsys):
         data = toy_csv(tmp_path)
         path = tmp_path / "broken.json"
@@ -1055,6 +1078,32 @@ class TestSimulate:
         )
         assert code == 1
         assert "duplicate scenario id 'twin'" in capsys.readouterr().err
+
+    def test_scenario_id_combined_is_an_input_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_scenario",
+                            lambda *args, **kwargs: calls.append(args))
+        doc = {"scenarios": [{"id": "first", "reps": 1},
+                             {"id": "combined", "reps": 1}]}
+        code = main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("scenario #2: field 'id' must use only letters, digits, '_' "
+                "or '-', and not be 'combined', the name of the table of all "
+                "scenarios") in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_is_an_input_error(self, tmp_path, capsys):
+        text = open(self.simulate_config(tmp_path)).read()
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace('"reps": 2', '"reps": 2, "reps": 3'))
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "simulate config: field 'reps' is repeated" in (
+            capsys.readouterr().err)
 
     def test_aborted_scenario_exits_2(self, tmp_path, capsys):
         # a logistic fit is undefined when nothing is missing, so every

@@ -1,4 +1,12 @@
-"""Tests for weighted empirical distributions."""
+"""Tests for weighted empirical distributions.
+
+``reference_cdf_table`` and ``ref_mad`` are the routes that came before the
+one sorted table per sample: a CDF table padded by a leading 0, and a MAD
+that sorts the deviations as a second sample.  They are kept as the
+reference the current code is checked against.
+"""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +16,13 @@ from hypothesis import strategies as st
 from robmarg import (
     WeightedSample,
     kolmogorov_distance,
+    mad_scale,
+    s_scale,
+    scaleloc,
     weighted_cdf,
     weighted_quantile,
 )
-from robmarg.weighted import serial_dot
+from robmarg.weighted import serial_dot, weighted_mad
 
 
 def ws(atoms, weights=None):
@@ -45,6 +56,15 @@ class TestValidation:
     def test_normalized_view(self):
         s = ws([1.0, 2.0, 3.0], [2.0, 3.0, 5.0])
         assert abs(s.normalized_weights.sum() - 1.0) < 1e-12
+
+    def test_positive_part_copies_only_to_drop_zero_weights(self):
+        # A conv law holds millions of atoms: with every weight positive the
+        # solvers read the sample's own arrays.
+        s = ws([3.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        y, w = s.positive_part()
+        assert y is s.atoms and w is s.weights
+        y, w = ws([3.0, 1.0, 2.0], [1.0, 0.0, 3.0]).positive_part()
+        assert y.tolist() == [3.0, 2.0] and w.tolist() == [1.0, 3.0]
 
 
 class TestCdf:
@@ -127,11 +147,22 @@ class TestKolmogorov:
         assert kolmogorov_distance(a, b) == 0.0
 
 
+def reference_cdf_table(sample):
+    """Sorted positive-weight atoms and their cumulative normalized weights
+    padded by a leading 0, so that ``pad[searchsorted(sa, y)]`` is the CDF."""
+    keep = sample.weights > 0
+    order = np.argsort(sample.atoms[keep], kind="stable")
+    cw = np.cumsum(sample.weights[keep][order])
+    cw /= cw[-1]
+    cw[-1] = 1.0
+    return sample.atoms[keep][order], np.concatenate(([0.0], cw))
+
+
 def reference_kolmogorov_distance(ws1, ws2):
     """The distance as computed before it looked at one sample's atoms only:
     both CDFs at every atom of both samples and at the left limits there."""
-    sa1, pad1 = ws1._cdf_table
-    sa2, pad2 = ws2._cdf_table
+    sa1, pad1 = reference_cdf_table(ws1)
+    sa2, pad2 = reference_cdf_table(ws2)
     d = 0.0
     for pts in (sa1, sa2):
         for side in ("right", "left"):
@@ -168,6 +199,78 @@ def test_kolmogorov_matches_reference_exactly(pair):
     assert kolmogorov_distance(ws2, ws1) == reference_kolmogorov_distance(
         ws2, ws1
     )
+
+
+@given(sample_pairs())
+@settings(max_examples=100, deadline=None)
+def test_cdf_matches_reference_table_exactly(pair):
+    ws1, ws2 = pair
+    sa, pad = reference_cdf_table(ws1)
+    for pts in (ws1.atoms, ws2.atoms, ws2.atoms - 1e-9):
+        expected = pad[np.searchsorted(sa, pts, side="right")]
+        np.testing.assert_array_equal(weighted_cdf(ws1, pts), expected)
+
+
+def ref_mad(sample):
+    """The lower median m and the raw MAD as computed before the one table:
+    the lower median of |y - m| over the positive part, sorted anew."""
+    m = weighted_quantile(sample, 0.5)
+    keep = sample.weights > 0
+    dev = WeightedSample(np.abs(sample.atoms[keep] - m), sample.weights[keep])
+    return m, weighted_quantile(dev, 0.5)
+
+
+@st.composite
+def mad_samples(draw):
+    """Tie-heavy integer atoms, scaled and shifted, with one, two or more
+    atoms; equal, integer or random weights, some of them zero; and at
+    times one atom carrying at least half the weight."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 7, 40, 300]))
+    grid = draw(st.sampled_from([1, 4, 20, 100]))
+    step = draw(st.sampled_from([1.0, 0.1, 3.7]))
+    atoms = rng.integers(-grid, grid + 1, n) * step + draw(
+        st.sampled_from([0.0, 0.05, -12.3]))
+    kind = draw(st.sampled_from(["equal", "integer", "random"]))
+    if kind == "equal":
+        weights = np.full(n, draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0])))
+    elif kind == "integer":
+        weights = rng.integers(1, 5, n).astype(float)
+    else:
+        weights = rng.random(n) + 1e-3
+    weights[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+    heavy = rng.integers(0, n)
+    weights[heavy] = draw(st.sampled_from([1.0, 2.0, weights[heavy]]))
+    factor = draw(st.sampled_from([None, None, None, 1.0, 2.5]))
+    if factor is not None:
+        weights[heavy] = factor * (weights.sum() - weights[heavy])
+    if not weights.sum() > 0.0:
+        weights[heavy] = 1.0
+    return WeightedSample(atoms, weights)
+
+
+def outcome(fn, sample):
+    """(scale, location) of a scale fit, or the message of what it raised."""
+    try:
+        fit = fn(sample)
+    except ValueError as exc:
+        return str(exc)
+    return fit.scale, fit.s_location
+
+
+@given(mad_samples())
+@settings(max_examples=300, deadline=None)
+def test_mad_matches_reference_exactly(sample):
+    m, mad = ref_mad(sample)
+    assert weighted_mad(sample) == (m, mad)
+    assert outcome(mad_scale, sample) == (
+        (mad, m) if mad > 0.0 else "degenerate scale")
+    assert outcome(lambda s: mad_scale(s, normal_consistency=True),
+                   sample) == ((mad / 0.6745, m) if mad > 0.0
+                               else "degenerate scale")
+    with mock.patch.object(scaleloc, "weighted_mad", ref_mad):
+        expected = outcome(s_scale, sample)
+    assert outcome(s_scale, sample) == expected
 
 
 class TestSerialDot:
