@@ -28,7 +28,6 @@ from .inference import confidence_interval, jackknife_se
 from .marginal import SCALE_METHODS, estimate_chunk
 from .propensity import DEFAULT_FLOOR, fit_propensity
 from .regression import MODELS, fit_mm, fit_mm_stack, hard_rejection_weights
-from .scores import location_bisquare
 from .simulation import (
     ESTIMATORS,
     PUBLISHED_TARGETS,
@@ -38,8 +37,6 @@ from .simulation import (
 )
 
 __all__ = ["main"]
-
-_SF = location_bisquare()
 
 _WEIGHT_IDS = {None: None, "hard_rejection": hard_rejection_weights}
 _CLI_PROPENSITIES = ("logistic", "kernel", "constant")
@@ -324,6 +321,9 @@ def _build_dataset(table: dict[str, np.ndarray], settings: dict) -> ObservedData
             f"data file has {delta.sum()} complete row(s); the estimators "
             "need at least two"
         )
+    if "logistic" in settings["propensities"] and delta.all():
+        raise InputError("estimate config: field 'propensities' names "
+                         "logistic, which needs a row with a missing value")
     try:
         return ObservedDataset(y=y, x=x, z_index=z_index, delta=delta)
     except ValueError as exc:
@@ -370,7 +370,7 @@ def _estimates(datasets: list, settings: dict, fits: list, a_n: float):
     propensity = functools.partial(fit_propensity, floor=settings["floor"],
                                    bandwidth=settings["kernel_bandwidth"])
     return estimate_chunk(datasets, propensity, fits, _entry_keys(settings),
-                          a_n, _SF, settings["scale_method"])
+                          a_n, settings["scale_method"])
 
 
 def _report_entries(estimates: dict, fits: dict) -> list[dict]:
@@ -589,8 +589,8 @@ def cmd_simulate(args) -> int:
 def cmd_targets(args) -> int:
     if args.reps < 1:
         raise InputError("--reps must be at least 1")
-    if args.n < 2:
-        raise InputError("--n must be at least 2")
+    if args.n < 3:
+        raise InputError("--n must be at least 3")
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
     if args.out:

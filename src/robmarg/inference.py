@@ -27,7 +27,8 @@ from .kernels import SortedWindow
 from .parallel import ordered_map
 from .propensity import PropensityFit
 from .scaleloc import mad_scale, s_scale
-from .scores import SCALE_B_TARGET, ScoreFamily, scale_bisquare
+from .scores import (LOCATION_BISQUARE, NORMAL_MAD, SCALE_B_TARGET,
+                     SCALE_BISQUARE)
 from .weighted import WeightedSample
 
 __all__ = [
@@ -167,18 +168,17 @@ def _scale_influence(
       density at bandwidth 0.9 * scale * n_obs^(-1/5),
       IF_med = sign(y - m) / (2 f(m)) and
       IF_scale = [sign(|y - m| - d) - 2 (f(m+d) - f(m-d)) IF_med]
-                 / (2 (f(m+d) + f(m-d))) / 0.6745.
+                 / (2 (f(m+d) + f(m-d))) / NORMAL_MAD.
     * "s": bisquare S-location a, v = (y - a)/scale, and
       IF_scale = scale (rho0(v) - b) / E_tau[rho0'(v) v]; the location
       drops out because it minimizes the scale.
     """
     ws = WeightedSample(y, tau)
     if scale_method == "s":
-        rho0 = scale_bisquare()
         a = s_scale(ws).s_location
         v = (y - a) / scale
-        slope = float(tau @ (rho0.psi(v) * v))
-        return scale * (rho0.rho(v) - SCALE_B_TARGET) / slope
+        slope = float(tau @ (SCALE_BISQUARE.psi(v) * v))
+        return scale * (SCALE_BISQUARE.rho(v) - SCALE_B_TARGET) / slope
 
     mfit = mad_scale(ws)
     m, d = mfit.s_location, mfit.scale
@@ -194,7 +194,7 @@ def _scale_influence(
     if_mad = (
         np.sign(np.abs(y - m) - d) - 2.0 * (f_hi - f_lo) * if_med
     ) / (2.0 * (f_hi + f_lo))
-    return if_mad / 0.6745
+    return if_mad / NORMAL_MAD
 
 
 def plugin_var_ipw(
@@ -202,12 +202,11 @@ def plugin_var_ipw(
     pf: PropensityFit,
     theta: float,
     scale: float,
-    sf: ScoreFamily,
     variant: str = "known",
     bandwidth=None,
     scale_method: str | None = "mad",
 ) -> VarianceEstimate:
-    """Plug-in asymptotic standard error of the IPW M-location.
+    """Plug-in asymptotic standard error of the IPW bisquare M-location.
 
     With u_i = (y_i - theta)/scale on complete cases and IPW weights
     tau_i proportional to 1/p_hat(z_i), the M-location's influence is
@@ -246,13 +245,13 @@ def plugin_var_ipw(
     u = (y_obs - theta) / scale
     tau = (1.0 / p_obs) / (1.0 / p_obs).sum()
 
-    psi_prime_u = sf.psi_prime(u)
+    psi_prime_u = LOCATION_BISQUARE.psi_prime(u)
     a_hat = float(tau @ psi_prime_u)
     if abs(a_hat) < 1e-6:
         raise ValueError("flat score: psi' averages to zero at this fit")
     # phi = IF * A_hat / scale, so that se = scale * sqrt(gamma/(n A_hat^2))
     # with gamma built from phi exactly as from psi when the scale is known.
-    phi = sf.psi(u)
+    phi = LOCATION_BISQUARE.psi(u)
     if scale_method is not None:
         b_hat = float(tau @ (psi_prime_u * u))
         if_scale = _scale_influence(y_obs, tau, scale, scale_method)

@@ -29,8 +29,7 @@ from .dataset import ObservedDataset
 from .kernels import SortedWindow
 from .propensity import PropensityFit
 from .regression import RegressionFit, predict
-from .scaleloc import check_score_pair, m_location, mad_scale, s_scale
-from .scores import ScoreFamily, scale_bisquare
+from .scaleloc import m_location, mad_scale, s_scale
 from .weighted import WeightedSample, weighted_quantile
 
 __all__ = [
@@ -72,8 +71,8 @@ class MarginalEstimate:
     distribution carries normalized weights; scale is its preliminary
     marginal scale — the normal-consistent MAD by default, or the bisquare
     (c0 = 1.54764, b = 0.5) S-scale when scale_method="s" is requested;
-    theta_m is the M-location for the score family the estimator was called
-    with, started at the weighted median.  For the augmented estimator,
+    theta_m is the bisquare (c = 4.685) M-location at that scale, started at
+    the weighted median.  For the augmented estimator,
     ``signed_weights`` keeps the pre-flooring weights of the distribution's
     atoms (they can be negative) so the estimated CDF can also be used in
     signed form, and ``negative_weights_floored`` records whether flooring
@@ -91,23 +90,19 @@ class MarginalEstimate:
     signed_weights: np.ndarray | None = field(default=None, compare=False)
 
 
-def functional_summary(
-    ws: WeightedSample, sf: ScoreFamily, scale_method: str = "mad"
-) -> FunctionalSummary:
+def functional_summary(ws: WeightedSample,
+                       scale_method: str = "mad") -> FunctionalSummary:
     """Compute the standard functional bundle of a weighted sample.
 
     The preliminary scale is the normal-consistent MAD of the weighted
     sample ("mad", the default) or the bisquare S-scale preset ("s"); the
-    M-location uses ``sf`` at that scale, starting from the weighted median.
+    bisquare M-location is taken at that scale, from the weighted median.
     """
     if scale_method not in SCALE_METHODS:
         raise ValueError("unknown scale method")
-    if scale_method == "mad":
-        sfit = mad_scale(ws, normal_consistency=True)
-    else:
-        check_score_pair(sf, scale_bisquare())
-        sfit = s_scale(ws)
-    theta_m = m_location(ws, sf, sfit.scale)
+    sfit = (mad_scale(ws, normal_consistency=True) if scale_method == "mad"
+            else s_scale(ws))
+    theta_m = m_location(ws, sfit.scale)
     return FunctionalSummary(
         scale=sfit.scale,
         mean=ws.mean(),
@@ -119,14 +114,13 @@ def functional_summary(
 def _finish(
     atoms: np.ndarray,
     raw_weights: np.ndarray,
-    sf: ScoreFamily,
     method: str,
     tag: str,
     scale_method: str = "mad",
     **extra,
 ) -> MarginalEstimate:
     ws = WeightedSample(atoms, raw_weights / raw_weights.sum())
-    summ = functional_summary(ws, sf, scale_method)
+    summ = functional_summary(ws, scale_method)
     return MarginalEstimate(
         distribution=ws,
         scale=summ.scale,
@@ -149,7 +143,6 @@ def _observed(data: ObservedDataset):
 def estimate_ipw(
     data: ObservedDataset,
     pf: PropensityFit,
-    sf: ScoreFamily,
     scale_method: str = "mad",
 ) -> MarginalEstimate:
     """Inverse-probability-weighted marginal estimate.
@@ -158,14 +151,13 @@ def estimate_ipw(
     """
     obs = _observed(data)
     p = np.asarray(pf.predict(data.z[obs]), dtype=float)
-    return _finish(data.y[obs], 1.0 / p, sf, "ipw", pf.method, scale_method)
+    return _finish(data.y[obs], 1.0 / p, "ipw", pf.method, scale_method)
 
 
 def estimate_conv(
     data: ObservedDataset,
     pf: PropensityFit,
     fit: RegressionFit,
-    sf: ScoreFamily,
     scale_method: str = "mad",
 ) -> MarginalEstimate:
     """Convolution-based marginal estimate.
@@ -199,7 +191,7 @@ def estimate_conv(
     kappa = np.full(eps.size, 1.0 / eps.size)
     atoms = (eps[:, None] + mu_grid[None, :]).ravel()
     weights = (kappa[:, None] * tau_grid[None, :]).ravel()
-    return _finish(atoms, weights, sf, "conv", pf.method, scale_method)
+    return _finish(atoms, weights, "conv", pf.method, scale_method)
 
 
 def _spread(z_obs: np.ndarray, z_rows: np.ndarray, a_n: float, values):
@@ -226,7 +218,6 @@ def estimate_aipw(
     data: ObservedDataset,
     pf: PropensityFit,
     a_n: float,
-    sf: ScoreFamily,
     scale_method: str = "mad",
 ) -> MarginalEstimate:
     """Augmented inverse-probability-weighted marginal estimate.
@@ -261,7 +252,6 @@ def estimate_aipw(
     return _finish(
         y_obs,
         composite,
-        sf,
         "aipw",
         pf.method,
         scale_method,
@@ -271,7 +261,7 @@ def estimate_aipw(
 
 
 def estimate_chunk(datasets, propensity, fits, keys, a_n: float,
-                   sf: ScoreFamily, scale_method: str = "mad"):
+                   scale_method: str = "mad"):
     """Yield each dataset's estimates in turn, or the exception it raised:
     the one estimate path of the CLI's report and jackknife and of the
     Monte Carlo replications.
@@ -294,11 +284,11 @@ def estimate_chunk(datasets, propensity, fits, keys, a_n: float,
                    for name in names}
             yield {
                 (est, label, name): (
-                    estimate_ipw(data, pfs[name], sf, scale_method)
+                    estimate_ipw(data, pfs[name], scale_method)
                     if est == "ipw" else
-                    estimate_aipw(data, pfs[name], a_n, sf, scale_method)
+                    estimate_aipw(data, pfs[name], a_n, scale_method)
                     if est == "aipw" else
-                    estimate_conv(data, pfs[name], models[label], sf,
+                    estimate_conv(data, pfs[name], models[label],
                                   scale_method))
                 for est, label, name in keys
             }

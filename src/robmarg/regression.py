@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import ObservedDataset
-from .scores import SCALE_B_TARGET, location_bisquare, scale_bisquare
+from .scores import (LOCATION_BISQUARE, NORMAL_MAD, SCALE_B_TARGET,
+                     SCALE_BISQUARE)
 
 __all__ = [
     "MODELS",
@@ -41,9 +42,6 @@ __all__ = [
     "hard_rejection_weights",
     "residual_scales",
 ]
-
-_RHO0 = scale_bisquare()
-_RHO_M = location_bisquare()
 
 _N_SUBSETS = 500
 _POLISH_ITER = 100
@@ -191,7 +189,7 @@ def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
     """Continuous hard-rejection downweighting of the first covariate.
 
     With t = (x1 - median)/MAD over the rows given, where the MAD carries
-    the usual normal-consistency factor 1/0.6745: weight 1 for |t| <= 2,
+    the usual normal-consistency factor 1/NORMAL_MAD: weight 1 for |t| <= 2,
     (1 - (|t| - 2)^2)^2 for 2 < |t| < 3, and 0 for |t| >= 3.  When the MAD
     is zero no row can be called outlying and all weights are 1.
     """
@@ -199,7 +197,7 @@ def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
     if x1.ndim == 2:
         x1 = x1[:, 0]
     med = float(_median(x1))
-    mad = float(_median(np.abs(x1 - med))) / 0.6745
+    mad = float(_median(np.abs(x1 - med))) / NORMAL_MAD
     if mad == 0.0:
         return np.ones(x1.shape[0])
     t = np.abs(x1 - med) / mad
@@ -310,7 +308,7 @@ def _screened_scales(resids):
             score[pivot] = residual_scales(resid[one], med[one])[0]
             with np.errstate(all="ignore"):
                 t2 = np.divide(resid, score[pivot], out=work)
-                t2 /= _RHO0.c
+                t2 /= SCALE_BISQUARE.c
                 np.square(t2, out=t2)
                 np.subtract(t2, 3.0, out=poly)
                 poly *= t2
@@ -572,8 +570,8 @@ def residual_scales(resid, start, counts=None, weights=None):
                 break
             u = stack.y / stack.spread(s)
             total = stack.sum(stack.w)
-            m_avg = stack.sum(stack.w * _RHO0.rho(u)) / total
-            slope = stack.sum(stack.w * (_RHO0.psi(u) * u)) / total
+            m_avg = stack.sum(stack.w * SCALE_BISQUARE.rho(u)) / total
+            slope = stack.sum(stack.w * (SCALE_BISQUARE.psi(u) * u)) / total
             below = m_avg > SCALE_B_TARGET  # s lies below the root
             lo = np.where(below, s, lo)
             hi = np.where(below, hi, s)
@@ -617,7 +615,7 @@ def _polish(model, stack, beta, s, floor):
     def lower_scale(fits, r, part):
         start = sc[fits]
         ok = np.logical_and.reduceat(np.isfinite(r), part.starts)
-        ok &= part.sum(part.w * _RHO0.rho(r / part.spread(start))) / (
+        ok &= part.sum(part.w * SCALE_BISQUARE.rho(r / part.spread(start))) / (
             part.sum(part.w)) < SCALE_B_TARGET
         solved = np.full(ok.size, np.inf)
         if ok.any():
@@ -632,7 +630,7 @@ def _polish(model, stack, beta, s, floor):
         if live.size == 0:
             break
         b, sc = beta[live], s[live]
-        mom, curv = stack.moments(model, b, sc, _RHO0)
+        mom, curv = stack.moments(model, b, sc, SCALE_BISQUARE)
         a, bv, du = mom[:, 0, 0, 0, None], mom[:, 0, 0, 1:], mom[:, 1, 0, 1:]
         grad = -bv / a
         cd = -(du + bv + (mom[:, 1, 0, 0, None] + a) * grad)
@@ -663,7 +661,7 @@ def _m_step(model, stack, beta, s):
     converged and its number of iterations."""
 
     def objective(part, r, s):
-        v = part.sum(part.w * _RHO_M.rho(r / part.spread(s)))
+        v = part.sum(part.w * LOCATION_BISQUARE.rho(r / part.spread(s)))
         return np.where(np.isfinite(v), v, np.inf)
 
     def lower_objective(fits, r, part):
@@ -678,7 +676,7 @@ def _m_step(model, stack, beta, s):
         if live.size == 0:
             break
         b, sc = beta[live], s[live]
-        mom, curv = stack.moments(model, b, sc, _RHO_M)
+        mom, curv = stack.moments(model, b, sc, LOCATION_BISQUARE)
         hess = (mom[:, 1, 1:, 1:] / sc[:, None, None]
                 - curv) / sc[:, None, None]
         wpsi_j = mom[:, 0, 0, 1:]

@@ -10,20 +10,16 @@ solver and S-polish (``regression.residual_scales`` and its descent).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .regression import RegressionModel, _polish, _Stack, residual_scales
-from .scores import SCALE_B_TARGET, ScoreFamily
+from .scores import LOCATION_BISQUARE, NORMAL_MAD, SCALE_B_TARGET
 from .weighted import (WeightedSample, largest_atom_share, serial_dot,
                        weighted_mad, weighted_quantile)
 
-__all__ = ["ScaleFit", "s_scale", "m_location", "mad_scale",
-           "check_score_pair"]
-
-_logger = logging.getLogger(__name__)
+__all__ = ["ScaleFit", "s_scale", "m_location", "mad_scale"]
 
 _LOC_TOL = 1e-10
 _LOC_MAX_ITER = 500
@@ -86,7 +82,7 @@ def mad_scale(ws: WeightedSample, normal_consistency: bool = False) -> ScaleFit:
 
     For the indicator score rho*(t) = 1{|t| > 1} the S-scale has a closed
     form, the weighted median of |y - med|, so no iteration is run.  With
-    ``normal_consistency`` the result is divided by 0.6745, making it
+    ``normal_consistency`` the result is divided by ``NORMAL_MAD``, making it
     consistent for the standard deviation at the normal distribution; the
     default leaves the raw MAD.
 
@@ -97,18 +93,15 @@ def mad_scale(ws: WeightedSample, normal_consistency: bool = False) -> ScaleFit:
     """
     med, scale = weighted_mad(ws)
     if normal_consistency:
-        scale /= 0.6745
+        scale /= NORMAL_MAD
     if scale <= 0.0:
         raise ValueError("degenerate scale")
     return ScaleFit(scale=scale, s_location=med, iterations=0, converged=True)
 
 
-def m_location(
-    ws: WeightedSample,
-    rho: ScoreFamily,
-    scale: float,
-) -> float:
-    """Weighted M-location of ``ws`` at a fixed scale.
+def m_location(ws: WeightedSample, scale: float) -> float:
+    """Weighted bisquare M-location (c = 4.685) of ``ws`` at a fixed scale;
+    the M-location at tuning c is this one at scale * c / 4.685.
 
     Runs the IRWLS iteration theta <- sum(W y)/sum(W) with
     W = w * psi(u)/u, u = (y - theta)/scale, started at the weighted median
@@ -121,7 +114,7 @@ def m_location(
     y, w = ws.positive_part()
     th = float(weighted_quantile(ws, 0.5))
     for _ in range(_LOC_MAX_ITER):
-        wt = w * rho.weight((y - th) / scale)
+        wt = w * LOCATION_BISQUARE.weight((y - th) / scale)
         denom = float(wt.sum())
         if denom <= 0.0:
             # Everything lies in the rejection region of the score at this
@@ -134,19 +127,3 @@ def m_location(
             break
     return th
 
-
-def check_score_pair(rho: ScoreFamily, rho0: ScoreFamily) -> bool:
-    """Warn unless the location score is dominated by the scale score.
-
-    The location/scale pairing is only coherent when rho(u) <= rho0(u) for
-    all u.  The bisquare rho_c(u) = rho*(u/c) falls as c grows, so that
-    holds exactly when rho.c >= rho0.c.  Violations are logged, not raised.
-    Returns True when the pair is dominated.
-    """
-    ok = bool(rho.c >= rho0.c)
-    if not ok:
-        _logger.warning(
-            "location score is not dominated by the scale score; the "
-            "M-location standardization may be inconsistent"
-        )
-    return ok

@@ -3,8 +3,10 @@
 rho is written in normalized form, rho_c(u) = rho*(u/c) with rho* of
 sup-norm 1, so it saturates at exactly 1 for |u| >= c.  Derivatives are
 closed form because the plug-in variance formulas need accurate psi'.  The
-package uses two tunings: c = 4.685 for the M-location and c0 = 1.54764
-(with b = 0.5) for the S-scale.
+package uses two tunings, each built once here and read by every solver:
+c = 4.685 for the M-location (and the MM fit's M-step) and c0 = 1.54764
+(with b = 0.5) for the S-scale.  Since rho_c(u) = rho*(u/c), another
+location tuning c at scale s is the package's at scale s c / 4.685.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import numpy as np
 
 __all__ = [
     "ScoreFamily",
+    "LOCATION_BISQUARE",
+    "SCALE_BISQUARE",
     "location_bisquare",
     "scale_bisquare",
     "LOCATION_BISQUARE_C",
     "SCALE_BISQUARE_C0",
     "SCALE_B_TARGET",
+    "NORMAL_MAD",
 ]
 
 # Constant registry.  The location constant gives the bisquare M-estimator
@@ -29,6 +34,9 @@ __all__ = [
 LOCATION_BISQUARE_C = 4.685
 SCALE_BISQUARE_C0 = 1.54764
 SCALE_B_TARGET = 0.5
+# The raw MAD of the standard normal, Phi^-1(3/4) rounded: a MAD divided by
+# it is consistent for the standard deviation at the normal.
+NORMAL_MAD = 0.6745
 
 
 def _match(u, out):
@@ -86,11 +94,15 @@ class ScoreFamily:
         return _match(u, out)
 
 
+LOCATION_BISQUARE = ScoreFamily(LOCATION_BISQUARE_C)
+SCALE_BISQUARE = ScoreFamily(SCALE_BISQUARE_C0)
+
+
 def location_bisquare() -> ScoreFamily:
     """Bisquare location preset, c = 4.685."""
-    return ScoreFamily(LOCATION_BISQUARE_C)
+    return LOCATION_BISQUARE
 
 
 def scale_bisquare() -> ScoreFamily:
     """Bisquare S-scale preset, c0 = 1.54764 (pair with b = 0.5)."""
-    return ScoreFamily(SCALE_BISQUARE_C0)
+    return SCALE_BISQUARE

@@ -23,7 +23,6 @@ from .marginal import FunctionalSummary, estimate_chunk, functional_summary
 from .parallel import ordered_map
 from .propensity import PropensityFit, fit_propensity, known_propensity
 from .regression import MODELS, fit_mm_stack
-from .scores import ScoreFamily, location_bisquare
 from .weighted import WeightedSample
 
 __all__ = [
@@ -61,8 +60,6 @@ PROPENSITY_METHODS = ("true_p", "logistic", "kernel", "constant")
 REGRESSION_SPECS = ("true_nonlinear", "misspecified_linear")
 ESTIMATORS = ("ipw", "conv", "aipw")
 FUNCTIONALS = ("mean", "median", "m_est")
-
-_SF = location_bisquare()
 
 _CSV_COLUMNS = (
     "functional",
@@ -234,6 +231,9 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown propensity_method: {self.propensity_method!r}"
             )
+        if self.missing == "M1" and self.propensity_method == "logistic":
+            raise ValueError("propensity_method 'logistic' needs missing "
+                             "responses, and missing 'M1' observes every row")
         if self.regression_spec not in REGRESSION_SPECS:
             raise ValueError(
                 f"unknown regression_spec: {self.regression_spec!r}"
@@ -308,9 +308,9 @@ class SummaryTable:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _classical(y: np.ndarray, sf: ScoreFamily) -> FunctionalSummary:
+def _classical(y: np.ndarray) -> FunctionalSummary:
     """Complete-data functionals: the estimators' collapse under no missingness."""
-    return functional_summary(WeightedSample(y, np.ones(y.size)), sf)
+    return functional_summary(WeightedSample(y, np.ones(y.size)))
 
 
 def _fit_propensity(cfg, method: str, z, delta) -> PropensityFit:
@@ -334,7 +334,7 @@ def _rep_values(data, comp0, comps, estimates) -> dict:
             "observed": float(np.mean(data.delta))}
 
 
-def _block(cfg: ScenarioConfig, sf: ScoreFamily, reps: list) -> list:
+def _block(cfg: ScenarioConfig, reps: list) -> list:
     """Replications ``reps``: their values, or the reasons ("Type: message")
     they raised; their MM regressions are fitted as one stack, and they are
     estimated by ``marginal.estimate_chunk``.  The chunk function of
@@ -344,9 +344,9 @@ def _block(cfg: ScenarioConfig, sf: ScoreFamily, reps: list) -> list:
         try:
             data, truth = generate_sample(cfg.n, cfg.seed ^ j,
                                           cfg.contamination, cfg.missing)
-            comp0 = _classical(truth.y_clean, sf)
+            comp0 = _classical(truth.y_clean)
             drawn[j] = (data, comp0, comp0 if cfg.contamination == "C0"
-                        else _classical(truth.y_complete, sf))
+                        else _classical(truth.y_complete))
         except Exception as exc:
             out[j] = exc
     datasets = [d[0] for d in drawn.values()]
@@ -359,7 +359,7 @@ def _block(cfg: ScenarioConfig, sf: ScoreFamily, reps: list) -> list:
     keys = [(est_name, "model", cfg.propensity_method)
             for est_name in cfg.estimators]
     chunk = estimate_chunk(datasets, partial(_fit_propensity, cfg), fits,
-                           keys, cfg.n ** (-1.0 / 3.0), sf)
+                           keys, cfg.n ** (-1.0 / 3.0))
     for j, (data, comp0, comps) in drawn.items():
         out[j] = _rep_values(data, comp0, comps, next(chunk))
     return [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else r
@@ -370,7 +370,6 @@ def run_scenario(
     cfg: ScenarioConfig,
     targets: dict | None = None,
     workers: int = 1,
-    sf: ScoreFamily = _SF,
 ) -> SummaryTable:
     """Run a scenario's replications and aggregate the summary measures.
 
@@ -388,7 +387,7 @@ def run_scenario(
     tgt = dict(PUBLISHED_TARGETS)
     if targets is not None:
         tgt.update(targets)
-    results = ordered_map(partial(_block, cfg, sf), range(cfg.reps), workers)
+    results = ordered_map(partial(_block, cfg), range(cfg.reps), workers)
     kept = [r for r in results if not isinstance(r, str)]
     reasons = dict(Counter(r for r in results if isinstance(r, str)))
     failures = cfg.reps - len(kept)
@@ -453,7 +452,6 @@ def target_values(
     n: int = 10**6,
     seed: int = 0,
     sampler=None,
-    sf: ScoreFamily = _SF,
 ) -> TargetValues:
     """Monte Carlo values of the three marginal functionals of y.
 
@@ -464,8 +462,9 @@ def target_values(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if n < 3:
+        # Two equal-weight atoms have MAD 0 (lower medians): degenerate.
+        raise ValueError("n must be at least 3")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     means, medians, m_ests = [], [], []
@@ -475,7 +474,7 @@ def target_values(
             y = _clean_draw(rng, n)[2]
         else:
             y = np.asarray(sampler(rng, n), dtype=float)
-        summ = _classical(y, sf)
+        summ = _classical(y)
         means.append(summ.mean)
         medians.append(summ.median)
         m_ests.append(summ.m_est)

@@ -102,14 +102,14 @@ def calibration_runs():
     plugins = np.empty(reps)
     for j in range(reps):
         data, _ = generate_sample(n, 0 ^ j, "C0", "MH")
-        est = estimate_ipw(data, pf_true, SF)
+        est = estimate_ipw(data, pf_true)
         t_true[j] = est.theta_m
-        v = plugin_var_ipw(data, pf_true, est.theta_m, est.scale, SF,
+        v = plugin_var_ipw(data, pf_true, est.theta_m, est.scale,
                            variant="known")
         plugins[j] = n * v.se**2
         b_n = auto_bandwidth(data.z, data.delta)
         pfk = kernel_propensity(data.z, data.delta, b_n)
-        t_kern[j] = estimate_ipw(data, pfk, SF).theta_m
+        t_kern[j] = estimate_ipw(data, pfk).theta_m
     return n, t_true, t_kern, plugins
 
 
@@ -243,7 +243,7 @@ def test_criterion_08_distribution_estimate_convergence():
         distances = np.empty(reps)
         for j in range(reps):
             data, _ = generate_sample(n, 7000 + j, "C0", "MH")
-            est = estimate_aipw(data, pf, float(n) ** (-1.0 / 3.0), SF)
+            est = estimate_aipw(data, pf, float(n) ** (-1.0 / 3.0))
             distances[j] = kolmogorov_distance(
                 signed_cdf_sample(est), reference
             )
@@ -346,8 +346,8 @@ def test_criterion_10_property_suites():
     moved = WeightedSample(3.0 * y - 4.0, w)
     s0 = s_scale(base)
     s1 = s_scale(moved)
-    th0 = m_location(base, SF, s0.scale)
-    th1 = m_location(moved, SF, s1.scale)
+    th0 = m_location(base, s0.scale)
+    th1 = m_location(moved, s1.scale)
     eq_err = max(
         abs(s1.scale - 3.0 * s0.scale) / (3.0 * s0.scale),
         abs(th1 - (3.0 * th0 - 4.0)) / max(abs(3.0 * th0 - 4.0), 1.0),
@@ -362,7 +362,7 @@ def test_criterion_10_property_suites():
         yy = rng.standard_cauchy(40) * rng.uniform(0.5, 3.0)
         sample = WeightedSample(yy, rng.random(40) + 0.05)
         sfit = s_scale(sample)
-        th = m_location(sample, SF, sfit.scale)
+        th = m_location(sample, sfit.scale)
         grid_pts = np.linspace(yy.min(), yy.max(), 20_000)
         vals = SF.rho((yy[None, :] - grid_pts[:, None]) / sfit.scale) @ (
             sample.weights
@@ -383,7 +383,7 @@ def test_criterion_10_property_suites():
             pf = fit_logistic(data.z, data.delta)
         else:
             pf = constant_propensity(data.delta)
-        est = estimate_aipw(data, pf, 120.0 ** (-1.0 / 3.0), SF)
+        est = estimate_aipw(data, pf, 120.0 ** (-1.0 / 3.0))
         sum_err = max(sum_err, abs(float(est.signed_weights.sum()) - 1.0))
     checks.append(
         ("augmented weight sum", sum_err < 1e-10, f"max |sum−1| {sum_err:.1e}")
@@ -397,7 +397,7 @@ def test_criterion_10_property_suites():
     # and its median and M-location must be those of that convolution.
     data, truth = generate_sample(150, 31, "C0", "M1")
     ref = functional_summary(
-        WeightedSample(truth.y_complete, np.ones(truth.y_complete.size)), SF
+        WeightedSample(truth.y_complete, np.ones(truth.y_complete.size))
     )
     pf = constant_propensity(data.delta)
     model = MODELS["exp_linear"]
@@ -406,13 +406,13 @@ def test_criterion_10_property_suites():
     eps = data.y - mu
     conv_atoms = (eps[:, None] + mu[None, :]).ravel()
     conv_ref = functional_summary(
-        WeightedSample(conv_atoms, np.ones(conv_atoms.size)), SF
+        WeightedSample(conv_atoms, np.ones(conv_atoms.size))
     )
     gaps = {}
     for name, est, law in (
-        ("ipw", estimate_ipw(data, pf, SF), ref),
-        ("aipw", estimate_aipw(data, pf, 150.0 ** (-1.0 / 3.0), SF), ref),
-        ("conv", estimate_conv(data, pf, fit, SF), conv_ref),
+        ("ipw", estimate_ipw(data, pf), ref),
+        ("aipw", estimate_aipw(data, pf, 150.0 ** (-1.0 / 3.0)), ref),
+        ("conv", estimate_conv(data, pf, fit), conv_ref),
     ):
         gaps[name] = max(
             abs(est.theta_mean - ref.mean),

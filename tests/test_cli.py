@@ -697,6 +697,25 @@ class TestEstimateInputErrors:
             "data file has no data rows", capsys,
         )
 
+    def test_logistic_propensity_needs_a_missing_row(self, tmp_path, capsys):
+        """With nothing missing the logistic fit is undefined: an input
+        error naming the field, before any estimate and before the output
+        directory is made; the kernel and constant propensities run."""
+        data = toy_csv(tmp_path)
+        self.run_expecting_error(
+            tmp_path, data, write_config(tmp_path, toy_config(
+                propensities=["constant", "logistic"])),
+            "field 'propensities' names logistic, which needs a row with a "
+            "missing value", capsys,
+        )
+        assert not (tmp_path / "out").exists()
+        config = write_config(tmp_path, toy_config(
+            estimators=["ipw"], models=[], propensities=["kernel",
+                                                         "constant"]))
+        code = main(["estimate", "--data", data, "--config", config,
+                     "--out", str(tmp_path / "ok")])
+        assert code == 0
+
     def test_missing_z_cell_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "zmiss.csv"
         path.write_text("y,x1,x2\n1.0,2.0,3.0\n4.0,NA,6.0\n5.0,1.0,2.0\n")
@@ -997,6 +1016,20 @@ class TestSimulate:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_logistic_propensity_under_m1_is_an_input_error(self, tmp_path,
+                                                            capsys):
+        """M1 observes every row, so no logistic propensity can be fitted:
+        an input error naming the field, before any replication runs."""
+        config = self.simulate_config(tmp_path, reps=5,
+                                      propensity_method="logistic")
+        code = main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("scenario 'smoke': propensity_method 'logistic' needs "
+                "missing responses") in err
+        assert not (tmp_path / "out").exists()
+
     def test_output_path_that_is_a_file_fails_before_the_scenarios(
             self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -1106,12 +1139,14 @@ class TestSimulate:
             capsys.readouterr().err)
 
     def test_aborted_scenario_exits_2(self, tmp_path, capsys):
-        # a logistic fit is undefined when nothing is missing, so every
-        # replication fails and the scenario aborts
+        # n = 20 under MH leaves fewer complete cases than the regression
+        # needs, so conv fails nearly every replication and the scenario
+        # aborts
         out = tmp_path / "out"
         code = main(
             ["simulate", "--config",
-             self.simulate_config(tmp_path, propensity_method="logistic"),
+             self.simulate_config(tmp_path, n=20, reps=5, seed=61,
+                                  missing="MH", estimators=["conv"]),
              "--out", str(out)]
         )
         assert code == 2
@@ -1152,10 +1187,20 @@ class TestTargets:
         assert main(["targets", "--reps", "0"]) == 1
         assert "--reps must be at least 1" in capsys.readouterr().err
         assert main(["targets", "--reps", "1", "--n", "1"]) == 1
-        assert "--n must be at least 2" in capsys.readouterr().err
+        assert "--n must be at least 3" in capsys.readouterr().err
+
+    def test_two_rows_are_an_input_error(self, capsys):
+        """Two equal-weight atoms have MAD 0 whatever their values, so
+        n = 2 is an input error, not a degenerate-scale abort; n = 3 runs."""
+        for seed in ("0", "1", "7"):
+            assert main(["targets", "--reps", "2", "--n", "2",
+                         "--seed", seed]) == 1
+            assert "--n must be at least 3" in capsys.readouterr().err
+        assert main(["targets", "--reps", "2", "--n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
 
     def test_negative_seed_is_an_input_error(self, capsys):
-        args = ["targets", "--reps", "1", "--n", "2", "--seed", "-1"]
+        args = ["targets", "--reps", "1", "--n", "3", "--seed", "-1"]
         assert main(args) == 1
         assert "--seed must be non-negative" in capsys.readouterr().err
 

@@ -117,7 +117,7 @@ class TestJackknife:
 
         def pipeline(d):
             pf = constant_propensity(d.delta)
-            return estimate_ipw(d, pf, SF).theta_m
+            return estimate_ipw(d, pf).theta_m
 
         ve1 = jackknife_se(per_set(pipeline), data)
         ve2 = jackknife_se(per_set(pipeline), shuffled)
@@ -214,7 +214,7 @@ class TestJackknife:
 
         def pipeline(d):
             pf = constant_propensity(d.delta)
-            return estimate_ipw(d, pf, SF).theta_m
+            return estimate_ipw(d, pf).theta_m
 
         ve = jackknife_se(per_set(pipeline), data)
         assert 0.0 < ve.se < 5.0
@@ -250,9 +250,9 @@ class TestPluginVariance:
         y = rng.normal(3.0, 2.0, 500)
         data = complete_dataset(y)
         pf = known_propensity(lambda z: np.ones(z.shape[:-1]), k=1)
-        est = estimate_ipw(data, pf, SF)
+        est = estimate_ipw(data, pf)
         ve = plugin_var_ipw(
-            data, pf, est.theta_m, est.scale, SF, variant="known",
+            data, pf, est.theta_m, est.scale, variant="known",
             scale_method=None,
         )
         u = (y - est.theta_m) / est.scale
@@ -267,45 +267,45 @@ class TestPluginVariance:
         data = complete_dataset(y)
         pf = known_propensity(lambda z: np.ones(z.shape[:-1]), k=1)
         with pytest.raises(ValueError, match="flat score"):
-            plugin_var_ipw(data, pf, theta=0.0, scale=1.0, sf=SF,
+            plugin_var_ipw(data, pf, theta=0.0, scale=1.0,
                            variant="known")
 
     def test_kernel_correction_never_increases_gamma(self):
         for seed in (11, 12, 13, 14):
             data = gen_mar(400, seed, skewed)
             pf = kernel_propensity(data.z, data.delta, b_n=0.3)
-            est = estimate_ipw(data, pf, SF)
+            est = estimate_ipw(data, pf)
             ve_known = plugin_var_ipw(
-                data, pf, est.theta_m, est.scale, SF, variant="known"
+                data, pf, est.theta_m, est.scale, variant="known"
             )
             ve_kernel = plugin_var_ipw(
-                data, pf, est.theta_m, est.scale, SF, variant="kernel"
+                data, pf, est.theta_m, est.scale, variant="kernel"
             )
             assert ve_kernel.se <= ve_known.se + 1e-12
             assert ve_kernel.method == "plugin_kernel"
 
     def test_kernel_variant_needs_a_bandwidth(self):
         data = gen_mar(100, 17, skewed)
-        est = estimate_ipw(data, MH_PROPENSITY, SF)
+        est = estimate_ipw(data, MH_PROPENSITY)
         with pytest.raises(ValueError, match="bandwidth"):
             plugin_var_ipw(
-                data, MH_PROPENSITY, est.theta_m, est.scale, SF,
+                data, MH_PROPENSITY, est.theta_m, est.scale,
                 variant="kernel",
             )
         ve = plugin_var_ipw(
-            data, MH_PROPENSITY, est.theta_m, est.scale, SF,
+            data, MH_PROPENSITY, est.theta_m, est.scale,
             variant="kernel", bandwidth=0.3,
         )
         assert ve.se > 0.0
 
     def test_correction_is_small_when_response_independent_of_z(self):
         data = gen_mar(2000, 19, symmetric)
-        est = estimate_ipw(data, MH_PROPENSITY, SF)
+        est = estimate_ipw(data, MH_PROPENSITY)
         ve1 = plugin_var_ipw(
-            data, MH_PROPENSITY, est.theta_m, est.scale, SF, variant="known"
+            data, MH_PROPENSITY, est.theta_m, est.scale, variant="known"
         )
         ve3 = plugin_var_ipw(
-            data, MH_PROPENSITY, est.theta_m, est.scale, SF,
+            data, MH_PROPENSITY, est.theta_m, est.scale,
             variant="kernel", bandwidth=0.2,
         )
         assert ve3.se <= ve1.se + 1e-12
@@ -317,13 +317,13 @@ class TestPluginVariance:
         scaled = ObservedDataset(
             y=a * data.y, x=data.x, z_index=(0,), delta=data.delta
         )
-        est0 = estimate_ipw(data, MH_PROPENSITY, SF)
-        est1 = estimate_ipw(scaled, MH_PROPENSITY, SF)
+        est0 = estimate_ipw(data, MH_PROPENSITY)
+        est1 = estimate_ipw(scaled, MH_PROPENSITY)
         ve0 = plugin_var_ipw(
-            data, MH_PROPENSITY, est0.theta_m, est0.scale, SF, variant="known"
+            data, MH_PROPENSITY, est0.theta_m, est0.scale, variant="known"
         )
         ve1 = plugin_var_ipw(
-            scaled, MH_PROPENSITY, est1.theta_m, est1.scale, SF,
+            scaled, MH_PROPENSITY, est1.theta_m, est1.scale,
             variant="known",
         )
         assert ve1.se == pytest.approx(a * ve0.se, rel=1e-6)
@@ -335,9 +335,9 @@ class TestPluginVariance:
         thetas, se2 = [], []
         for j in range(reps):
             data = gen_mar(n, 500 ^ j, symmetric)
-            est = estimate_ipw(data, MH_PROPENSITY, SF)
+            est = estimate_ipw(data, MH_PROPENSITY)
             ve = plugin_var_ipw(
-                data, MH_PROPENSITY, est.theta_m, est.scale, SF,
+                data, MH_PROPENSITY, est.theta_m, est.scale,
                 variant="known",
             )
             thetas.append(est.theta_m)
@@ -353,9 +353,9 @@ class TestPluginVariance:
         thetas, se2 = [], []
         for j in range(reps):
             data = gen_mar(n, 500 ^ j, skewed)
-            est = estimate_ipw(data, MH_PROPENSITY, SF, scale_method="s")
+            est = estimate_ipw(data, MH_PROPENSITY, scale_method="s")
             ve = plugin_var_ipw(
-                data, MH_PROPENSITY, est.theta_m, est.scale, SF,
+                data, MH_PROPENSITY, est.theta_m, est.scale,
                 variant="known", scale_method="s",
             )
             thetas.append(est.theta_m)
@@ -366,8 +366,8 @@ class TestPluginVariance:
     @pytest.mark.parametrize("scale_method", ["mad", "s"])
     def test_estimated_scale_widens_se_on_skewed_marginal(self, scale_method):
         data = gen_mar(400, 31, skewed)
-        est = estimate_ipw(data, MH_PROPENSITY, SF, scale_method=scale_method)
-        args = (data, MH_PROPENSITY, est.theta_m, est.scale, SF)
+        est = estimate_ipw(data, MH_PROPENSITY, scale_method=scale_method)
+        args = (data, MH_PROPENSITY, est.theta_m, est.scale)
         known = plugin_var_ipw(*args, scale_method=None)
         estimated = plugin_var_ipw(*args, scale_method=scale_method)
         assert estimated.se > known.se
@@ -376,9 +376,9 @@ class TestPluginVariance:
     def test_known_scale_is_the_fixed_scale_formula(self, variant):
         data = gen_mar(200, 37, skewed)
         pf = kernel_propensity(data.z, data.delta, b_n=0.3)
-        est = estimate_ipw(data, pf, SF)
+        est = estimate_ipw(data, pf)
         ve = plugin_var_ipw(
-            data, pf, est.theta_m, est.scale, SF, variant=variant,
+            data, pf, est.theta_m, est.scale, variant=variant,
             scale_method=None,
         )
         obs = data.delta == 1
@@ -400,11 +400,11 @@ class TestPluginVariance:
     def test_input_validation(self):
         data = gen_mar(100, 29, symmetric)
         with pytest.raises(ValueError, match="unknown plugin variant"):
-            plugin_var_ipw(data, MH_PROPENSITY, 5.0, 1.0, SF, variant="bad")
+            plugin_var_ipw(data, MH_PROPENSITY, 5.0, 1.0, variant="bad")
         with pytest.raises(ValueError, match="scale must be positive"):
-            plugin_var_ipw(data, MH_PROPENSITY, 5.0, 0.0, SF)
+            plugin_var_ipw(data, MH_PROPENSITY, 5.0, 0.0)
         with pytest.raises(ValueError, match="unknown scale method"):
-            plugin_var_ipw(data, MH_PROPENSITY, 5.0, 1.0, SF,
+            plugin_var_ipw(data, MH_PROPENSITY, 5.0, 1.0,
                            scale_method="iqr")
 
 

@@ -274,7 +274,7 @@ def test_aipw_weights_match_dense_shares(k, a_n):
     rng = np.random.default_rng(21 + k)
     data = mar_dataset(np.round(rng.random((200, k)), 2), seed=k)
     pf = linear_propensity(k)
-    est = estimate_aipw(data, pf, a_n, SF)
+    est = estimate_aipw(data, pf, a_n)
     obs = data.delta == 1
     zeta = data.delta / pf.predict(data.z)
     shares = dense_shares(data.z[obs], data.z, a_n)
@@ -303,7 +303,7 @@ def test_plugin_kernel_correction_matches_dense(k):
     rng = np.random.default_rng(31 + k)
     data = mar_dataset(np.round(rng.random((300, k)), 2), seed=9 + k)
     pf = linear_propensity(k)
-    args = (data, pf, 0.2, 1.3, SF)
+    args = (data, pf, 0.2, 1.3)
     for b in (0.003, 0.08, 0.4, np.linspace(0.05, 0.4, k)):
         known = plugin_var_ipw(*args, variant="known", scale_method=None)
         kernel = plugin_var_ipw(*args, variant="kernel", bandwidth=b,

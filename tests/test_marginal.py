@@ -26,10 +26,7 @@ from robmarg.propensity import (
 )
 from robmarg.regression import MODELS, RegressionFit, fit_mm
 from robmarg.scaleloc import mad_scale, s_scale
-from robmarg.scores import location_bisquare
 from robmarg.weighted import WeightedSample
-
-SF = location_bisquare()
 
 
 def gen_mar(n, seed, p_fn=None):
@@ -72,8 +69,8 @@ class TestIPW:
         rng = np.random.default_rng(1)
         y = rng.normal(10.0, 2.0, 60)
         data = complete_dataset(y)
-        est = estimate_ipw(data, unit_propensity(), SF)
-        ref = functional_summary(WeightedSample(y, np.full(60, 1 / 60)), SF)
+        est = estimate_ipw(data, unit_propensity())
+        ref = functional_summary(WeightedSample(y, np.full(60, 1 / 60)))
         assert est.theta_mean == pytest.approx(ref.mean, abs=1e-12)
         assert est.theta_median == pytest.approx(ref.median, abs=1e-12)
         assert est.theta_m == pytest.approx(ref.m_est, abs=1e-10)
@@ -87,9 +84,9 @@ class TestIPW:
         def p_fn(z):
             return 1.0 / (1.0 + np.exp(-0.2 * z[..., 0] - 0.2))
 
-        est1 = estimate_ipw(data, known_propensity(p_fn, k=1), SF)
+        est1 = estimate_ipw(data, known_propensity(p_fn, k=1))
         est2 = estimate_ipw(
-            data, known_propensity(lambda z: 0.5 * p_fn(z), k=1), SF
+            data, known_propensity(lambda z: 0.5 * p_fn(z), k=1)
         )
         assert est1.theta_mean == pytest.approx(est2.theta_mean, abs=1e-12)
         assert est1.theta_median == est2.theta_median
@@ -108,18 +105,18 @@ class TestIPW:
             delta=np.array([1, 0, 0]),
         )
         with pytest.raises(ValueError, match="at least two complete cases"):
-            estimate_ipw(data, unit_propensity(), SF)
+            estimate_ipw(data, unit_propensity())
 
     def test_distribution_weights_are_normalized(self):
         data = gen_mar(200, 3)
         pf = fit_logistic(data.z, data.delta)
-        est = estimate_ipw(data, pf, SF)
+        est = estimate_ipw(data, pf)
         assert est.distribution.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert est.propensity_tag == "logistic"
 
     def test_default_scale_is_normalized_mad_of_distribution(self):
         data = gen_mar(200, 5)
-        est = estimate_ipw(data, constant_propensity(data.delta), SF)
+        est = estimate_ipw(data, constant_propensity(data.delta))
         refit = mad_scale(est.distribution, normal_consistency=True)
         assert est.scale == pytest.approx(refit.scale, rel=1e-9)
         assert est.propensity_tag == "constant"
@@ -127,7 +124,7 @@ class TestIPW:
     def test_s_scale_option_matches_s_scale_of_distribution(self):
         data = gen_mar(200, 5)
         est = estimate_ipw(
-            data, constant_propensity(data.delta), SF, scale_method="s"
+            data, constant_propensity(data.delta), scale_method="s"
         )
         refit = s_scale(est.distribution)
         assert est.scale == pytest.approx(refit.scale, rel=1e-9)
@@ -139,7 +136,7 @@ class TestIPW:
         data = gen_mar(50, 5)
         with pytest.raises(ValueError, match="unknown scale method"):
             estimate_ipw(
-                data, constant_propensity(data.delta), SF, scale_method="iqr"
+                data, constant_propensity(data.delta), scale_method="iqr"
             )
 
 
@@ -155,10 +152,10 @@ class TestConv:
             complete_case_count=data.n_obs,
             converged=True,
         )
-        est = estimate_conv(data, pf, fit, SF)
+        est = estimate_conv(data, pf, fit)
         y_obs = data.y[data.delta == 1]
         ref = functional_summary(
-            WeightedSample(y_obs, np.full(y_obs.size, 1.0 / y_obs.size)), SF
+            WeightedSample(y_obs, np.full(y_obs.size, 1.0 / y_obs.size))
         )
         assert est.theta_mean == pytest.approx(ref.mean, abs=1e-10)
         assert est.theta_median == pytest.approx(ref.median, abs=1e-12)
@@ -188,7 +185,7 @@ class TestConv:
             )
 
         pf = known_propensity(p_fn, k=1)
-        est = estimate_conv(data, pf, fit, SF)
+        est = estimate_conv(data, pf, fit)
         mu = np.array([0.5, 1.0, 2.0])
         eps = np.array([0.5, 1.0, 2.0])
         tau = np.array([2.0, 4.0, 1.0]) / 7.0
@@ -210,7 +207,7 @@ class TestConv:
             converged=False,
         )
         with pytest.raises(ValueError, match="did not converge"):
-            estimate_conv(data, pf, fit, SF)
+            estimate_conv(data, pf, fit)
 
     def test_large_sample_grid_subsampling_warns_and_preserves_values(self):
         rng = np.random.default_rng(13)
@@ -227,11 +224,11 @@ class TestConv:
             converged=True,
         )
         with pytest.warns(UserWarning, match="convolution grid reduced"):
-            est = estimate_conv(data, pf, fit, SF)
+            est = estimate_conv(data, pf, fit)
         # constant mean: subsampled grid atoms are all 5.0, so the collapse
         # to the empirical law survives the reduction exactly
         assert est.distribution.atoms.size == n * 2000
-        ref = functional_summary(WeightedSample(y, np.full(n, 1.0 / n)), SF)
+        ref = functional_summary(WeightedSample(y, np.full(n, 1.0 / n)))
         assert est.theta_mean == pytest.approx(ref.mean, abs=1e-9)
         assert est.theta_median == pytest.approx(ref.median, abs=1e-12)
 
@@ -241,8 +238,8 @@ class TestAIPW:
         rng = np.random.default_rng(19)
         y = rng.normal(3.0, 1.5, 50)
         data = complete_dataset(y)
-        est = estimate_aipw(data, unit_propensity(), 0.2, SF)
-        ref = functional_summary(WeightedSample(y, np.full(50, 0.02)), SF)
+        est = estimate_aipw(data, unit_propensity(), 0.2)
+        ref = functional_summary(WeightedSample(y, np.full(50, 0.02)))
         assert est.theta_mean == pytest.approx(ref.mean, abs=1e-12)
         assert est.theta_median == pytest.approx(ref.median, abs=1e-12)
         assert est.theta_m == pytest.approx(ref.m_est, abs=1e-10)
@@ -260,7 +257,7 @@ class TestAIPW:
             else:
                 pf = kernel_propensity(data.z, data.delta, b_n=0.3)
             a_n = float(n) ** (-1.0 / 3.0)
-            est = estimate_aipw(data, pf, a_n, SF)
+            est = estimate_aipw(data, pf, a_n)
             # composite weights (zeta + varpi)/n must sum to exactly 1
             assert abs(est.signed_weights.sum() - 1.0) < 1e-10
 
@@ -284,7 +281,7 @@ class TestAIPW:
         pf = known_propensity(p_fn, k=1, floor=0.01)
         # the floored weights concentrate on the two tiny-propensity atoms;
         # neither holds half the weight, so the S-scale is positive
-        est = estimate_aipw(data, pf, a_n=0.2, sf=SF, scale_method="s")
+        est = estimate_aipw(data, pf, a_n=0.2, scale_method="s")
         assert est.negative_weights_floored
         assert np.all(est.distribution.weights >= 0.0)
         assert est.distribution.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -304,14 +301,14 @@ class TestAIPW:
         pf = known_propensity(
             lambda z: np.where(z[..., 0] > 0.925, 0.02, 0.9), k=1, floor=0.01
         )
-        est = estimate_aipw(data, pf, a_n=0.2, sf=SF, scale_method="s")
+        est = estimate_aipw(data, pf, a_n=0.2, scale_method="s")
         ws = signed_cdf_sample(est)
         assert ws.total == pytest.approx(1.0, abs=1e-12)
         assert np.all(ws.weights >= 0.0)
 
     def test_signed_cdf_sample_requires_aipw(self):
         data = gen_mar(100, 23)
-        est = estimate_ipw(data, constant_propensity(data.delta), SF)
+        est = estimate_ipw(data, constant_propensity(data.delta))
         with pytest.raises(ValueError, match="no signed weights"):
             signed_cdf_sample(est)
 
@@ -319,7 +316,7 @@ class TestAIPW:
         data = gen_mar(100, 29)
         pf = constant_propensity(data.delta)
         with pytest.raises(ValueError, match="must be positive"):
-            estimate_aipw(data, pf, 0.0, SF)
+            estimate_aipw(data, pf, 0.0)
 
 
 def conditional_cdf_kernel(data, a_n):
@@ -415,11 +412,11 @@ class TestEquivariance:
 
         pf = known_propensity(p_fn, k=1)
         a, b = 2.5, -4.0
-        est0 = estimate_ipw(data, pf, SF)
+        est0 = estimate_ipw(data, pf)
         data_t = ObservedDataset(
             y=a * data.y + b, x=data.x, z_index=(0,), delta=data.delta
         )
-        est1 = estimate_ipw(data_t, pf, SF)
+        est1 = estimate_ipw(data_t, pf)
         assert est1.theta_mean == pytest.approx(a * est0.theta_mean + b, abs=1e-8)
         assert est1.theta_median == pytest.approx(
             a * est0.theta_median + b, abs=1e-10
@@ -451,8 +448,8 @@ class TestEquivariance:
         d0, d1 = build(y), build(a * y + b)
         fit0 = fit_mm(MODELS["linear"], d0, seed=0)
         fit1 = fit_mm(MODELS["linear"], d1, seed=0)
-        est0 = estimate_conv(d0, pf, fit0, SF)
-        est1 = estimate_conv(d1, pf, fit1, SF)
+        est0 = estimate_conv(d0, pf, fit0)
+        est1 = estimate_conv(d1, pf, fit1)
         assert est1.theta_mean == pytest.approx(a * est0.theta_mean + b, abs=1e-6)
         assert est1.theta_m == pytest.approx(a * est0.theta_m + b, abs=1e-6)
         assert est1.theta_median == pytest.approx(
@@ -466,9 +463,9 @@ def test_estimators_agree_reasonably_on_mar_data():
     pf = fit_logistic(data.z, data.delta)
 
     fit = fit_mm(MODELS["exp_linear"], data, seed=0)
-    est_i = estimate_ipw(data, pf, SF)
-    est_c = estimate_conv(data, pf, fit, SF)
-    est_a = estimate_aipw(data, pf, float(800) ** (-1 / 3), SF)
+    est_i = estimate_ipw(data, pf)
+    est_c = estimate_conv(data, pf, fit)
+    est_a = estimate_aipw(data, pf, float(800) ** (-1 / 3))
     vals = [est_i.theta_m, est_c.theta_m, est_a.theta_m]
     assert max(vals) - min(vals) < 1.0
     for est in (est_i, est_c, est_a):
@@ -499,12 +496,12 @@ def direct_estimates(data, models):
     pfs = {name: chunk_propensity(name, data.z, data.delta)
            for name in ("constant", "logistic")}
     return {
-        ("ipw", None, "constant"): estimate_ipw(data, pfs["constant"], SF),
+        ("ipw", None, "constant"): estimate_ipw(data, pfs["constant"]),
         ("conv", "exp", "logistic"): estimate_conv(
-            data, pfs["logistic"], models["exp"], SF),
+            data, pfs["logistic"], models["exp"]),
         ("aipw", None, "logistic"): estimate_aipw(
-            data, pfs["logistic"], CHUNK_A_N, SF),
-        ("ipw", None, "logistic"): estimate_ipw(data, pfs["logistic"], SF),
+            data, pfs["logistic"], CHUNK_A_N),
+        ("ipw", None, "logistic"): estimate_ipw(data, pfs["logistic"]),
     }
 
 
@@ -525,7 +522,7 @@ class TestEstimateChunk:
     def test_is_a_generator(self, chunk_data):
         datasets, fits = chunk_data
         chunk = estimate_chunk(datasets, chunk_propensity, fits, CHUNK_KEYS,
-                               CHUNK_A_N, SF)
+                               CHUNK_A_N)
         assert iter(chunk) is chunk
         assert len(list(chunk)) == len(datasets)
 
@@ -534,10 +531,10 @@ class TestEstimateChunk:
         chunk, and from direct estimator calls, in key order."""
         datasets, fits = chunk_data
         together = list(estimate_chunk(datasets, chunk_propensity, fits,
-                                       CHUNK_KEYS, CHUNK_A_N, SF))
+                                       CHUNK_KEYS, CHUNK_A_N))
         for k, (data, models) in enumerate(zip(datasets, fits)):
             (alone,) = estimate_chunk([data], chunk_propensity, [models],
-                                      CHUNK_KEYS, CHUNK_A_N, SF)
+                                      CHUNK_KEYS, CHUNK_A_N)
             want = direct_estimates(data, models)
             assert_same_estimates(alone, want)
             assert_same_estimates(together[k], want)
@@ -545,9 +542,9 @@ class TestEstimateChunk:
     def test_scale_method_reaches_every_estimator(self, chunk_data):
         datasets, fits = chunk_data
         (got,) = estimate_chunk(datasets[:1], chunk_propensity, fits[:1],
-                                CHUNK_KEYS, CHUNK_A_N, SF, "s")
+                                CHUNK_KEYS, CHUNK_A_N, "s")
         pf = constant_propensity(datasets[0].delta)
-        want = estimate_ipw(datasets[0], pf, SF, "s")
+        want = estimate_ipw(datasets[0], pf, "s")
         assert got["ipw", None, "constant"].scale == want.scale
 
     def test_failure_is_its_datasets_own_and_first(self, chunk_data,
@@ -565,7 +562,7 @@ class TestEstimateChunk:
 
         fits = [{"exp": bad_fit}, fits[1], fits[2]]
         results = list(estimate_chunk(datasets, propensity, fits,
-                                      CHUNK_KEYS, CHUNK_A_N, SF))
+                                      CHUNK_KEYS, CHUNK_A_N))
         assert results[0] is bad_fit
         assert str(results[2]) == "separation at 100"
         assert_same_estimates(results[1],
@@ -579,10 +576,10 @@ class TestEstimateChunk:
         monkeypatch.setattr(marginal, "estimate_conv", fails("conv"))
         monkeypatch.setattr(marginal, "estimate_aipw", fails("aipw"))
         (result,) = estimate_chunk(datasets[1:2], chunk_propensity, fits[1:2],
-                                   CHUNK_KEYS, CHUNK_A_N, SF)
+                                   CHUNK_KEYS, CHUNK_A_N)
         assert isinstance(result, RuntimeError) and str(result) == "conv"
         (result,) = estimate_chunk(datasets[1:2], chunk_propensity, fits[1:2],
-                                   CHUNK_KEYS[2:], CHUNK_A_N, SF)
+                                   CHUNK_KEYS[2:], CHUNK_A_N)
         assert str(result) == "aipw"
 
     def test_each_propensity_is_fitted_once_per_dataset(self, chunk_data):
@@ -594,7 +591,7 @@ class TestEstimateChunk:
             return chunk_propensity(name, z, delta)
 
         list(estimate_chunk(datasets, propensity, fits, CHUNK_KEYS,
-                            CHUNK_A_N, SF))
+                            CHUNK_A_N))
         assert calls == [(d.n, name) for d in datasets
                          for name in ("constant", "logistic")]
 
@@ -613,7 +610,7 @@ class TestEstimateChunk:
 
         monkeypatch.setattr(marginal, "estimate_ipw", ipw)
         chunk = estimate_chunk(datasets, chunk_propensity, fits, CHUNK_KEYS,
-                               CHUNK_A_N, SF)
+                               CHUNK_A_N)
         for estimates in chunk:
             refs += [weakref.ref(est.distribution)
                      for est in estimates.values()]

@@ -1,13 +1,11 @@
 """Tests for the S-scale and M-location solvers.
 
-``reference_s_scale`` and ``reference_check_score_pair`` are the versions
-that came before the S-scale descent and the exact bisquare domination
-test: an alternating loop followed by a 100-step fixed-point polish, and a
-201-point grid.  They are kept as the reference the current code is checked
+``reference_s_scale`` is the version that came before the S-scale descent:
+an alternating loop followed by a 100-step fixed-point polish.
+``ref_m_location`` is the M-location loop as it was when it took its score
+as a parameter.  Both are kept as the reference the current code is checked
 against.
 """
-
-import logging
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robmarg import (
+    LOCATION_BISQUARE_C,
     SCALE_B_TARGET,
     ScoreFamily,
     WeightedSample,
@@ -26,7 +25,6 @@ from robmarg import (
     weighted_quantile,
 )
 from robmarg.regression import residual_scales
-from robmarg.scaleloc import check_score_pair
 from robmarg.weighted import serial_dot
 
 
@@ -168,40 +166,75 @@ class TestMad:
             mad_scale(ws([-1.0, 1.0]))
 
 
+def ref_m_location(sample, rho, scale):
+    """The M-location loop with its score as a parameter: IRWLS from the
+    weighted median, to 1e-10 * scale or 500 iterations."""
+    if not scale > 0.0:
+        raise ValueError("scale must be positive")
+    y, w = sample.positive_part()
+    th = float(weighted_quantile(sample, 0.5))
+    for _ in range(500):
+        wt = w * rho.weight((y - th) / scale)
+        denom = float(wt.sum())
+        if denom <= 0.0:
+            break
+        th_new = float(serial_dot(wt, y)) / denom
+        delta = abs(th_new - th)
+        th = th_new
+        if delta <= 1e-10 * scale:
+            break
+    return th
+
+
 class TestMLocation:
     @pytest.mark.parametrize("rho", [location_bisquare()], ids=["bisquare"])
     def test_symmetric_three_points(self, rho):
-        assert m_location(ws([-1.0, 0.0, 1.0]), rho, scale=1.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        sample = ws([-1.0, 0.0, 1.0])
+        assert m_location(sample, scale=1.0) == pytest.approx(0.0, abs=1e-12)
+        assert m_location(sample, 1.0) == ref_m_location(sample, rho, 1.0)
 
     def test_huge_c_tends_to_mean(self):
         # As c grows the bisquare becomes quadratic, so the M-location
-        # approaches the weighted mean; oracle is the exact mean 2.
-        got = m_location(ws([1.0, 2.0, 3.0]), ScoreFamily(1e6), scale=1.0)
+        # approaches the weighted mean; oracle is the exact mean 2.  Tuning
+        # c at scale 1 is the package's c = 4.685 at scale c / 4.685.
+        got = m_location(ws([1.0, 2.0, 3.0]), scale=1e6 / LOCATION_BISQUARE_C)
         assert got == pytest.approx(2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 1000.0])
+    def test_tuning_is_a_scale(self, k):
+        # rho_c(u) = rho*(u/c): the M-location at tuning k * 4.685 and scale
+        # s is the package's at scale k * s.  The two loops take the same
+        # steps up to rounding in u / c against u, and stop on 1e-10 of
+        # their own scale, so they agree to a few 1e-10 of k * s.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n = int(rng.integers(3, 200))
+            y = rng.standard_cauchy(n) * rng.uniform(0.5, 5.0)
+            sample = ws(y, rng.random(n) + 0.05)
+            s = mad_scale(sample, normal_consistency=True).scale
+            want = ref_m_location(sample, ScoreFamily(k * LOCATION_BISQUARE_C),
+                                  s)
+            assert abs(m_location(sample, k * s) - want) <= 1e-8 * k * s
 
     def test_weight_invariance_under_common_scaling(self):
         rng = np.random.default_rng(2)
         y = rng.standard_normal(50) * 2 + 1
-        rho = location_bisquare()
-        a = m_location(ws(y), rho, scale=2.0)
-        b = m_location(ws(y, np.full(50, 4.0)), rho, scale=2.0)
+        a = m_location(ws(y), scale=2.0)
+        b = m_location(ws(y, np.full(50, 4.0)), scale=2.0)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(13)
         y = rng.standard_cauchy(80)
         w = rng.random(80) + 0.2
-        rho = location_bisquare()
-        base = m_location(ws(y, w), rho, scale=1.5)
+        base = m_location(ws(y, w), scale=1.5)
         for a, b in ((2.0, -3.0), (0.25, 10.0)):
-            got = m_location(ws(a * y + b, w), rho, scale=a * 1.5)
+            got = m_location(ws(a * y + b, w), scale=a * 1.5)
             assert got == pytest.approx(a * base + b, abs=1e-8 * max(1.0, abs(a)))
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError, match="scale must be positive"):
-            m_location(ws([1.0, 2.0]), location_bisquare(), scale=0.0)
+            m_location(ws([1.0, 2.0]), scale=0.0)
 
     def test_root_certificate(self):
         rng = np.random.default_rng(17)
@@ -212,7 +245,7 @@ class TestMLocation:
             sample = ws(y, w)
             rho = location_bisquare()
             sfit = s_scale(sample)
-            th = m_location(sample, rho, sfit.scale)
+            th = m_location(sample, sfit.scale)
             resid = float(w @ rho.psi((y - th) / sfit.scale)) / float(w.sum())
             assert abs(resid) < 1e-8
 
@@ -224,7 +257,7 @@ class TestMLocation:
             rho = location_bisquare()
             sfit = s_scale(sample)
             start = weighted_quantile(sample, 0.5)
-            th = m_location(sample, rho, sfit.scale)
+            th = m_location(sample, sfit.scale)
             assert d_n(sample, rho, sfit.scale, th) <= d_n(
                 sample, rho, sfit.scale, start
             ) + 1e-12
@@ -241,26 +274,11 @@ class TestMLocation:
             w = rng.random(n) + 0.05
             sample = ws(y, w)
             sfit = s_scale(sample)
-            th = m_location(sample, rho, sfit.scale)
+            th = m_location(sample, sfit.scale)
             grid = np.linspace(y.min(), y.max(), 100_000)
             u = (y[None, :] - grid[:, None]) / sfit.scale
             vals = rho.rho(u) @ w
             assert vals.min() >= d_n(sample, rho, sfit.scale, th) * w.sum() - 1e-6
-
-
-class TestScorePairCheck:
-    def test_dominated_pair_is_quiet(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            assert check_score_pair(location_bisquare(), scale_bisquare())
-        assert not caplog.records
-
-    def test_violation_logs_warning(self, caplog):
-        # location constant smaller than the scale constant reverses the
-        # domination, which must warn but not raise
-        with caplog.at_level(logging.WARNING):
-            ok = check_score_pair(ScoreFamily(1.0), scale_bisquare())
-        assert not ok
-        assert any("dominated" in rec.message for rec in caplog.records)
 
 
 def reference_s_scale(sample, rho0, b):
@@ -301,12 +319,6 @@ def reference_s_scale(sample, rho0, b):
         if step <= 1e-13 * s:
             return s, a, True
     return s, a, False
-
-
-def reference_check_score_pair(rho, rho0):
-    """Domination of rho by rho0 on a 201-point grid over [0, 2 max(c)]."""
-    u = np.linspace(0.0, 2.0 * max(rho.c, rho0.c, 1.0), 201)
-    return bool(np.all(rho.rho(u) <= rho0.rho(u) + 1e-12))
 
 
 @st.composite
@@ -400,16 +412,6 @@ def test_s_scale_degenerate_errors_match_reference():
             s_scale(sample)
 
 
-@pytest.mark.parametrize("c0", [0.5, 1.54764, 3.0])
-def test_exact_score_pair_check_matches_grid(c0):
-    rho0 = ScoreFamily(c0)
-    for c in np.concatenate([np.linspace(0.05, 12.0, 400), [c0]]):
-        rho = ScoreFamily(float(c))
-        assert check_score_pair(rho, rho0) == reference_check_score_pair(
-            rho, rho0
-        )
-
-
 @st.composite
 def loose_samples(draw):
     n = draw(st.integers(3, 25))
@@ -427,8 +429,33 @@ def loose_samples(draw):
 @given(loose_samples(), st.floats(0.1, 10.0))
 @settings(max_examples=50, deadline=None)
 def test_m_location_within_data_range(sample, scale):
-    th = m_location(sample, location_bisquare(), scale)
+    th = m_location(sample, scale)
     assert sample.atoms.min() - 1e-9 <= th <= sample.atoms.max() + 1e-9
+
+
+@st.composite
+def tie_heavy_samples(draw):
+    """1 to 300 atoms drawn from as few as one distinct value, at a random
+    location and spread, with some zero weights (never all)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    values = rng.standard_cauchy(draw(st.integers(1, n)))
+    y = rng.choice(values, n) * draw(st.floats(1e-3, 1e3)) + draw(
+        st.floats(-100.0, 100.0))
+    w = rng.random(n) + 0.01
+    zero = rng.random(n) < draw(st.floats(0.0, 0.9))
+    zero[rng.integers(0, n)] = False
+    w[zero] = 0.0
+    return ws(y, w)
+
+
+@given(tie_heavy_samples(), st.floats(1e-3, 1e3))
+@settings(max_examples=300, deadline=None)
+def test_m_location_matches_score_parameter_loop(sample, scale):
+    """The fixed-score solver is the loop that took the score as a
+    parameter, given the location bisquare, bit for bit."""
+    assert m_location(sample, scale) == ref_m_location(
+        sample, location_bisquare(), scale)
 
 
 def test_rows_of_different_lengths_solve_as_alone():

@@ -1,8 +1,14 @@
 """Tests for the bisquare score."""
 
+import ast
+import importlib
+import inspect
+import os
+
 import numpy as np
 import pytest
 
+import robmarg
 from robmarg import (
     LOCATION_BISQUARE_C,
     SCALE_B_TARGET,
@@ -57,6 +63,13 @@ class TestPresets:
         assert location_bisquare() == ScoreFamily(4.685)
         assert scale_bisquare() == ScoreFamily(1.54764)
 
+    def test_location_score_is_dominated_by_scale_score(self):
+        # rho_c(u) = rho*(u/c) falls as c grows, so the fixed tunings,
+        # c = 4.685 >= c0 = 1.54764, give rho(u) <= rho0(u) for every u: the
+        # pairing that standardizes the M-location by the S-scale.
+        u = np.linspace(0.0, 2.0 * LOCATION_BISQUARE_C, 2001)
+        assert np.all(location_bisquare().rho(u) <= scale_bisquare().rho(u))
+
 
 @pytest.mark.parametrize(
     "sf",
@@ -99,3 +112,37 @@ def test_irwls_weight_is_psi_over_u(sf):
     u = u[u != 0.0]
     np.testing.assert_allclose(sf.weight(u), sf.psi(u) / u, rtol=1e-10)
     assert sf.weight(0.0) == pytest.approx(sf.psi_prime(0.0))
+
+
+_BUILDERS = ("ScoreFamily", "location_bisquare", "scale_bisquare")
+
+
+def test_scores_are_built_once_and_taken_by_no_function():
+    """The bisquares and the MAD's 0.6745 live in ``robmarg.scores`` alone:
+    no module-level function of the package takes a score, and outside
+    scores.py no module builds one or writes the constant."""
+    package = os.path.dirname(robmarg.__file__)
+    names = sorted(f[:-3] for f in os.listdir(package) if f.endswith(".py"))
+    assert "scores" in names and "scaleloc" in names
+    for name in names:
+        module = (robmarg if name == "__init__"
+                  else importlib.import_module(f"robmarg.{name}"))
+        for fn in vars(module).values():
+            if not (inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__):
+                continue
+            for p in inspect.signature(fn).parameters.values():
+                assert "ScoreFamily" not in str(p.annotation), (name, fn)
+                assert not isinstance(p.default, ScoreFamily), (name, fn)
+        if name == "scores":
+            continue
+        with open(os.path.join(package, name + ".py"),
+                  encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", getattr(func, "attr", None))
+                assert called not in _BUILDERS, (name, node.lineno)
+            if isinstance(node, ast.Constant):
+                assert node.value != 0.6745, (name, node.lineno)

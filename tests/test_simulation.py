@@ -8,11 +8,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from robmarg import marginal, parallel, simulation
+from robmarg import marginal, parallel, scaleloc, simulation
 from robmarg.marginal import estimate_aipw, estimate_conv, estimate_ipw, functional_summary
 from robmarg.propensity import constant_propensity, kernel_propensity
 from robmarg.regression import MODELS, fit_mm
-from robmarg.scores import LOCATION_BISQUARE_C, ScoreFamily, location_bisquare
+from robmarg.scores import LOCATION_BISQUARE_C, ScoreFamily
 from robmarg.simulation import (
     ScenarioConfig,
     SummaryTable,
@@ -24,18 +24,18 @@ from robmarg.simulation import (
 )
 from robmarg.weighted import WeightedSample
 
-SF = location_bisquare()
-
 
 def classical(y):
-    return functional_summary(WeightedSample(y, np.ones(y.size)), SF)
+    return functional_summary(WeightedSample(y, np.ones(y.size)))
 
 
 @dataclass(frozen=True)
 class FailsOnSize(ScoreFamily):
-    """The location bisquare, raising on arrays of one size: the IPW
-    M-location of a replication with that many complete cases fails.  At
-    module level, so that worker processes can unpickle it."""
+    """The location bisquare, raising on arrays of one size: patched in as
+    the score ``scaleloc.m_location`` reads, the IPW M-location of a
+    replication with that many complete cases fails, and nothing else (the
+    MM fit's M-step and the plug-in SE read their own name).  A forked
+    worker inherits the patch."""
 
     size: int = -1
 
@@ -128,8 +128,8 @@ class TestM1Collapse:
             pf = kernel_propensity(data.z, data.delta, b_n=0.2)
         ref = classical(truth.y_complete)
         for est in (
-            estimate_ipw(data, pf, SF),
-            estimate_aipw(data, pf, 150 ** (-1 / 3), SF),
+            estimate_ipw(data, pf),
+            estimate_aipw(data, pf, 150 ** (-1 / 3)),
         ):
             assert est.theta_mean == pytest.approx(ref.mean, abs=1e-10)
             assert est.theta_median == pytest.approx(ref.median, abs=1e-10)
@@ -142,7 +142,7 @@ class TestM1Collapse:
         pf = true_propensity("M1")
         model = MODELS["exp_linear"]
         fit = fit_mm(model, data, seed=37)
-        est = estimate_conv(data, pf, fit, SF)
+        est = estimate_conv(data, pf, fit)
         ref = classical(truth.y_complete)
         assert est.theta_mean == pytest.approx(ref.mean, abs=1e-8)
         assert est.theta_median == pytest.approx(ref.median, abs=0.5)
@@ -175,6 +175,15 @@ class TestScenarioConfig:
             ScenarioConfig(estimators=["ipw", "ipw"])
         with pytest.raises(ValueError, match="functionals names one twice"):
             ScenarioConfig(functionals=("mean", "mean", "median"))
+
+    def test_rejects_logistic_propensity_without_missing_rows(self):
+        # M1 observes every row: the logistic fit would be undefined.
+        with pytest.raises(ValueError, match=(
+                "propensity_method 'logistic' needs missing responses")):
+            ScenarioConfig(missing="M1", propensity_method="logistic")
+        for method in ("true_p", "kernel", "constant"):
+            ScenarioConfig(missing="M1", propensity_method=method)
+        ScenarioConfig(missing="MH", propensity_method="logistic")
 
     def test_canonical_ordering(self):
         cfg = ScenarioConfig(estimators=("aipw", "ipw"), functionals=("m_est", "mean"))
@@ -218,28 +227,30 @@ class TestRunScenario:
         # One replication other than the first has a complete-case count of
         # its own.
         size = next(c for c in counts[1:] if counts.count(c) == 1)
-        sf = FailsOnSize(LOCATION_BISQUARE_C, size=size)
+        monkeypatch.setattr(scaleloc, "LOCATION_BISQUARE",
+                            FailsOnSize(LOCATION_BISQUARE_C, size=size))
         reasons = {f"ValueError: injected at {size} complete cases": 1}
-        t1 = run_scenario(cfg, workers=1, sf=sf)
+        t1 = run_scenario(cfg, workers=1)
         assert (t1.failures, t1.reps_used) == (1, cfg.reps - 1)
         assert t1.failure_reasons == reasons
         assert json.loads(t1.to_json_text())["failure_reasons"] == reasons
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         # Every replication, the failing one among them, runs in the pool.
-        t2 = run_scenario(cfg, workers=2, sf=sf)
+        t2 = run_scenario(cfg, workers=2)
         assert t2.failure_reasons == reasons
         assert t1.to_json_text() == t2.to_json_text()
         assert multiprocessing.active_children() == []
 
-    def test_abort_names_the_reasons(self):
+    def test_abort_names_the_reasons(self, monkeypatch):
         cfg = ScenarioConfig(
             n=100, reps=10, seed=47, propensity_method="constant",
             estimators=("ipw",), functionals=("m_est",),
         )
-        sf = FailsOnSize(LOCATION_BISQUARE_C, size=100)  # every y_clean
+        monkeypatch.setattr(scaleloc, "LOCATION_BISQUARE",  # every y_clean
+                            FailsOnSize(LOCATION_BISQUARE_C, size=100))
         with pytest.raises(RuntimeError, match=(
                 "10 of 10 replications failed: .*injected at 100 complete")):
-            run_scenario(cfg, sf=sf)
+            run_scenario(cfg)
 
     def test_mse_identity_and_table_shape(self):
         cfg = ScenarioConfig(
@@ -314,7 +325,7 @@ class TestRunScenario:
         the table is the same at any chunk size."""
         cfg = ScenarioConfig(n=100, reps=64, seed=7,
                              propensity_method="kernel")
-        block = partial(simulation._block, cfg, SF)
+        block = partial(simulation._block, cfg)
         in_64 = block(range(64))
         for j in (0, 17, 50):
             assert block(range(j, j + 1)) == [in_64[j]]
@@ -334,7 +345,7 @@ class TestRunScenario:
         cfg = ScenarioConfig(n=26, reps=20, seed=3,
                              propensity_method="constant",
                              estimators=("conv",), functionals=("m_est",))
-        results = simulation._block(cfg, SF, range(cfg.reps))
+        results = simulation._block(cfg, range(cfg.reps))
         failed = [j for j, r in enumerate(results) if isinstance(r, str)]
         assert 0 < len(failed) < cfg.reps
         for j, r in enumerate(results):
@@ -343,7 +354,7 @@ class TestRunScenario:
                 assert complete < 15
                 assert r == "ValueError: insufficient complete cases"
             else:
-                assert simulation._block(cfg, SF, range(j, j + 1)) == [r]
+                assert simulation._block(cfg, range(j, j + 1)) == [r]
         with pytest.raises(RuntimeError, match=(
                 f"{len(failed)} of 20 replications failed: .*"
                 "'ValueError: insufficient complete cases'")):
@@ -355,7 +366,7 @@ class TestRunScenario:
         fails with the reason, and the others keep their values."""
         cfg = ScenarioConfig(n=100, reps=6, seed=11,
                              propensity_method="logistic")
-        want = simulation._block(cfg, SF, range(cfg.reps))
+        want = simulation._block(cfg, range(cfg.reps))
         target = generate_sample(cfg.n, cfg.seed ^ 2)[0].y
         real = marginal.estimate_conv
 
@@ -365,7 +376,7 @@ class TestRunScenario:
             return real(data, *args)
 
         monkeypatch.setattr(marginal, "estimate_conv", conv)
-        got = simulation._block(cfg, SF, range(cfg.reps))
+        got = simulation._block(cfg, range(cfg.reps))
         assert got[2] == "ValueError: injected"
         assert got[:2] + got[3:] == want[:2] + want[3:]
 
@@ -437,6 +448,10 @@ class TestTargetValues:
             target_values(reps=0, n=100)
         with pytest.raises(ValueError, match="n must be"):
             target_values(reps=1, n=1)
+        # Two equal-weight atoms always have MAD 0.
+        with pytest.raises(ValueError, match="n must be at least 3"):
+            target_values(reps=1, n=2, sampler=lambda rng, n: [0.0, 1.0])
+        assert target_values(reps=1, n=3).n == 3
 
     def test_determinism(self):
         a = target_values(reps=2, n=5000, seed=83)

@@ -56,8 +56,9 @@ It measures commit 7e27a71 and later, whose CLI jackknife takes the full
 data's fits and whose fits carry every counter in ``COUNTERS``.  Its
 jackknife layer calls ``cli._estimates`` in its chunk form (a list of
 datasets, estimated by ``marginal.estimate_chunk``), and its jackknife fits
-call ``cli._jackknife_fits``, so the script as a whole measures the change
-that split ``_jackknife_fits`` out of ``_jackknife_thetas`` and later; an
+call ``cli._jackknife_fits``, and its estimators and summaries take no
+score (the bisquare is fixed in ``robmarg.scores``), so the script as a
+whole measures the change that fixed the location score and later; an
 earlier commit is measured with its own ``tools/bench.py``.  Run it from one
 commit's ``tools/`` with ``PYTHONPATH`` at another's ``src`` to measure a
 pair with one script.
@@ -86,7 +87,6 @@ from robmarg.inference import plugin_var_ipw
 from robmarg.marginal import (estimate_aipw, estimate_conv, estimate_ipw,
                               functional_summary)
 from robmarg.propensity import auto_bandwidth, fit_logistic, kernel_propensity
-from robmarg.scores import location_bisquare
 from robmarg.simulation import ScenarioConfig, generate_sample, run_scenario
 
 # Record name -> (model, covariate weights).
@@ -113,7 +113,6 @@ KERNEL_LAYERS = ("auto_bandwidth", "kernel_predict", "estimate_aipw",
                  "plugin_var_ipw_kernel")
 SUMMARY_LAYERS = {f"{est}_summary_{method}": (est, method)
                   for est in ("conv", "ipw", "aipw") for method in ("mad", "s")}
-SF = location_bisquare()
 MC_REPS = (10, 64)
 JACKKNIFE_CHUNKS = (19, 64)
 FAULT_FITS = 60
@@ -186,13 +185,13 @@ def bench_kernels() -> tuple[list[dict], str]:
         a_n = n ** (-1.0 / 3.0)
         b_n = auto_bandwidth(data.z, data.delta)
         pf = kernel_propensity(data.z, data.delta, b_n)
-        est = estimate_aipw(data, pf, a_n, SF)
+        est = estimate_aipw(data, pf, a_n)
         calls = {
             "auto_bandwidth": lambda: auto_bandwidth(data.z, data.delta),
             "kernel_predict": lambda: pf.predict(data.z),
-            "estimate_aipw": lambda: estimate_aipw(data, pf, a_n, SF),
+            "estimate_aipw": lambda: estimate_aipw(data, pf, a_n),
             "plugin_var_ipw_kernel": lambda: plugin_var_ipw(
-                data, pf, est.theta_m, est.scale, SF, variant="kernel"),
+                data, pf, est.theta_m, est.scale, variant="kernel"),
         }
         for layer in KERNEL_LAYERS:
             ms, _, result = _least_ms(calls[layer])
@@ -229,15 +228,14 @@ def bench_summaries() -> tuple[list[dict], str]:
             # warning that is expected here.
             warnings.simplefilter("ignore")
             dists = {
-                "conv": estimate_conv(data, pf, fit, SF).distribution,
-                "ipw": estimate_ipw(data, pf, SF).distribution,
-                "aipw": estimate_aipw(data, pf, n ** (-1.0 / 3.0),
-                                      SF).distribution,
+                "conv": estimate_conv(data, pf, fit).distribution,
+                "ipw": estimate_ipw(data, pf).distribution,
+                "aipw": estimate_aipw(data, pf,
+                                      n ** (-1.0 / 3.0)).distribution,
             }
         for layer, (est, method) in SUMMARY_LAYERS.items():
             dist = dists[est]
-            ms, _, summ = _least_ms(
-                lambda: functional_summary(dist, SF, method))
+            ms, _, summ = _least_ms(lambda: functional_summary(dist, method))
             _row(rows, digest, n, layer, ms,
                  [summ.scale, summ.mean, summ.median, summ.m_est],
                  atoms=dist.atoms.size)
