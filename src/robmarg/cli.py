@@ -25,13 +25,14 @@ import numpy as np
 from . import parallel
 from .dataset import ObservedDataset
 from .inference import confidence_interval, jackknife_se
-from .marginal import SCALE_METHODS, estimate_chunk
+from .marginal import SCALE_METHODS, default_a_n, estimate_chunk
 from .propensity import DEFAULT_FLOOR, fit_propensity
 from .regression import MODELS, fit_mm, fit_mm_stack, hard_rejection_weights
 from .simulation import (
     ESTIMATORS,
     PUBLISHED_TARGETS,
     ScenarioConfig,
+    _CSV_COLUMNS,
     run_scenario,
     target_values,
 )
@@ -324,6 +325,10 @@ def _build_dataset(table: dict[str, np.ndarray], settings: dict) -> ObservedData
     if "logistic" in settings["propensities"] and delta.all():
         raise InputError("estimate config: field 'propensities' names "
                          "logistic, which needs a row with a missing value")
+    if (settings["jackknife"] and (delta == 0).sum() < 2
+            and settings["jackknife_propensity"] == "logistic"):
+        raise InputError("estimate config: field 'jackknife_propensity' is "
+                         "logistic, which needs two rows with a missing value")
     try:
         return ObservedDataset(y=y, x=x, z_index=z_index, delta=delta)
     except ValueError as exc:
@@ -334,7 +339,7 @@ def _a_n(settings: dict, data: ObservedDataset) -> float:
     """AIPW's smoothing parameter: the configured one, else n^(-1/3) of the
     full data; the jackknife keeps it for every leave-one-out set."""
     a_n = settings["a_n"]
-    return data.n ** (-1.0 / 3.0) if a_n is None else a_n
+    return default_a_n(data.n) if a_n is None else a_n
 
 
 def _fit_models(data: ObservedDataset, settings: dict) -> dict:
@@ -558,9 +563,7 @@ def cmd_simulate(args) -> int:
     workers = config["workers"]
     _make_out_dir(args.out)
     combined = StringIO()
-    combined.write(
-        "scenario,functional,estimator,propensity,bias,sd,mse,L10,L20,L1,L2\n"
-    )
+    combined.write(",".join(("scenario",) + _CSV_COLUMNS) + "\n")
     aborted = []
     for sid, cfg in scenarios:
         try:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import ObservedDataset
-from .marginal import SCALE_METHODS
+from .marginal import SCALE_METHODS, _observed
 from .kernels import SortedWindow
 from .parallel import ordered_map
 from .propensity import PropensityFit
@@ -236,9 +236,7 @@ def plugin_var_ipw(
         raise ValueError(f"unknown scale method: {scale_method!r}")
     if not scale > 0:
         raise ValueError("scale must be positive")
-    obs = data.delta == 1
-    if int(obs.sum()) < 2:
-        raise ValueError("need at least two complete cases")
+    obs = _observed(data)
     y_obs = data.y[obs]
     z_obs = data.z[obs]
     p_obs = np.asarray(pf.predict(z_obs), dtype=float)

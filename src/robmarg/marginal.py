@@ -214,6 +214,10 @@ def _spread(z_obs: np.ndarray, z_rows: np.ndarray, a_n: float, values):
     return spread + float(values[~good].sum()) / n_obs
 
 
+def default_a_n(n: int) -> float:
+    return n ** (-1.0 / 3.0)
+
+
 def estimate_aipw(
     data: ObservedDataset,
     pf: PropensityFit,

@@ -288,34 +288,20 @@ def _screened_scales(resids):
     sets' survivors are kept and solved in one call.  The others score inf,
     which keeps the argmin and its first-index tie rule; so do non-finite
     rows, while rows with median |r| = 0 score 0 and end the set's search.
-    Returns each set's scores and number of rows solved.  The median and
-    the rho0 pass (rho0's operations, in order) reuse two buffers."""
+    Returns each set's scores and number of rows solved."""
     scores, solved, rows, blocks = [], [], [], []
-    spare = np.empty(0)
     for resid in resids:
-        if spare.size < 2 * resid.size:
-            spare = np.empty(2 * resid.size)
-        work, poly = spare[:2 * resid.size].reshape(2, *resid.shape)
         finite = np.all(np.isfinite(resid), axis=1)
-        with np.errstate(invalid="ignore"):
-            med = _median(np.abs(resid, out=work), axis=1, overwrite=True)
+        med = _median(np.abs(resid), axis=1, overwrite=True)
         med[~finite] = np.inf
         score = np.where(med <= 0.0, 0.0, np.inf)
         pivot = int(np.argmin(med))
         survive = np.zeros(med.size, dtype=bool)
         if score[pivot] != 0.0 and np.isfinite(med[pivot]):
             one = slice(pivot, pivot + 1)
-            score[pivot] = residual_scales(resid[one], med[one])[0]
+            s = score[pivot] = residual_scales(resid[one], med[one])[0]
             with np.errstate(all="ignore"):
-                t2 = np.divide(resid, score[pivot], out=work)
-                t2 /= SCALE_BISQUARE.c
-                np.square(t2, out=t2)
-                np.subtract(t2, 3.0, out=poly)
-                poly *= t2
-                poly += 3.0
-                poly *= t2
-                np.copyto(poly, 1.0, where=~(t2 < 1.0))
-                m_avg = np.mean(poly, axis=1)
+                m_avg = np.mean(SCALE_BISQUARE.rho(resid / s), axis=1)
             survive = finite & (
                 m_avg <= SCALE_B_TARGET * (1.0 + _SCREEN_SLACK))
             survive[pivot] = False
@@ -336,12 +322,12 @@ def _screened_scales(resids):
 
 
 def _subsets(m, q, rng):
-    """``_N_SUBSETS`` random q-row subsets of m rows, one per result row;
-    past 4096 rows each is its own draw, not a sort of m uniforms."""
-    if m <= 4096:
-        return np.argsort(rng.random((_N_SUBSETS, m)), axis=1)[:, :q]
-    return np.array([rng.choice(m, size=q, replace=False)
-                     for _ in range(_N_SUBSETS)])
+    """``_N_SUBSETS`` random q-row subsets of m rows, one per result row:
+    the q least of m uniforms, in their order (``argsort(...)[:, :q]``)."""
+    u = rng.random((_N_SUBSETS, m))
+    least = np.argpartition(u, q - 1, axis=1)[:, :q]
+    order = np.argsort(np.take_along_axis(u, least, axis=1), axis=1)
+    return np.take_along_axis(least, order, axis=1)
 
 
 def _candidates(model, ys, x1, x2, span):

@@ -61,10 +61,16 @@ class ScoreFamily:
             raise ValueError("tuning constant c must be positive")
 
     def rho(self, u):
+        """rho* in place: ((t2 - 3) t2 + 3) t2 with t2 = fmin((u/c)^2, 1)."""
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            t2 = (u / self.c) ** 2
-            out = np.where(t2 < 1.0, t2 * (3.0 + t2 * (t2 - 3.0)), 1.0)
+            t2 = np.divide(u, self.c, out=np.empty_like(u))
+            np.square(t2, out=t2)
+            np.fmin(t2, 1.0, out=t2)
+            out = np.subtract(t2, 3.0, out=np.empty_like(t2))
+            out *= t2
+            out += 3.0
+            out *= t2
         return _match(u, out)
 
     def psi(self, u):

@@ -19,9 +19,11 @@ from io import StringIO
 import numpy as np
 
 from .dataset import ObservedDataset
-from .marginal import FunctionalSummary, estimate_chunk, functional_summary
+from .marginal import (FunctionalSummary, default_a_n, estimate_chunk,
+                       functional_summary)
 from .parallel import ordered_map
-from .propensity import PropensityFit, fit_propensity, known_propensity
+from .propensity import (DEFAULT_FLOOR, PropensityFit, fit_propensity,
+                         known_propensity)
 from .regression import MODELS, fit_mm_stack
 from .weighted import WeightedSample
 
@@ -93,7 +95,8 @@ def _mh_prob(z):
     return 1.0 / (1.0 + np.exp(-0.2 * z - 0.2))
 
 
-def true_propensity(missing: str = "MH", floor: float = 0.01) -> PropensityFit:
+def true_propensity(missing: str = "MH",
+                    floor: float = DEFAULT_FLOOR) -> PropensityFit:
     """The generating propensity as a known-propensity fit.
 
     Under "MH" this is the logistic response probability in the first
@@ -359,7 +362,7 @@ def _block(cfg: ScenarioConfig, reps: list) -> list:
     keys = [(est_name, "model", cfg.propensity_method)
             for est_name in cfg.estimators]
     chunk = estimate_chunk(datasets, partial(_fit_propensity, cfg), fits,
-                           keys, cfg.n ** (-1.0 / 3.0))
+                           keys, default_a_n(cfg.n))
     for j, (data, comp0, comps) in drawn.items():
         out[j] = _rep_values(data, comp0, comps, next(chunk))
     return [f"{type(r).__name__}: {r}" if isinstance(r, Exception) else r

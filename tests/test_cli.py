@@ -716,6 +716,58 @@ class TestEstimateInputErrors:
                      "--out", str(tmp_path / "ok")])
         assert code == 0
 
+    def test_logistic_jackknife_needs_two_missing_rows(self, tmp_path,
+                                                       capsys):
+        """A leave-one-out set without the only incomplete row has nothing
+        missing: a logistic jackknife on such data is an input error naming
+        the field, before any estimate and before the output directory is
+        made."""
+        data = toy_csv(tmp_path, blank_rows=(3,))
+        self.run_expecting_error(
+            tmp_path, data, write_config(tmp_path, toy_config(
+                estimators=["ipw"], models=[], propensities=["logistic"],
+                jackknife=True)),
+            "field 'jackknife_propensity' is logistic, which needs two rows "
+            "with a missing value", capsys,
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"jackknife": False},
+        {"jackknife": True, "jackknife_propensity": "kernel"},
+        {"jackknife": True, "jackknife_propensity": "constant"},
+    ], ids=["no-jackknife", "kernel", "constant"])
+    def test_one_missing_row_serves_other_jackknives(self, tmp_path,
+                                                     overrides):
+        """With one incomplete row, the logistic estimates still run when
+        the jackknife is off or jackknifes another propensity."""
+        data = toy_csv(tmp_path, blank_rows=(3,))
+        config = write_config(tmp_path, toy_config(
+            estimators=["ipw"], models=[],
+            propensities=["logistic", "kernel", "constant"], **overrides))
+        out = tmp_path / "out"
+        assert main(["estimate", "--data", data, "--config", config,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        jackknifed = [e for e in report["estimates"]
+                      if e["jackknife_n"] is not None]
+        assert {e["propensity"] for e in jackknifed} == (
+            {overrides["jackknife_propensity"]} if overrides["jackknife"]
+            else set())
+        assert all(e["jackknife_n"] == 40 and not e["jackknife_skipped"]
+                   for e in jackknifed)
+
+    def test_two_missing_rows_serve_a_logistic_jackknife(self, tmp_path):
+        data = toy_csv(tmp_path, blank_rows=(3, 17))
+        config = write_config(tmp_path, toy_config(
+            estimators=["ipw"], models=[], propensities=["logistic"],
+            jackknife=True))
+        out = tmp_path / "out"
+        assert main(["estimate", "--data", data, "--config", config,
+                     "--out", str(out)]) == 0
+        (entry,) = json.loads((out / "report.json").read_text())["estimates"]
+        assert entry["jackknife_n"] == 40 and not entry["jackknife_skipped"]
+
     def test_missing_z_cell_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "zmiss.csv"
         path.write_text("y,x1,x2\n1.0,2.0,3.0\n4.0,NA,6.0\n5.0,1.0,2.0\n")
@@ -946,7 +998,9 @@ class TestSimulate:
         for name in ("smoke.csv", "smoke.json", "combined.csv"):
             assert (out / name).exists()
         lines = (out / "combined.csv").read_text().splitlines()
-        assert lines[0].startswith("scenario,functional,estimator")
+        header = (out / "smoke.csv").read_text().splitlines()[0]
+        assert lines[0] == "scenario," + header
+        assert header.startswith("functional,estimator")
         assert len(lines) == 3  # header + (mean, m_est) x ipw
         assert all(line.startswith("smoke,") for line in lines[1:])
         doc = json.loads((out / "smoke.json").read_text())

@@ -477,9 +477,8 @@ class TestEquivarianceAndStructure:
         assert fit_a.residual_scale == fit_b.residual_scale
 
     def test_large_sample_draws_each_subset_by_itself(self, monkeypatch):
-        """Past 4096 complete cases each elemental subset is its own draw:
-        the fit is the same for a seed, every subset has distinct rows, and
-        the polish converges."""
+        """Past 4096 complete cases the fit is the same for a seed, every
+        subset has distinct in-range rows, and the polish converges."""
         data, _ = generate_sample(7500, 11, missing="M1")
         assert data.n_obs > 4096
         drawn = []
@@ -504,6 +503,26 @@ class TestEquivarianceAndStructure:
         assert first.min() >= 0 and first.max() < m
         sorted_rows = np.sort(first, axis=1)
         assert np.all(sorted_rows[:, 1:] > sorted_rows[:, :-1])
+
+
+def ref_subsets(m, q, rng):
+    """The subset draw before it had one path: a sort of 500 x m uniforms
+    up to 4096 rows, past that one ``rng.choice`` per subset."""
+    if m <= 4096:
+        return np.argsort(rng.random((500, m)), axis=1)[:, :q]
+    return np.array([rng.choice(m, size=q, replace=False)
+                     for _ in range(500)])
+
+
+@pytest.mark.parametrize("m", [15, 57, 111, 1830, 4096])
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_subsets_match_the_sorted_draw(m, q):
+    """Up to 4096 rows the q least uniforms, found by partition and ordered
+    by their values, are the sorted draw's first q, row for row."""
+    for seed in (0, 1, 7, 2**31 - 1):
+        got = regression._subsets(m, q, np.random.default_rng(seed))
+        want = ref_subsets(m, q, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestHardRejectionWeights:

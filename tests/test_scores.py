@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robmarg
 from robmarg import (
@@ -53,6 +55,56 @@ class TestBisquare:
         r = sf.rho(u)
         assert np.all(r >= 0.0) and np.all(r <= 1.0)
         assert np.all(r[np.abs(u) >= sf.c] == 1.0)
+
+
+def ref_rho(sf, u):
+    """rho as one expression, the form ``ScoreFamily.rho`` had before it
+    was evaluated in place."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t2 = (u / sf.c) ** 2
+        out = np.where(t2 < 1.0, t2 * (3.0 + t2 * (t2 - 3.0)), 1.0)
+    return float(out) if np.ndim(u) == 0 else out
+
+
+_TUNINGS = (LOCATION_BISQUARE_C, SCALE_BISQUARE_C0, 1.0)
+# Each tuning's edge values: +-0, +-c and their neighbours, the extremes of
+# the doubles, subnormals and the non-finite values.
+_EDGES = sorted({
+    v for c in _TUNINGS for a in (c, -c)
+    for v in (a, np.nextafter(a, np.inf), np.nextafter(a, -np.inf))
+} | {0.0, 1e308, -1e308, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+     2.2250738585072014e-308, np.inf, -np.inf}) + [-0.0, np.nan]
+_VALUES = st.one_of(st.sampled_from(_EDGES), st.floats(width=64))
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.sampled_from(_TUNINGS),
+       shape=st.sampled_from(["scalar", "0-d", "list", "1-d", "2-d"]),
+       values=st.lists(_VALUES, min_size=1, max_size=12))
+def test_rho_in_place_matches_one_expression(c, shape, values):
+    """rho evaluated in place is bit for bit the one-expression rho, with
+    the same return type, for every kind of input it takes."""
+    sf = ScoreFamily(c)
+    u = {"scalar": values[0], "0-d": np.array(values[0]), "list": values,
+         "1-d": np.array(values),
+         "2-d": np.array(values * 2).reshape(2, -1)}[shape]
+    _same(sf.rho(u), ref_rho(sf, u))
+
+
+def test_rho_in_place_matches_one_expression_on_heavy_tails():
+    u = np.random.default_rng(2).standard_t(2, 100_000)
+    for c in _TUNINGS:
+        sf = ScoreFamily(c)
+        _same(sf.rho(u), ref_rho(sf, u))
+        _same(sf.rho(u / 7.0), ref_rho(sf, u / 7.0))
 
 
 class TestPresets:
@@ -146,3 +198,17 @@ def test_scores_are_built_once_and_taken_by_no_function():
                 assert called not in _BUILDERS, (name, node.lineno)
             if isinstance(node, ast.Constant):
                 assert node.value != 0.6745, (name, node.lineno)
+
+
+def test_scores_are_evaluated_only_in_scores_module():
+    """No module but scores.py reads a score's tuning constant ``c``, so
+    none can evaluate a bisquare but through its methods."""
+    package = os.path.dirname(robmarg.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "scores.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            reads_c = isinstance(node, ast.Attribute) and node.attr == "c"
+            assert not reads_c, (name, node.lineno)
