@@ -27,7 +27,7 @@ from .dataset import ObservedDataset
 from .inference import confidence_interval, jackknife_se
 from .marginal import SCALE_METHODS, default_a_n, estimate_chunk
 from .propensity import DEFAULT_FLOOR, fit_propensity
-from .regression import MODELS, fit_mm, fit_mm_stack, hard_rejection_weights
+from .regression import MODELS, fit_mm, hard_rejection_weights, refit_mm_stack
 from .simulation import (
     ESTIMATORS,
     PUBLISHED_TARGETS,
@@ -330,9 +330,15 @@ def _build_dataset(table: dict[str, np.ndarray], settings: dict) -> ObservedData
         raise InputError("estimate config: field 'jackknife_propensity' is "
                          "logistic, which needs two rows with a missing value")
     try:
-        return ObservedDataset(y=y, x=x, z_index=z_index, delta=delta)
+        data = ObservedDataset(y=y, x=x, z_index=z_index, delta=delta)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    for m in settings["models"]:
+        need = MODELS[m["id"]].min_complete_cases
+        if data.n_obs < need:
+            raise InputError(f"data file has {data.n_obs} complete rows; "
+                             f"model {m['label']!r} needs at least {need}")
+    return data
 
 
 def _a_n(settings: dict, data: ObservedDataset) -> float:
@@ -401,17 +407,17 @@ def _report_entries(estimates: dict, fits: dict) -> list[dict]:
 
 
 def _jackknife_fits(datasets: list, settings: dict, full_fits: dict) -> list:
-    """Each leave-one-out set's fits, by model label: a model's fits to the
-    sets are one stack (``fit_mm_stack``), but for the sets with the full
-    data's complete-case count: they left out an incomplete row, so they
-    take the full data's fit (``full_fits``, by label)."""
+    """Each leave-one-out set's fits, by model label: one stack of refits
+    from the full data's fit (``full_fits``; ``refit_mm_stack``), but a set
+    that left out an incomplete row has the full data's complete cases, so
+    it takes that fit."""
     stacks = {}
     for m in settings["models"]:
+        full = full_fits[m["label"]]
         own = [k for k, d in enumerate(datasets)
-               if d.delta.sum() != full_fits[m["label"]].complete_case_count]
-        stacks[m["label"]] = dict(zip(own, fit_mm_stack(
-            MODELS[m["id"]], [datasets[k] for k in own],
-            [settings["seed"]] * len(own), _WEIGHT_IDS[m["weights"]])))
+               if d.delta.sum() != full.complete_case_count]
+        stacks[m["label"]] = dict(zip(own, refit_mm_stack(
+            full, [datasets[k] for k in own], _WEIGHT_IDS[m["weights"]])))
     return [{label: stack.get(k, full_fits[label])
              for label, stack in stacks.items()} for k in range(len(datasets))]
 
@@ -437,9 +443,9 @@ def _attach_jackknife(entries: list[dict], data: ObservedDataset,
     model only; the others have exactly one variant.  Each leave-one-out
     dataset is estimated once for all of them, with the full data's
     ``a_n``, so one propensity fit and one model fit serve every jackknifed
-    entry.  The sets run in chunks whose model fits are one stack, across
-    the available CPUs; a set that leaves out an incomplete row takes the
-    full data's model fit from ``fits``.
+    entry.  The sets run in chunks across the available CPUs; a chunk's
+    model fits are one stack of refits that start from the full data's fit
+    in ``fits`` (``_jackknife_fits``), with no subset search.
     """
     if not settings["jackknife"]:
         return

@@ -17,7 +17,8 @@ elemental candidates.  ``MODELS`` holds the package's three
 optional covariate downweighting hook acts on the M-step.  Fits run as a
 stack (``fit_mm_stack``; ``fit_mm`` is the stack of one): each step is an
 array pass over the fits still running, with every sum over one fit's rows
-alone, so a fit is the same bit for bit in any stack.
+alone, so a fit is the same bit for bit in any stack.  A refit
+(``refit_mm_stack``) skips the search and starts at a fit's S-step point.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "RegressionFit",
     "fit_mm",
     "fit_mm_stack",
+    "refit_mm_stack",
     "predict",
     "hard_rejection_weights",
     "residual_scales",
@@ -109,6 +111,10 @@ class RegressionModel:
     def dim_beta(self) -> int:
         return len(self.terms)
 
+    @property
+    def min_complete_cases(self) -> int:  # five per coefficient
+        return 5 * self.dim_beta
+
     def _exp(self, x1, beta):
         """exp(rate*x1), or None for a model without a rate."""
         if "rate" not in self.terms:
@@ -165,11 +171,11 @@ class RegressionFit:
     ``s_step_beta`` keeps the polished S-step candidate the M-step started
     from, so the descent property of the second stage can be audited.
     ``candidates_solved`` (elemental candidates whose scale was solved after
-    the screen), ``polish_steps`` (accepted descent steps on the S-scale),
-    ``polish_converged`` (False only when the polish hit its step cap) and
-    ``m_iterations`` (M-step iterations) record the work the fit did; like
-    ``s_step_beta`` and ``model`` they take no part in equality.
-    ``converged`` is the M-step's.
+    the screen; 0 for a refit), ``polish_steps`` (accepted descent steps on
+    the S-scale), ``polish_converged`` (False only when the polish hit its
+    step cap) and ``m_iterations`` (M-step iterations) record the work the
+    fit did; like ``s_step_beta`` and ``model`` they take no part in
+    equality.  ``converged`` is the M-step's.
     """
 
     model: RegressionModel = field(compare=False)
@@ -330,19 +336,20 @@ def _subsets(m, q, rng):
     return np.take_along_axis(least, order, axis=1)
 
 
-def _candidates(model, ys, x1, x2, span):
-    """Coefficients fitted to C elemental subsets with rows ``ys``, ``x1``,
-    ``x2`` ((q, C, 1) each): at each point of the rate grid,
-    ``_RATE_GRID / span`` for an x1 ``span`` that is a scalar or (C, 1),
-    the linear coefficients solve the subset's ridged normal equations, and
-    a subset keeps the point of least squared error.  Each subset's
-    arithmetic is its own, so its coefficients are bit for bit the same
-    beside any others."""
+def _elemental_candidates(model, yc, xc, rng):
+    """Coefficients fitted to each of ``_N_SUBSETS`` random subsets of
+    dim_beta + 1 complete cases: at each point of the rate grid,
+    ``_RATE_GRID`` over the span of x1 (1.0 when x1 is constant), the
+    linear coefficients solve the subset's ridged normal equations, and a
+    subset keeps the point of least squared error."""
 
     def dot(a, b):
         return np.einsum("qcg,qcg->cg", a, b)
 
-    grid = _RATE_GRID / span if "rate" in model.terms else np.zeros(1)
+    rows = _subsets(yc.size, model.dim_beta + 1, rng).T
+    ys, x1, x2 = (a[rows][:, :, None] for a in (yc, xc[:, 0], xc[:, 1]))
+    grid = (_RATE_GRID / (float(np.ptp(xc[:, 0])) or 1.0)
+            if "rate" in model.terms else np.zeros(1))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e = grid * x1  # (row, subset, grid point)
         np.exp(e, out=e)
@@ -358,76 +365,28 @@ def _candidates(model, ys, x1, x2, span):
         sse = dot(resid, resid)
     gi = np.argmin(np.where(np.isfinite(sse), sse, np.inf), axis=1)
     subsets = np.arange(ys.shape[1])
-    rates = np.broadcast_to(grid, (subsets.size, grid.shape[-1]))
     linear = iter(coef)
     return np.column_stack([
-        rates[subsets, gi] if t == "rate" else next(linear)[subsets, gi]
+        grid[gi] if t == "rate" else next(linear)[subsets, gi]
         for t in model.terms
     ])
 
 
-def _span(model, xc):
-    """The rate grid's x1 span in ``xc``: 1.0 if constant or rate-free."""
-    if "rate" not in model.terms:
-        return 1.0
-    return float(np.ptp(xc[:, 0])) or 1.0
-
-
-def _elemental_candidates(model, yc, xc, rng):
-    """Coefficients fitted to each of ``_N_SUBSETS`` random subsets of
-    dim_beta + 1 complete cases (``_candidates``)."""
-    rows = _subsets(yc.size, model.dim_beta + 1, rng).T
-    return _candidates(model, yc[rows][:, :, None], xc[rows, 0][:, :, None],
-                       xc[rows, 1][:, :, None], _span(model, xc))
-
-
-def _shared_candidates(model, cases, rows):
-    """``_elemental_candidates`` of cases that drew the row indices ``rows``
-    (subsets, q), fitting each distinct subset once.  A subset's key is its
-    rows' y, x1 and x2 and its case's x1 span (``_span``), compared as one
-    opaque value of their bytes, so subsets are grouped exactly: two that
-    differ in one bit are fitted apart.  The arrays are laid out as
-    ``_elemental_candidates`` lays them, as einsum sums in layout order."""
-    q = rows.shape[1]
-    keys = np.concatenate([np.column_stack(
-        [yc[rows], xc[rows, 0], xc[rows, 1],
-         np.full(len(rows), _span(model, xc))]) for yc, xc in cases])
-    _, distinct, where = np.unique(
-        keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel(),
-        return_index=True, return_inverse=True)
-    ys, x1, x2, span = (np.ascontiguousarray(a) for a in np.split(
-        keys[distinct], (q, 2 * q, 3 * q), axis=1))
-    betas = _candidates(model, ys.T[:, :, None], x1.T[:, :, None],
-                        x2.T[:, :, None], span)
-    return np.split(betas[where], len(cases))
-
-
 def _s_search(model, cases, seeds):
-    """Each (responses, covariates) case's best elemental candidate: its
-    coefficients, S-scale and candidate scales solved, or None.
-
-    Cases with one seed and complete-case count draw the same row indices,
-    once, and fit each distinct subset once (``_shared_candidates``;
-    leave-one-out sets share most); a case alone builds its own, which is
-    faster for one.  The candidates are the same bit for bit either way."""
-    groups = {}
-    for k, ((yc, _), seed) in enumerate(zip(cases, seeds)):
-        groups.setdefault((seed, yc.size), []).append(k)
-    betas = [None] * len(cases)
-    for (seed, m), ks in groups.items():
-        rng, group = np.random.default_rng(seed), [cases[k] for k in ks]
-        found = ([_elemental_candidates(model, *group[0], rng)] if len(ks) == 1
-                 else _shared_candidates(model, group, _subsets(
-                     m, model.dim_beta + 1, rng)))
-        for k, b in zip(ks, found):
-            betas[k] = b
+    """Each (index k, responses, covariates, ...) case's best elemental
+    candidate, from subsets of its own drawn from ``seeds[k]``
+    (``_elemental_candidates``): its coefficients, S-scale and candidate
+    scales solved, or the ValueError of a case with none."""
+    betas = [_elemental_candidates(model, yc, xc, np.random.default_rng(
+        seeds[k])) for k, yc, xc, *_ in cases]
     with np.errstate(over="ignore", invalid="ignore"):
         screens = _screened_scales(  # candidates along a leading axis
             yc - model.mean(xc, b.T[:, :, None])
-            for (yc, xc), b in zip(cases, betas))
+            for (_, yc, xc, *_), b in zip(cases, betas))
     best = [int(np.argmin(scores)) for scores, _ in screens]
     return [(b[k].astype(float), float(scores[k]), solved)
-            if np.isfinite(scores[k]) else None
+            if np.isfinite(scores[k])
+            else ValueError("no valid elemental candidate found")
             for b, k, (scores, solved) in zip(betas, best, screens)]
 
 
@@ -685,7 +644,7 @@ def _complete_cases(model, data, covariate_weights):
         raise ValueError(_DIM_MISMATCH)
     obs = data.delta == 1
     yc, xc = data.y[obs], data.x[obs]
-    if yc.size < 5 * model.dim_beta:
+    if yc.size < model.min_complete_cases:
         raise ValueError("insufficient complete cases")
     if covariate_weights is None:
         return yc, xc, np.ones(yc.size)
@@ -700,32 +659,12 @@ def _complete_cases(model, data, covariate_weights):
     return yc, xc, w_cov
 
 
-def fit_mm_stack(
-    model: RegressionModel,
-    datasets: Sequence[ObservedDataset],
-    seeds: Sequence[int],
-    covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[RegressionFit | ValueError]:
-    """Simplified MM fits of datasets' complete cases as one stack: each
-    dataset's fit (carrying ``model``; bit for bit the one it gets alone)
-    or the ValueError it raised.
-
-    Each covariate matrix must have two columns.  Stage 1 searches 500
-    random elemental subsets (size dim_beta + 1, drawn from ``seeds[k]``)
-    for the candidate whose residual S-scale (bisquare c0 = 1.54764,
-    b = 0.5) is least, solving a scale only if a screen at the best found
-    so far shows it could be less (Fast-S, Salibian-Barrera & Yohai 2006);
-    ties go to the first.  Scales are solved by safeguarded Newton steps to
-    1e-10 relative.  The best candidate is polished to the minimum of the
-    scale by Newton steps (IRWLS where the Hessian is not positive
-    definite) within 100 steps (``polish_converged``).  Stage 2 minimizes
-    the bisquare (c = 4.685) objective at that scale by the same steps, to
-    tolerance 1e-8 (``converged``).  ``covariate_weights`` maps a dataset's
-    complete-case covariates to weights in [0, 1] on the M-step objective.
-    Datasets with the same seed and number of complete cases draw one set
-    of subsets and fit each distinct one once; every dataset gets its own
-    fit, even one that repeats another.
-    """
+def _fit_stack(model, datasets, covariate_weights, start):
+    """MM fits of datasets' complete cases as one stack: ``start(cases)``
+    gives each (index, responses, covariates, covariate weights) case its
+    S-polish's start (coefficients, S-scale, candidates solved) or a
+    ValueError, and the M-step follows at the polished scale.  Returns each
+    dataset's RegressionFit or the ValueError it raised."""
     out: list = [None] * len(datasets)
     cases = []
     for k, data in enumerate(datasets):
@@ -733,12 +672,12 @@ def fit_mm_stack(
             cases.append((k, *_complete_cases(model, data, covariate_weights)))
         except ValueError as exc:
             out[k] = exc
-    found = _s_search(model, [c[1:3] for c in cases],
-                      [seeds[c[0]] for c in cases])
-    for c, best in zip(cases, found):
-        if best is None:
-            out[c[0]] = ValueError("no valid elemental candidate found")
-    cases = [c + best for c, best in zip(cases, found) if best is not None]
+    starts = start(cases) if cases else []
+    for c, best in zip(cases, starts):
+        if isinstance(best, ValueError):
+            out[c[0]] = best
+    cases = [c + best for c, best in zip(cases, starts)
+             if not isinstance(best, ValueError)]
     if not cases:
         return out
     keys, yc, xc, w, beta, s, solved = zip(*cases)
@@ -767,6 +706,60 @@ def fit_mm_stack(
             polish_steps=int(steps[j]), polish_converged=bool(polished[j]),
             m_iterations=int(iterations))
     return out
+
+
+def fit_mm_stack(
+    model: RegressionModel,
+    datasets: Sequence[ObservedDataset],
+    seeds: Sequence[int],
+    covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[RegressionFit | ValueError]:
+    """Simplified MM fits of datasets' complete cases as one stack: each
+    dataset's fit (carrying ``model``; bit for bit the one it gets alone)
+    or the ValueError it raised.
+
+    Each covariate matrix must have two columns.  Stage 1 searches 500
+    random elemental subsets (size dim_beta + 1, drawn from ``seeds[k]``)
+    for the candidate whose residual S-scale (bisquare c0 = 1.54764,
+    b = 0.5) is least, solving a scale only if a screen at the best found
+    so far shows it could be less (Fast-S, Salibian-Barrera & Yohai 2006);
+    ties go to the first.  Scales are solved by safeguarded Newton steps to
+    1e-10 relative.  The best candidate is polished to the minimum of the
+    scale by Newton steps (IRWLS where the Hessian is not positive
+    definite) within 100 steps (``polish_converged``).  Stage 2 minimizes
+    the bisquare (c = 4.685) objective at that scale by the same steps, to
+    tolerance 1e-8 (``converged``).  ``covariate_weights`` maps a dataset's
+    complete-case covariates to weights in [0, 1] on the M-step objective.
+    Each dataset draws its own subsets (``refit_mm_stack`` draws none).
+    """
+    return _fit_stack(model, datasets, covariate_weights,
+                      lambda cases: _s_search(model, cases, seeds))
+
+
+def refit_mm_stack(
+    fit: RegressionFit,
+    datasets: Sequence[ObservedDataset],
+    covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[RegressionFit | ValueError]:
+    """``fit_mm_stack``'s fits of ``fit.model`` with no search, as one stack:
+    each dataset's S-polish starts at ``fit.s_step_beta``, at its residuals'
+    S-scale there (solved from ``fit.residual_scale``), and the M-step
+    follows; ``candidates_solved`` is 0.  So a replicate starts from the full
+    sample's solution, as in the fast robust bootstrap (Salibian-Barrera &
+    Zamar 2002).  A dataset whose start has no finite scale or no spread
+    raises; nothing falls back to a search."""
+    def warm(cases):
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = [yc - fit.model.mean(xc, fit.s_step_beta)
+                     for _, yc, xc, _ in cases]
+        scales = residual_scales(np.concatenate(resid),
+                                 np.full(len(cases), fit.residual_scale),
+                                 np.array([r.size for r in resid]))
+        return [(fit.s_step_beta, s, 0) if np.isfinite(s) else ValueError(
+            "infinite scale: residuals at the start are not finite")
+            for s in scales]
+
+    return _fit_stack(fit.model, datasets, covariate_weights, warm)
 
 
 def fit_mm(

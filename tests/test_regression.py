@@ -1207,126 +1207,112 @@ def test_repeated_datasets_get_their_fits_alone():
         assert same_fit(fit, fit_mm(model, a, seed=seed))
 
 
-def ozone_leave_one_out(model):
-    """The packaged ozone data's leave-one-out sets, and each one's fit
-    alone at seed 0."""
+def ozone_leave_complete_out():
+    """The packaged ozone data and its 111 leave-one-out sets that leave out
+    a complete row (the sets the CLI's jackknife refits)."""
     data = ozone_data()
-    sets = []
-    for i in range(data.n):
-        keep = np.arange(data.n) != i
-        sets.append(ObservedDataset(y=data.y[keep], x=data.x[keep],
-                                    z_index=data.z_index,
-                                    delta=data.delta[keep]))
-    return sets, [fit_mm(model, d, hard_rejection_weights) for d in sets]
+    return data, [ObservedDataset(
+        y=np.delete(data.y, i), x=np.delete(data.x, i, axis=0),
+        z_index=data.z_index, delta=np.delete(data.delta, i))
+        for i in np.flatnonzero(data.delta == 1)]
+
+
+def rel_scale(a, b):
+    return abs(a.residual_scale - b.residual_scale) / b.residual_scale
+
+
+@pytest.mark.parametrize("weights", [None, hard_rejection_weights],
+                         ids=["plain", "hr"])
+@pytest.mark.parametrize("model_id", sorted(MODELS))
+def test_refit_of_the_full_data_is_the_full_fit(model_id, weights):
+    """Refitted from its own fit, the ozone data gets that fit back, to the
+    polish's rounding: at most one more polish step, the S-scale within
+    1e-15 relative and both betas within 1e-12 relative (measured: 2.2e-16
+    and 8.3e-14)."""
+    model = MODELS[model_id]
+    full = fit_mm(model, ozone_data(), weights)
+    (warm,) = regression.refit_mm_stack(full, [ozone_data()], weights)
+    assert warm.candidates_solved == 0
+    assert warm.polish_steps <= 1 and warm.polish_converged
+    assert warm.converged and warm.complete_case_count == 111
+    assert rel_scale(warm, full) <= 1e-15
+    assert rel(warm.s_step_beta, full.s_step_beta) <= 1e-12
+    assert rel(warm.beta, full.beta) <= 1e-12
 
 
 @pytest.mark.parametrize("model_id", sorted(MODELS))
-def test_leave_one_out_stacks_share_their_subsets(model_id, monkeypatch):
-    """Ozone leave-one-out sets in stacks of 19 and 64, which draw their
-    subsets once per complete-case count and fit each distinct subset once,
-    get the fits they get alone, bit for bit."""
+def test_refit_is_the_refit_alone(model_id):
+    """Each ozone leave-one-out set's refit is bit for bit the same alone
+    and in stacks of 19 and 64."""
     model = MODELS[model_id]
-    sets, alone = ozone_leave_one_out(model)
-    built = []
-    real = regression._candidates
-
-    def counted(model, ys, *args):
-        built.append(ys.shape[1])
-        return real(model, ys, *args)
-
-    monkeypatch.setattr(regression, "_candidates", counted)
+    data, sets = ozone_leave_complete_out()
+    full = fit_mm(model, data, hard_rejection_weights)
+    alone = [regression.refit_mm_stack(full, [d], hard_rejection_weights)[0]
+             for d in sets]
     for size in (19, 64):
         for k in range(0, len(sets), size):
-            fits = regression.fit_mm_stack(
-                model, sets[k:k + size], [0] * len(sets[k:k + size]),
-                hard_rejection_weights)
+            fits = regression.refit_mm_stack(full, sets[k:k + size],
+                                             hard_rejection_weights)
             for j, fit in enumerate(fits):
                 assert same_fit(fit, alone[k + j]), (size, k + j)
-    # The sets that leave out a complete row share most of their subsets.
-    assert sum(built) < 0.5 * len(sets) * regression._N_SUBSETS
+                assert (fit.weights_used.tobytes()
+                        == alone[k + j].weights_used.tobytes())
 
 
-def distinct_subsets(model, cases, seed=0):
-    """The number of distinct elemental subsets, by their rows' values and
-    x1 span, that a stack of distinct (responses, covariates) cases draws:
-    500 for a case alone with its seed and complete-case count, and the
-    distinct ones over each group of several."""
-    groups = {}
-    for yc, xc in cases:
-        groups.setdefault(yc.size, []).append((yc, xc))
-    total = 0
-    for m, group in groups.items():
-        rows = regression._subsets(m, model.dim_beta + 1,
-                                   np.random.default_rng(seed))
-        if len(group) == 1:
-            total += len(rows)
-            continue
-        total += len({
-            (yc[r].tobytes(), xc[r].tobytes(),
-             float(np.ptp(xc[:, 0])) if "rate" in model.terms else None)
-            for yc, xc in group for r in rows})
-    return total
+@pytest.mark.parametrize("weights", [None, hard_rejection_weights],
+                         ids=["plain", "hr"])
+@pytest.mark.parametrize("model_id", sorted(MODELS))
+def test_refit_matches_the_searched_fit(model_id, weights, monkeypatch):
+    """On every ozone set that leaves out a complete row, the refit from
+    the full fit finds the searched fit's minimum: S-scales within 1e-14
+    relative, and betas within 1e-6 relative, a step the M-step's stopping
+    rule (1e-8 (1 + |beta|_inf)) can leave between two starts (measured:
+    8.9e-16 and 5.0e-8).  The refit draws no subsets."""
+    model = MODELS[model_id]
+    data, sets = ozone_leave_complete_out()
+    full = fit_mm(model, data, weights)
+    searched = regression.fit_mm_stack(model, sets, [0] * len(sets), weights)
+    monkeypatch.setattr(regression, "_s_search", None)
+    warm = regression.refit_mm_stack(full, sets, weights)
+    for a, b in zip(warm, searched):
+        assert a.converged and a.polish_converged
+        assert a.complete_case_count == b.complete_case_count == 110
+        assert rel_scale(a, b) <= 1e-14
+        assert rel(a.s_step_beta, b.s_step_beta) <= 1e-6
+        assert rel(a.beta, b.beta) <= 1e-6
 
 
-def test_each_distinct_subset_is_fitted_once(monkeypatch):
-    """The candidate builder gets one column per distinct subset of a stack
-    of ozone leave-one-out sets."""
-    data = ozone_data()
-    built = []
-    real = regression._candidates
-
-    def counted(model, ys, *args):
-        built.append(ys.shape[1])
-        return real(model, ys, *args)
-
-    monkeypatch.setattr(regression, "_candidates", counted)
-    for model in MODELS.values():
-        for rows in (range(19), range(38, 57), range(134, 153)):
-            sets = [ObservedDataset(
-                y=np.delete(data.y, i), x=np.delete(data.x, i, axis=0),
-                z_index=data.z_index, delta=np.delete(data.delta, i))
-                for i in rows]
-            cases = {}
-            for d in sets:
-                obs = d.delta == 1
-                cases[d.y[obs].tobytes() + d.x[obs].tobytes()] = (
-                    d.y[obs], d.x[obs])
-            built.clear()
-            regression.fit_mm_stack(model, sets, [0] * len(sets))
-            assert sum(built) == distinct_subsets(model, cases.values())
-            assert sum(built) < len(cases) * regression._N_SUBSETS
-
-
-def test_near_duplicate_subsets_are_fitted_apart(monkeypatch):
-    """A stack of ozone leave-one-out sets and a copy of one whose first
-    complete-case response is one ulp higher: every subset holding that row
-    is fitted apart from its twin, the candidate builder gets one column per
-    distinct subset, and each fit is the one its set gets alone."""
+def test_refit_without_a_finite_spread_raises(monkeypatch):
+    """A set whose residuals at the full fit's S-step point have no spread,
+    or no finite scale, gets its ValueError beside the others' fits, and
+    nothing falls back to the search; a set with too few complete cases
+    raises as it does in a search."""
     model = MODELS["exp_linear"]
-    sets, alone = ozone_leave_one_out(model)
-    sets, alone = sets[:19], alone[:19]
-    base = sets[3]
-    y = base.y.copy()
-    first = int(np.flatnonzero(base.delta == 1)[0])
-    y[first] = np.nextafter(y[first], np.inf)
-    moved = ObservedDataset(y=y, x=base.x, z_index=base.z_index,
-                            delta=base.delta)
-    built = []
-    real = regression._candidates
-
-    def counted(model, ys, *args):
-        built.append(ys.shape[1])
-        return real(model, ys, *args)
-
-    monkeypatch.setattr(regression, "_candidates", counted)
-    stack = sets + [moved]
-    fits = regression.fit_mm_stack(model, stack, [0] * len(stack),
-                                   hard_rejection_weights)
-    cases = [(d.y[d.delta == 1], d.x[d.delta == 1]) for d in stack]
-    assert sum(built) == distinct_subsets(model, cases)
-    for fit, want in zip(fits, alone):
-        assert same_fit(fit, want)
-    assert same_fit(fits[-1], fit_mm(model, moved, hard_rejection_weights))
+    data, sets = ozone_leave_complete_out()
+    full = fit_mm(model, data)
+    obs = data.delta == 1
+    exact = data.y.copy()
+    exact[obs] = model.mean(data.x[obs], full.s_step_beta)
+    overflow = data.x.copy()
+    overflow[np.flatnonzero(obs)[0], 0] = -1e6  # exp(rate x1) is inf
+    few = np.flatnonzero(obs)[10:]
+    stubs = [
+        ObservedDataset(y=exact, x=data.x, z_index=data.z_index,
+                        delta=data.delta),
+        ObservedDataset(y=data.y, x=overflow, z_index=data.z_index,
+                        delta=data.delta),
+        ObservedDataset(y=np.delete(data.y, few),
+                        x=np.delete(data.x, few, axis=0), z_index=data.z_index,
+                        delta=np.delete(data.delta, few)),
+    ]
+    monkeypatch.setattr(regression, "_s_search", None)
+    fits = regression.refit_mm_stack(full, [sets[0], *stubs, sets[1]])
+    assert [str(f) if isinstance(f, ValueError) else None for f in fits] == [
+        None, "degenerate scale: residuals have no spread",
+        "infinite scale: residuals at the start are not finite",
+        "insufficient complete cases", None]
+    for fit, d in ((fits[0], sets[0]), (fits[-1], sets[1])):
+        assert same_fit(fit, regression.refit_mm_stack(full, [d])[0])
 
 
 def test_median_is_numpy_median_bit_for_bit():

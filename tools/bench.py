@@ -28,9 +28,13 @@ each after one untimed call:
   model's fits to the 152 leave-one-out sets that the jackknife gives its
   chunks (sets 1 to 152), in chunks of ``JACKKNIFE_CHUNKS`` rows, in one
   process, made by the CLI's own ``_jackknife_fits``: a chunk's sets that
-  leave out a complete row are one ``fit_mm_stack``, and the others take
-  the full data's fit, made once before the timing; with the split into
-  the S-search, the polish and the M-step and a hash of all 152 fits;
+  leave out a complete row are one stack of refits from the full data's
+  fit (``refit_mm_stack``: no subset search, so the S-search time is 0,
+  and the scale solve at its start is in no stage; a commit before the
+  refits makes them one searched ``fit_mm_stack``), and the others
+  take the full data's fit, made once before the timing; with the split
+  into the S-search, the polish and the M-step and a hash of all 152
+  fits;
 * the Monte Carlo block layer (``mc_block``): ``run_scenario`` of the
   benchmark's ``mc_n100`` scenario (n = 100, kernel propensity, the true
   nonlinear model, every estimator and functional) at ``MC_REPS``
