@@ -428,11 +428,9 @@ def _jackknife_thetas(datasets: list, settings: dict, a_n: float,
     ``_jackknife_fits``, or the exception it raised; module level, for the
     workers."""
     fits = _jackknife_fits(datasets, settings, full_fits)
-    # map drops each set's estimates before the next set is estimated.
-    return list(map(
-        lambda r: r if isinstance(r, Exception)
-        else [est.theta_m for est in r.values()],
-        _estimates(datasets, settings, fits, a_n)))
+    return [r if isinstance(r, Exception)
+            else [est.theta_m for est in r.values()]
+            for r in _estimates(datasets, settings, fits, a_n)]
 
 
 def _attach_jackknife(entries: list[dict], data: ObservedDataset,
@@ -501,8 +499,6 @@ def cmd_estimate(args) -> int:
         if isinstance(estimates, Exception):
             raise estimates
         entries = _report_entries(estimates, fits)
-        # The jackknife does not need the full data's laws.
-        del estimates
         _attach_jackknife(entries, data, settings, a_n, fits)
     except Exception as exc:
         raise RuntimeError(f"estimation failed: {exc}") from exc

@@ -21,7 +21,7 @@ on skewed marginals, and the M-location inherits that difference.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,10 +76,11 @@ class MarginalEstimate:
     ``signed_weights`` keeps the pre-flooring weights of the distribution's
     atoms (they can be negative) so the estimated CDF can also be used in
     signed form, and ``negative_weights_floored`` records whether flooring
-    changed anything.
+    changed anything.  Estimates from ``estimate_chunk`` carry no law (both
+    are None); estimates compare by every field but these two.
     """
 
-    distribution: WeightedSample
+    distribution: WeightedSample | None = field(compare=False)
     scale: float
     theta_mean: float
     theta_median: float
@@ -266,9 +267,9 @@ def estimate_aipw(
 
 def estimate_chunk(datasets, propensity, fits, keys, a_n: float,
                    scale_method: str = "mad"):
-    """Yield each dataset's estimates in turn, or the exception it raised:
-    the one estimate path of the CLI's report and jackknife and of the
-    Monte Carlo replications.
+    """Yield each dataset's estimates, without their laws, in turn, or the
+    exception it raised: the one estimate path of the CLI's report and
+    jackknife and of the Monte Carlo replications.
 
     Estimates map each key (estimator, model label, propensity name) of
     ``keys``, in order, to its MarginalEstimate; only "conv" reads the
@@ -276,7 +277,7 @@ def estimate_chunk(datasets, propensity, fits, keys, a_n: float,
     the ValueError a fit raised; ``propensity(name, z, delta)`` fits each
     propensity named in ``keys`` once per dataset.  A dataset's result is
     its first failure: a model fit, a propensity, then the estimators in
-    key order.
+    key order.  Each law is dropped as soon as its estimator returns.
     """
     names = dict.fromkeys(name for *_, name in keys)
     for data, models in zip(datasets, fits):
@@ -287,13 +288,14 @@ def estimate_chunk(datasets, propensity, fits, keys, a_n: float,
             pfs = {name: propensity(name, data.z, data.delta)
                    for name in names}
             yield {
-                (est, label, name): (
+                (est, label, name): replace(
                     estimate_ipw(data, pfs[name], scale_method)
                     if est == "ipw" else
                     estimate_aipw(data, pfs[name], a_n, scale_method)
                     if est == "aipw" else
                     estimate_conv(data, pfs[name], models[label],
-                                  scale_method))
+                                  scale_method),
+                    distribution=None, signed_weights=None)
                 for est, label, name in keys
             }
         except Exception as exc:

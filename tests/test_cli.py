@@ -559,6 +559,32 @@ class TestEstimateCollapse:
         ).read_bytes()
 
 
+class TestNegativeWeightsFlag:
+    def test_floored_aipw_weights_reach_the_report(self, tmp_path,
+                                                   monkeypatch):
+        """The floored flag of an estimate from the chunk path reaches
+        report.json: the flooring construction of test_marginal, under
+        its known propensity in place of the fitted one."""
+        path = tmp_path / "floor.csv"
+        path.write_text("y,x1,x2\n1,0,0\n2,0.05,0\n3,0.1,0\n,0.5,0\n"
+                        "10,0.9,0\n11,0.95,0\n12,0.93,0\n")
+        pf = propensity.known_propensity(
+            lambda z: np.where(z[..., 0] > 0.925, 0.02, 0.9), k=1, floor=0.01)
+        monkeypatch.setattr(cli, "fit_propensity", lambda *a, **k: pf)
+        config = toy_config(estimators=["aipw"], propensities=["kernel"],
+                            models=[], a_n=0.2, scale_method="s")
+        out = tmp_path / "out"
+        code = main(["estimate", "--data", str(path), "--config",
+                     write_config(tmp_path, config), "--out", str(out)])
+        assert code == 0
+        (entry,) = json.loads((out / "report.json").read_text())["estimates"]
+        _, data = settings_and_data(config, str(path))
+        want = marginal.estimate_aipw(data, pf, 0.2, "s")
+        assert want.negative_weights_floored
+        assert entry["negative_weights_floored"] is True
+        assert entry["theta_m"] == want.theta_m
+
+
 class TestEstimateInputForms:
     def run(self, tmp_path, data, config, tag):
         out = tmp_path / tag

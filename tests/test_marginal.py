@@ -1,5 +1,6 @@
 """Tests for the marginal distribution estimators."""
 
+import tracemalloc
 import warnings
 import weakref
 from math import erf, sqrt
@@ -506,16 +507,10 @@ def direct_estimates(data, models):
 
 
 def assert_same_estimates(got, want):
+    """Same keys in the same order, and estimates equal bit for bit in
+    their numbers, method, propensity tag and floored flag."""
     assert list(got) == list(want)
-    for key in want:
-        a, b = got[key], want[key]
-        assert (a.scale, a.theta_mean, a.theta_median, a.theta_m, a.method,
-                a.propensity_tag) == (b.scale, b.theta_mean, b.theta_median,
-                                      b.theta_m, b.method, b.propensity_tag)
-        np.testing.assert_array_equal(a.distribution.atoms,
-                                      b.distribution.atoms)
-        np.testing.assert_array_equal(a.distribution.weights,
-                                      b.distribution.weights)
+    assert got == want
 
 
 class TestEstimateChunk:
@@ -595,26 +590,51 @@ class TestEstimateChunk:
         assert calls == [(d.n, name) for d in datasets
                          for name in ("constant", "logistic")]
 
-    def test_laws_are_freed_before_the_next_dataset(self, chunk_data,
-                                                   monkeypatch):
-        """The chunk holds no dataset's estimates once it has yielded them:
-        a law the caller dropped is gone when the next dataset is
-        estimated."""
+    def test_estimates_carry_no_law(self, chunk_data, monkeypatch):
+        """Every yielded estimate has no law and no signed weights, and
+        each law built inside the chunk is gone before the next estimator
+        is called, though the caller keeps every estimate."""
         datasets, fits = chunk_data
         refs, alive = [], []
-        real = marginal.estimate_ipw
 
-        def ipw(data, *args):
-            alive.append([ref() is not None for ref in refs])
-            return real(data, *args)
+        def traced(real):
+            def estimator(*args):
+                alive.append([ref() is not None for ref in refs])
+                est = real(*args)
+                refs.append(weakref.ref(est.distribution))
+                if est.signed_weights is not None:
+                    refs.append(weakref.ref(est.signed_weights))
+                return est
+            return estimator
 
-        monkeypatch.setattr(marginal, "estimate_ipw", ipw)
-        chunk = estimate_chunk(datasets, chunk_propensity, fits, CHUNK_KEYS,
-                               CHUNK_A_N)
-        for estimates in chunk:
-            refs += [weakref.ref(est.distribution)
-                     for est in estimates.values()]
-            del estimates
-        # Two ipw calls per dataset, each before that dataset's laws exist.
-        assert len(refs) == 12
-        assert alive == [[]] * 2 + [[False] * 4] * 2 + [[False] * 8] * 2
+        for name in ("estimate_ipw", "estimate_conv", "estimate_aipw"):
+            monkeypatch.setattr(marginal, name,
+                                traced(getattr(marginal, name)))
+        kept = list(estimate_chunk(datasets, chunk_propensity, fits,
+                                   CHUNK_KEYS, CHUNK_A_N))
+        assert all(est.distribution is None and est.signed_weights is None
+                   for estimates in kept for est in estimates.values())
+        # Four laws per dataset, and the signed weights of each aipw law.
+        assert len(refs) == 15
+        assert alive == [[False] * k for k in
+                         (0, 1, 2, 4, 5, 6, 7, 9, 10, 11, 12, 14)]
+        assert not any(ref() is not None for ref in refs)
+
+    def test_peak_memory_holds_one_law(self):
+        """A chunk's traced peak with two conv keys is that of one: the
+        first conv law is gone before the second is built."""
+        data = gen_mar(800, 61)
+        fits = [{"exp": fit_mm(MODELS["exp_linear"], data, seed=0)}]
+
+        def peak(keys):
+            tracemalloc.start()
+            try:
+                list(estimate_chunk([data], chunk_propensity, fits, keys,
+                                    CHUNK_A_N))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak([("conv", "exp", "logistic")])
+        two = peak([("conv", "exp", "logistic"), ("conv", "exp", "constant")])
+        assert two <= 1.1 * one

@@ -40,7 +40,16 @@ each after one untimed call:
   nonlinear model, every estimator and functional) at ``MC_REPS``
   replications in one process, which fits each chunk's MM regressions as
   one stack, with the same split into the S-search, the polish and the
-  M-step and a hash of the table.
+  M-step and a hash of the table;
+* the chunk memory layer (``chunk_memory``): one ``estimate_chunk`` pass
+  over ``generate_sample(3200, 1)`` with the six keys of the benchmark's
+  ``synth_large`` workload (ipw, conv with the ``exp_linear`` model and
+  aipw at a_n = n^(-1/3), each under the kernel and the logistic
+  propensity), its model fitted before the pass, with the tracemalloc
+  peak of the pass, the memory the yielded estimates still hold after it
+  (both in MiB above the traced memory at its start) and a hash of the
+  estimates.  It uses the public API only, so it runs at any commit that
+  has ``estimate_chunk``.
 
 The minor page faults per fit (``getrusage``) of ``FAULT_FITS`` n = 100
 fits of each model, one sample each, are counted first, before the other
@@ -82,15 +91,17 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 
 from robmarg import cli, inference, parallel, regression
 from robmarg.inference import plugin_var_ipw
-from robmarg.marginal import (estimate_aipw, estimate_conv, estimate_ipw,
-                              functional_summary)
-from robmarg.propensity import auto_bandwidth, fit_logistic, kernel_propensity
+from robmarg.marginal import (estimate_aipw, estimate_chunk, estimate_conv,
+                              estimate_ipw, functional_summary)
+from robmarg.propensity import (auto_bandwidth, fit_logistic, fit_propensity,
+                                kernel_propensity)
 from robmarg.simulation import ScenarioConfig, generate_sample, run_scenario
 
 # Record name -> (model, covariate weights).
@@ -120,6 +131,10 @@ SUMMARY_LAYERS = {f"{est}_summary_{method}": (est, method)
 MC_REPS = (10, 64)
 JACKKNIFE_CHUNKS = (19, 64)
 FAULT_FITS = 60
+CHUNK_N = 3200
+CHUNK_KEYS = [(est, "exp_linear" if est == "conv" else None, prop)
+              for est in ("ipw", "conv", "aipw")
+              for prop in ("kernel", "logistic")]
 PACKAGE_DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 
 
@@ -339,6 +354,30 @@ def bench_mc(clock: dict) -> list[dict]:
     return rows
 
 
+def bench_chunk_memory() -> dict:
+    data, _ = generate_sample(CHUNK_N, 1)
+    fits = [{"exp_linear": regression.fit_mm(regression.MODELS["exp_linear"],
+                                             data, seed=0)}]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        (estimates,) = estimate_chunk([data], fit_propensity, fits,
+                                      CHUNK_KEYS, CHUNK_N ** (-1.0 / 3.0))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    values = [v for est in estimates.values()
+              for v in (est.theta_mean, est.theta_median, est.theta_m,
+                        est.scale)]
+    row = {"n": CHUNK_N, "keys": len(CHUNK_KEYS),
+           "peak_mib": round((peak - start) / 2**20, 1),
+           "held_mib": round((held - start) / 2**20, 1),
+           "output_hash": _hash(values)}
+    print(f"n={CHUNK_N:5d} {'chunk_memory':36s} peak {row['peak_mib']:7.1f} "
+          f"MiB  held {row['held_mib']:7.1f} MiB", file=sys.stderr)
+    return row
+
+
 def bench() -> dict:
     faults = bench_faults()
     clock = dict.fromkeys(STAGES, 0.0)
@@ -389,6 +428,7 @@ def bench() -> dict:
         "jackknife_fits": bench_jackknife_fits(clock),
         "fit_faults_n100": faults,
         "mc_block": bench_mc(clock),
+        "chunk_memory": bench_chunk_memory(),
     }
 
 
