@@ -27,7 +27,7 @@ from .dataset import ObservedDataset
 from .inference import confidence_interval, jackknife_se
 from .marginal import SCALE_METHODS, default_a_n, estimate_chunk
 from .propensity import DEFAULT_FLOOR, fit_propensity
-from .regression import MODELS, fit_mm, hard_rejection_weights, refit_mm_stack
+from .regression import MODELS, fit_mm, refit_mm_stack
 from .simulation import (
     ESTIMATORS,
     PUBLISHED_TARGETS,
@@ -39,7 +39,7 @@ from .simulation import (
 
 __all__ = ["main"]
 
-_WEIGHT_IDS = {None: None, "hard_rejection": hard_rejection_weights}
+_WEIGHT_IDS = (None, "hard_rejection")
 _CLI_PROPENSITIES = ("logistic", "kernel", "constant")
 
 
@@ -95,8 +95,8 @@ _MODEL_FIELDS = {
     "id": (_REQUIRED, lambda v: v in tuple(MODELS),
            f"names an unknown model id; known: {tuple(MODELS)}"),
     "label": (None, lambda v: isinstance(v, str), "must be a string"),
-    "weights": (None, lambda v: v in tuple(_WEIGHT_IDS),
-                f"names unknown model weights; known: {tuple(_WEIGHT_IDS)}"),
+    "weights": (None, lambda v: v in _WEIGHT_IDS,
+                f"names unknown model weights; known: {_WEIGHT_IDS}"),
 }
 _SIMULATE_FIELDS = {
     "scenarios": (_REQUIRED, lambda v: isinstance(v, list) and v,
@@ -356,7 +356,7 @@ def _fit_models(data: ObservedDataset, settings: dict) -> dict:
     """
     return {
         m["label"]: fit_mm(MODELS[m["id"]], data,
-                           covariate_weights=_WEIGHT_IDS[m["weights"]],
+                           hard_rejection=m["weights"] == "hard_rejection",
                            seed=settings["seed"])
         for m in settings["models"]
     }
@@ -417,7 +417,7 @@ def _jackknife_fits(datasets: list, settings: dict, full_fits: dict) -> list:
         own = [k for k, d in enumerate(datasets)
                if d.delta.sum() != full.complete_case_count]
         stacks[m["label"]] = dict(zip(own, refit_mm_stack(
-            full, [datasets[k] for k in own], _WEIGHT_IDS[m["weights"]])))
+            full, [datasets[k] for k in own])))
     return [{label: stack.get(k, full_fits[label])
              for label, stack in stacks.items()} for k in range(len(datasets))]
 

@@ -14,9 +14,10 @@ import numpy as np
 __all__ = ["ObservedDataset"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedDataset:
-    """Response, covariates, always-observed block, and missingness flags.
+    """Response, covariates, always-observed block, and missingness flags;
+    datasets compare by identity.
 
     y : (n,) response; entries are meaningful only where delta = 1 and may
         be NaN elsewhere.

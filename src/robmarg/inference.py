@@ -239,7 +239,7 @@ def plugin_var_ipw(
     obs = _observed(data)
     y_obs = data.y[obs]
     z_obs = data.z[obs]
-    p_obs = np.asarray(pf.predict(z_obs), dtype=float)
+    p_obs = pf.predict(z_obs)
     u = (y_obs - theta) / scale
     tau = (1.0 / p_obs) / (1.0 / p_obs).sum()
 
@@ -272,7 +272,7 @@ def plugin_var_ipw(
         with np.errstate(invalid="ignore", divide="ignore"):
             r_hat = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
                              fallback)
-        p_all = np.asarray(pf.predict(z_all), dtype=float)
+        p_all = pf.predict(z_all)
         correction = float(np.mean((1.0 - p_all) / p_all * r_hat**2))
         gamma = gamma - correction
         method = "plugin_kernel"

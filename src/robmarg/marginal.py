@@ -151,7 +151,7 @@ def estimate_ipw(
     Complete-case responses weighted by 1/p_hat(z) and normalized.
     """
     obs = _observed(data)
-    p = np.asarray(pf.predict(data.z[obs]), dtype=float)
+    p = pf.predict(data.z[obs])
     return _finish(data.y[obs], 1.0 / p, "ipw", pf.method, scale_method)
 
 
@@ -174,7 +174,7 @@ def estimate_conv(
     y_obs = data.y[obs]
     mu = predict(fit, data.x[obs])
     eps = y_obs - mu
-    p = np.asarray(pf.predict(data.z[obs]), dtype=float)
+    p = pf.predict(data.z[obs])
     tau = (1.0 / p) / (1.0 / p).sum()
 
     if mu.size > _CONV_GRID_CAP:
@@ -240,7 +240,7 @@ def estimate_aipw(
         raise ValueError("smoothing parameter a_n must be positive")
     obs = _observed(data)
     n = data.n
-    pi = np.asarray(pf.predict(data.z), dtype=float)
+    pi = pf.predict(data.z)
     zeta = data.delta / pi
     y_obs = data.y[obs]
 

@@ -9,7 +9,7 @@ inverse-probability weights stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,9 +38,7 @@ _SEPARATION_NORM = 1e3
 
 def _as_matrix(z) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
+    if arr.ndim == 1:
         arr = arr[:, None]
     elif arr.ndim != 2:
         raise ValueError("z must be a vector or a matrix")
@@ -58,20 +56,20 @@ def _as_delta(delta) -> np.ndarray:
     return arr.astype(float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropensityFit:
-    """A fitted (or supplied) propensity.
+    """A fitted (or supplied) propensity; fits compare by identity.
 
     method : one of "known", "constant", "logistic", "kernel"
-    predict : maps z (scalar, vector, or matrix of query points) to
-        probabilities in [floor, 1]
+    predict : maps an (m, k) matrix of query points, or a vector of m
+        points when k = 1, to an array of m probabilities in [floor, 1]
     params : method-specific values (gamma for logistic, bandwidth for
         kernel, the scalar for constant)
     floor : the positive lower clamp applied to every prediction
     """
 
     method: str
-    predict: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    predict: Callable[[np.ndarray], np.ndarray]
     params: dict
     floor: float
 
@@ -82,23 +80,14 @@ class PropensityFit:
 
 def _clamped(raw: Callable[[np.ndarray], np.ndarray], floor: float,
              k: int | None):
-    """Wrap a matrix-input prediction with shape handling and the clamp;
+    """Wrap a matrix-input prediction with the input check and the clamp;
     ``k`` is the number of columns of z, None for any number."""
 
     def predict(z):
-        zq = np.asarray(z, dtype=float)
-        scalar = zq.ndim == 0
-        mat = _as_matrix(zq)
+        mat = _as_matrix(z)
         if k is not None and mat.shape[1] != k:
-            # A single k-dim query point may arrive as a flat vector.
-            if scalar or zq.ndim == 1 and zq.size == k:
-                mat = zq.reshape(1, k)
-            else:
-                raise ValueError(f"z has {mat.shape[1]} columns, expected {k}")
-        out = np.clip(raw(mat), floor, 1.0)
-        if scalar or (zq.ndim == 1 and zq.size == k and k > 1):
-            return float(out[0])
-        return out
+            raise ValueError(f"z has {mat.shape[1]} columns, expected {k}")
+        return np.clip(raw(mat), floor, 1.0)
 
     return predict
 

@@ -13,8 +13,9 @@ S-estimate of a weighted sample (``scaleloc.s_scale`` runs it on the
 intercept-only model).  A model is plain data: its terms, linear in every
 coefficient but one exponent, give its mean, its derivatives and its
 elemental candidates.  ``MODELS`` holds the package's three
-(exponential-plus-linear with and without intercept, and linear); an
-optional covariate downweighting hook acts on the M-step.  Fits run as a
+(exponential-plus-linear with and without intercept, and linear); a fit
+may downweight outlying covariates on its M-step by continuous hard
+rejection (``hard_rejection_weights``).  Fits run as a
 stack (``fit_mm_stack``; ``fit_mm`` is the stack of one): each step is an
 array pass over the fits still running, with every sum over one fit's rows
 alone, so a fit is the same bit for bit in any stack.  A refit
@@ -23,9 +24,9 @@ alone, so a fit is the same bit for bit in any stack.  A refit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,31 +165,33 @@ MODELS = {model.id: model for model in (
 )}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionFit:
-    """Result of a simplified MM fit, with the model it fitted.
+    """Result of a simplified MM fit, with the model it fitted; fits
+    compare by identity.
 
-    ``s_step_beta`` keeps the polished S-step candidate the M-step started
-    from, so the descent property of the second stage can be audited.
-    ``candidates_solved`` (elemental candidates whose scale was solved after
-    the screen; 0 for a refit), ``polish_steps`` (accepted descent steps on
-    the S-scale), ``polish_converged`` (False only when the polish hit its
-    step cap) and ``m_iterations`` (M-step iterations) record the work the
-    fit did; like ``s_step_beta`` and ``model`` they take no part in
-    equality.  ``converged`` is the M-step's.
+    ``weights_used`` holds the complete cases' hard-rejection weights, or
+    None when the fit weighs every case alike.  ``s_step_beta`` keeps the
+    polished S-step candidate the M-step started from, so the descent
+    property of the second stage can be audited.  ``candidates_solved``
+    (elemental candidates whose scale was solved after the screen; 0 for a
+    refit), ``polish_steps`` (accepted descent steps on the S-scale),
+    ``polish_converged`` (False only when the polish hit its step cap) and
+    ``m_iterations`` (M-step iterations) record the work the fit did.
+    ``converged`` is the M-step's.
     """
 
-    model: RegressionModel = field(compare=False)
+    model: RegressionModel
     beta: np.ndarray
     residual_scale: float
     weights_used: np.ndarray | None
     complete_case_count: int
     converged: bool
-    s_step_beta: np.ndarray | None = field(default=None, compare=False)
-    candidates_solved: int | None = field(default=None, compare=False)
-    polish_steps: int | None = field(default=None, compare=False)
-    polish_converged: bool | None = field(default=None, compare=False)
-    m_iterations: int | None = field(default=None, compare=False)
+    s_step_beta: np.ndarray | None = None
+    candidates_solved: int | None = None
+    polish_steps: int | None = None
+    polish_converged: bool | None = None
+    m_iterations: int | None = None
 
 
 def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
@@ -207,22 +210,19 @@ def hard_rejection_weights(x: np.ndarray) -> np.ndarray:
     if mad == 0.0:
         return np.ones(x1.shape[0])
     t = np.abs(x1 - med) / mad
-    mid = (1.0 - (t - 2.0) ** 2) ** 2
+    mid = (1.0 - (np.minimum(t, 3.0) - 2.0) ** 2) ** 2
     return np.where(t <= 2.0, 1.0, np.where(t < 3.0, mid, 0.0))
 
 
-def predict(fit: RegressionFit, x) -> float | np.ndarray:
-    """Evaluate the fitted mean at one covariate vector or a matrix of them."""
+def predict(fit: RegressionFit, x) -> np.ndarray:
+    """Evaluate the fitted mean at each row of an (m, 2) covariate
+    matrix."""
     if not fit.converged:
         raise ValueError("regression fit did not converge")
-    beta = np.asarray(fit.beta, dtype=float)
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    mat = arr[None, :] if single else arr
+    mat = np.asarray(x, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != 2:
         raise ValueError(_DIM_MISMATCH)
-    out = fit.model.mean(mat, beta)
-    return float(out[0]) if single else out
+    return fit.model.mean(mat, np.asarray(fit.beta, dtype=float))
 
 
 def _median(a, axis=-1, overwrite=False):
@@ -638,7 +638,7 @@ def _m_step(model, stack, beta, s):
     return beta, converged, iterations
 
 
-def _complete_cases(model, data, covariate_weights):
+def _complete_cases(model, data, hard_rejection):
     """A dataset's complete responses, covariates and covariate weights."""
     if data.x.shape[1] != 2:
         raise ValueError(_DIM_MISMATCH)
@@ -646,20 +646,11 @@ def _complete_cases(model, data, covariate_weights):
     yc, xc = data.y[obs], data.x[obs]
     if yc.size < model.min_complete_cases:
         raise ValueError("insufficient complete cases")
-    if covariate_weights is None:
-        return yc, xc, np.ones(yc.size)
-    w_cov = np.asarray(covariate_weights(xc), dtype=float)
-    if w_cov.shape != yc.shape:
-        raise ValueError("covariate weights must give one value per row")
-    if not np.all((w_cov >= -1e-9) & (w_cov <= 1.0 + 1e-9)):
-        raise ValueError("covariate weights must lie in [0, 1]")
-    w_cov = np.clip(w_cov, 0.0, 1.0)
-    if not w_cov.sum() > 0:
-        raise ValueError("covariate weights are all zero")
-    return yc, xc, w_cov
+    return yc, xc, (hard_rejection_weights(xc) if hard_rejection
+                    else np.ones(yc.size))
 
 
-def _fit_stack(model, datasets, covariate_weights, start):
+def _fit_stack(model, datasets, hard_rejection, start):
     """MM fits of datasets' complete cases as one stack: ``start(cases)``
     gives each (index, responses, covariates, covariate weights) case its
     S-polish's start (coefficients, S-scale, candidates solved) or a
@@ -669,7 +660,7 @@ def _fit_stack(model, datasets, covariate_weights, start):
     cases = []
     for k, data in enumerate(datasets):
         try:
-            cases.append((k, *_complete_cases(model, data, covariate_weights)))
+            cases.append((k, *_complete_cases(model, data, hard_rejection)))
         except ValueError as exc:
             out[k] = exc
     starts = start(cases) if cases else []
@@ -700,7 +691,7 @@ def _fit_stack(model, datasets, covariate_weights, start):
         beta_m, converged, iterations = next(m_fits)
         out[k] = RegressionFit(
             model=model, beta=beta_m, residual_scale=float(s[j]),
-            weights_used=None if covariate_weights is None else w[j],
+            weights_used=w[j] if hard_rejection else None,
             complete_case_count=yc[j].size, converged=bool(converged),
             s_step_beta=s_beta[j], candidates_solved=solved[j],
             polish_steps=int(steps[j]), polish_converged=bool(polished[j]),
@@ -712,7 +703,7 @@ def fit_mm_stack(
     model: RegressionModel,
     datasets: Sequence[ObservedDataset],
     seeds: Sequence[int],
-    covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
+    hard_rejection: bool = False,
 ) -> list[RegressionFit | ValueError]:
     """Simplified MM fits of datasets' complete cases as one stack: each
     dataset's fit (carrying ``model``; bit for bit the one it gets alone)
@@ -728,23 +719,24 @@ def fit_mm_stack(
     scale by Newton steps (IRWLS where the Hessian is not positive
     definite) within 100 steps (``polish_converged``).  Stage 2 minimizes
     the bisquare (c = 4.685) objective at that scale by the same steps, to
-    tolerance 1e-8 (``converged``).  ``covariate_weights`` maps a dataset's
-    complete-case covariates to weights in [0, 1] on the M-step objective.
-    Each dataset draws its own subsets (``refit_mm_stack`` draws none).
+    tolerance 1e-8 (``converged``).  With ``hard_rejection`` the M-step
+    objective weighs each complete case by ``hard_rejection_weights`` of
+    the dataset's complete-case covariates.  Each dataset draws its own
+    subsets (``refit_mm_stack`` draws none).
     """
-    return _fit_stack(model, datasets, covariate_weights,
+    return _fit_stack(model, datasets, hard_rejection,
                       lambda cases: _s_search(model, cases, seeds))
 
 
 def refit_mm_stack(
     fit: RegressionFit,
     datasets: Sequence[ObservedDataset],
-    covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[RegressionFit | ValueError]:
-    """``fit_mm_stack``'s fits of ``fit.model`` with no search, as one stack:
-    each dataset's S-polish starts at ``fit.s_step_beta``, at its residuals'
-    S-scale there (solved from ``fit.residual_scale``), and the M-step
-    follows; ``candidates_solved`` is 0.  So a replicate starts from the full
+    """``fit_mm_stack``'s fits of ``fit.model`` with no search, as one stack,
+    hard-rejection weighted when ``fit`` is: each dataset's S-polish starts
+    at ``fit.s_step_beta``, at its residuals' S-scale there (solved from
+    ``fit.residual_scale``), and the M-step follows; ``candidates_solved``
+    is 0.  So a replicate is the same estimator restarted from the full
     sample's solution, as in the fast robust bootstrap (Salibian-Barrera &
     Zamar 2002).  A dataset whose start has no finite scale or no spread
     raises; nothing falls back to a search."""
@@ -759,18 +751,19 @@ def refit_mm_stack(
             "infinite scale: residuals at the start are not finite")
             for s in scales]
 
-    return _fit_stack(fit.model, datasets, covariate_weights, warm)
+    return _fit_stack(fit.model, datasets, fit.weights_used is not None,
+                      warm)
 
 
 def fit_mm(
     model: RegressionModel,
     data: ObservedDataset,
-    covariate_weights: Callable[[np.ndarray], np.ndarray] | None = None,
+    hard_rejection: bool = False,
     seed: int = 0,
 ) -> RegressionFit:
     """Simplified MM regression fit on the complete cases: the stack of one
     (``fit_mm_stack``), raising the ValueError that the dataset raises."""
-    fit = fit_mm_stack(model, [data], [seed], covariate_weights)[0]
+    fit = fit_mm_stack(model, [data], [seed], hard_rejection)[0]
     if isinstance(fit, ValueError):
         raise fit
     return fit

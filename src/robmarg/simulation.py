@@ -111,9 +111,10 @@ def true_propensity(missing: str = "MH",
     raise ValueError(f"unknown missing scheme: {missing!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthRecord:
-    """Hidden generating-state of one simulated sample.
+    """Hidden generating-state of one simulated sample; records compare by
+    identity.
 
     ``y_clean`` is the response before contamination, ``y_complete`` the
     response after contamination but before masking, so oracle metrics can
@@ -383,13 +384,16 @@ def run_scenario(
     own, bit for bit, so the table is the same for any chunk size and
     worker count.  Replications whose estimation raises are excluded and
     counted by reason; the run aborts, naming the reasons, if more than 2%
-    fail.  Bias is measured against ``targets`` (default: the long-run
-    PUBLISHED_TARGETS), sd is the population-form standard deviation over
-    replications, and mse = bias^2 + sd^2 exactly.
+    fail.  Bias is measured against ``targets``, which may replace any of
+    the long-run PUBLISHED_TARGETS (a key outside them raises ValueError),
+    sd is the population-form standard deviation over replications, and
+    mse = bias^2 + sd^2 exactly.
     """
-    tgt = dict(PUBLISHED_TARGETS)
-    if targets is not None:
-        tgt.update(targets)
+    unknown = set(targets or ()) - set(PUBLISHED_TARGETS)
+    if unknown:
+        raise ValueError(f"unknown targets {sorted(unknown, key=repr)}; "
+                         f"known: {tuple(PUBLISHED_TARGETS)}")
+    tgt = PUBLISHED_TARGETS | (targets or {})
     results = ordered_map(partial(_block, cfg), range(cfg.reps), workers)
     kept = [r for r in results if not isinstance(r, str)]
     reasons = dict(Counter(r for r in results if isinstance(r, str)))
@@ -454,14 +458,11 @@ def target_values(
     reps: int = 100,
     n: int = 10**6,
     seed: int = 0,
-    sampler=None,
 ) -> TargetValues:
     """Monte Carlo values of the three marginal functionals of y.
 
     Averages the complete-data mean, median, and M-location over ``reps``
-    clean samples of size ``n`` from the benchmark model.  ``sampler``,
-    when given, replaces the response generator: it receives
-    (numpy Generator, n) and returns the n response draws.
+    clean samples of size ``n`` from the benchmark model.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -472,12 +473,7 @@ def target_values(
         raise ValueError("seed must be non-negative")
     means, medians, m_ests = [], [], []
     for j in range(reps):
-        rng = np.random.default_rng(seed ^ j)
-        if sampler is None:
-            y = _clean_draw(rng, n)[2]
-        else:
-            y = np.asarray(sampler(rng, n), dtype=float)
-        summ = _classical(y)
+        summ = _classical(_clean_draw(np.random.default_rng(seed ^ j), n)[2])
         means.append(summ.mean)
         medians.append(summ.median)
         m_ests.append(summ.m_est)

@@ -51,9 +51,10 @@ def _as_1d_float(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSample:
-    """A discrete distribution: atoms with nonnegative weights.
+    """A discrete distribution: atoms with nonnegative weights; samples
+    compare by identity.
 
     Atoms need not be sorted, unique, or normalized.  Zero-weight atoms are
     permitted and ignored by every operation, so inverse-probability weights

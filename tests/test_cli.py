@@ -386,10 +386,10 @@ class TestJackknifeSetsAreTheirOwn:
         fitted, used = [], []
         real_stack, real_conv = cli.refit_mm_stack, marginal.estimate_conv
 
-        def stack(fit, datasets, *args):
+        def stack(fit, datasets):
             assert fit is full
             fitted.append(len(datasets))
-            return real_stack(fit, datasets, *args)
+            return real_stack(fit, datasets)
 
         def conv(d, pf, fit, *args):
             used.append(fit)

@@ -122,11 +122,11 @@ class TestKernel:
         # t = (-1/6, 2/3, 1.5), kernel = (35/48, 20/48, 0), so the local
         # fraction is 35/55 = 7/11.
         fit = kernel_propensity([0.0, 0.5, 1.0], [1, 0, 1], b_n=0.6)
-        assert fit.predict(0.1) == pytest.approx(7.0 / 11.0, abs=1e-12)
+        assert fit.predict([0.1]) == pytest.approx([7.0 / 11.0], abs=1e-12)
 
     def test_empty_neighborhood_falls_back_to_mean(self):
         fit = kernel_propensity([0.0, 1.0, 2.0, 3.0], [1, 0, 0, 1], b_n=0.1)
-        assert fit.predict(50.0) == pytest.approx(0.5)
+        assert fit.predict([50.0]) == pytest.approx([0.5])
 
     def test_monte_carlo_accuracy(self):
         rng = np.random.default_rng(11)
@@ -248,28 +248,53 @@ class TestAutoBandwidth:
 class TestConstant:
     def test_mean(self):
         fit = constant_propensity([1, 1, 0, 0])
-        assert fit.predict(123.0) == 0.5
+        assert fit.predict([123.0]).tolist() == [0.5]
         assert fit.params["p_hat"] == 0.5
 
     def test_all_observed(self):
-        assert constant_propensity([1, 1, 1]).predict(0.0) == 1.0
+        assert constant_propensity([1, 1, 1]).predict([0.0]).tolist() == [1.0]
 
     def test_above_floor(self):
-        assert constant_propensity([1, 0, 0, 0], floor=0.01).predict(0.0) == 0.25
+        fit = constant_propensity([1, 0, 0, 0], floor=0.01)
+        assert fit.predict([0.0]).tolist() == [0.25]
 
     def test_floor_binds(self):
-        assert constant_propensity([1] + [0] * 999).predict(0.0) == 0.01
+        fit = constant_propensity([1] + [0] * 999)
+        assert fit.predict([0.0]).tolist() == [0.01]
 
 
 class TestKnown:
     def test_passthrough_and_clamp(self):
         fit = known_propensity(lambda zz: mh_probability(zz), floor=0.01)
         assert fit.method == "known"
-        assert fit.predict(0.0) == pytest.approx(mh_probability(0.0))
+        assert fit.predict([0.0]) == pytest.approx([mh_probability(0.0)])
         low = known_propensity(lambda zz: np.full(zz.shape[0], 1e-5), floor=0.01)
-        assert low.predict(0.0) == 0.01
+        assert low.predict([0.0]).tolist() == [0.01]
 
     def test_vector_queries(self):
         fit = known_propensity(lambda zz: mh_probability(zz))
         out = fit.predict(np.array([0.0, 0.5, 1.0]))
         np.testing.assert_allclose(out, mh_probability([0.0, 0.5, 1.0]))
+
+
+class TestPredictInput:
+    """predict takes an (m, k) matrix, or a vector of m points when k = 1,
+    and returns an array of m probabilities."""
+
+    @pytest.mark.parametrize("method", ["constant", "logistic", "kernel"])
+    def test_scalar_is_rejected(self, method):
+        z, delta = draw_mh(50, seed=1)
+        fit = propensity.fit_propensity(method, z, delta)
+        with pytest.raises(ValueError, match="vector or a matrix"):
+            fit.predict(0.3)
+
+    @pytest.mark.parametrize("method", ["logistic", "kernel"])
+    def test_flat_point_of_two_columns_is_rejected(self, method):
+        rng = np.random.default_rng(4)
+        z = rng.random((60, 2))
+        delta = (rng.random(60) < 0.7).astype(int)
+        fit = propensity.fit_propensity(method, z, delta)
+        with pytest.raises(ValueError, match="1 columns, expected 2"):
+            fit.predict(np.array([0.2, 0.4]))
+        one = fit.predict(np.array([[0.2, 0.4]]))
+        assert one.shape == (1,) and one.dtype == float

@@ -1,6 +1,5 @@
 """Tests for the simplified MM regression fits."""
 
-import dataclasses
 import pickle
 from importlib import resources
 
@@ -93,16 +92,16 @@ def gauss_newton_least_squares(model, data, beta_start, iterations=100):
 class TestPredict:
     def test_linear_arithmetic(self):
         fit = make_fit(MODELS["linear"], [1.0, 1.0, 0.0])
-        assert predict(fit, np.array([2.0, 3.0])) == pytest.approx(5.0)
+        assert predict(fit, np.array([[2.0, 3.0]])) == pytest.approx([5.0])
 
     def test_exp_arithmetic(self):
         fit = make_fit(MODELS["exp_linear"], BETA_TRUE)
-        assert predict(fit, np.array([0.0, 1.0])) == pytest.approx(5.1)
+        assert predict(fit, np.array([[0.0, 1.0]])) == pytest.approx([5.1])
 
     def test_exp_intercept_arithmetic(self):
         a, b, c, d = 3.5, 0.7, -1.25, 2.0
         fit = make_fit(MODELS["exp_linear_intercept"], [a, b, c, d])
-        assert predict(fit, np.array([0.0, 0.0])) == pytest.approx(a + c)
+        assert predict(fit, np.array([[0.0, 0.0]])) == pytest.approx([a + c])
 
     def test_matrix_input(self):
         fit = make_fit(MODELS["linear"], [2.0, 0.0, 1.0])
@@ -112,12 +111,20 @@ class TestPredict:
     def test_requires_convergence(self):
         fit = make_fit(MODELS["linear"], [1.0, 1.0, 0.0], converged=False)
         with pytest.raises(ValueError, match="did not converge"):
-            predict(fit, np.array([2.0, 3.0]))
+            predict(fit, np.array([[2.0, 3.0]]))
 
     def test_covariate_dimension_mismatch(self):
         fit = make_fit(MODELS["linear"], [1.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
             predict(fit, np.array([2.0, 3.0, 4.0]))
+
+    @pytest.mark.parametrize("x", [[2.0, 3.0], 2.0], ids=["point", "scalar"])
+    def test_only_a_matrix_is_a_covariate_input(self, x):
+        """A single point is a one-row matrix: a flat point or a scalar
+        raises."""
+        fit = make_fit(MODELS["linear"], [1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            predict(fit, np.array(x))
 
     @pytest.mark.parametrize("model_id", sorted(MODELS))
     def test_fit_pickles_with_its_model(self, model_id):
@@ -552,7 +559,35 @@ class TestHardRejectionWeights:
         assert w[-2] == pytest.approx(1.0, abs=1e-6)
         assert w[-1] == pytest.approx(0.0, abs=1e-6)
 
-    def test_weights_are_recorded_and_validated(self):
+    @st.composite
+    def covariate_columns(draw):
+        """First covariates of 1-3 or 4-60 rows: Cauchy (t(1)) draws at
+        any scale, a few levels with ties (MAD 0 when more than half the
+        rows share one), or any floats within 1e12."""
+        rows = draw(st.one_of(st.integers(1, 3), st.integers(4, 60)))
+        kind = draw(st.sampled_from(["cauchy", "levels", "floats"]))
+        if kind == "cauchy":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            return rng.standard_t(1, rows) * 10.0 ** draw(st.integers(-3, 6))
+        values = (st.sampled_from([-1.0, 0.0, 0.0, 0.0, 2.5, 40.0])
+                  if kind == "levels" else st.floats(-1e12, 1e12))
+        return np.array(draw(st.lists(values, min_size=rows,
+                                      max_size=rows)))
+
+    @given(covariate_columns(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_one_weight_per_row_in_the_unit_interval(self, x1, as_matrix):
+        """The invariant a fit relies on: one finite weight per row, all in
+        [0, 1], and the most central row weighs exactly 1, so no weight
+        needs clipping and the weights never all vanish."""
+        x = np.column_stack([x1, np.zeros(x1.size)]) if as_matrix else x1
+        w = hard_rejection_weights(x)
+        assert w.shape == (x1.size,)
+        assert np.all(np.isfinite(w))
+        assert np.all((w >= 0.0) & (w <= 1.0))
+        assert w.max() == 1.0
+
+    def test_weights_are_recorded(self):
         rng = np.random.default_rng(55)
         n = 100
         x1 = rng.uniform(0, 1, n)
@@ -563,29 +598,11 @@ class TestHardRejectionWeights:
             y=y, x=np.column_stack([x1, x2]), z_index=(0,),
             delta=np.ones(n, dtype=int),
         )
-        fit = fit_mm(
-            MODELS["linear"], data, covariate_weights=hard_rejection_weights,
-            seed=0,
-        )
-        assert fit.weights_used is not None
+        fit = fit_mm(MODELS["linear"], data, hard_rejection=True, seed=0)
+        assert np.array_equal(fit.weights_used, hard_rejection_weights(data.x))
         assert fit.weights_used[0] == 0.0
         assert np.all(np.isfinite(fit.beta))
-
-        with pytest.raises(ValueError, match="one value per row"):
-            fit_mm(
-                MODELS["linear"], data,
-                covariate_weights=lambda x: np.ones(3), seed=0,
-            )
-        with pytest.raises(ValueError, match="lie in"):
-            fit_mm(
-                MODELS["linear"], data,
-                covariate_weights=lambda x: np.full(x.shape[0], 2.0), seed=0,
-            )
-        with pytest.raises(ValueError, match="all zero"):
-            fit_mm(
-                MODELS["linear"], data,
-                covariate_weights=lambda x: np.zeros(x.shape[0]), seed=0,
-            )
+        assert fit_mm(MODELS["linear"], data, seed=0).weights_used is None
 
 
 # ---------------------------------------------------------------------------
@@ -731,16 +748,13 @@ def ref_m_step(model, yc, xc, w_cov, beta, s):
     return beta_m, converged, iterations
 
 
-def ref_fit_mm(model, data, covariate_weights=None, seed=0):
+def ref_fit_mm(model, data, hard_rejection=False, seed=0):
     """One fit by the scalar references, from the same elemental
     candidates as fit_mm.  Returns (beta, scale, s-step beta,
     candidates solved)."""
     obs = data.delta == 1
     yc, xc = data.y[obs], data.x[obs]
-    w_cov = (
-        np.ones(yc.size) if covariate_weights is None
-        else np.clip(covariate_weights(xc), 0.0, 1.0)
-    )
+    w_cov = hard_rejection_weights(xc) if hard_rejection else np.ones(yc.size)
     rng = np.random.default_rng(seed)
     betas = regression._elemental_candidates(model, yc, xc, rng)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -800,7 +814,7 @@ def dense_batch_residual_scale(resid):
     return out
 
 
-def dense_fit_mm(model, data, covariate_weights=None, seed=0, max_steps=20):
+def dense_fit_mm(model, data, hard_rejection=False, seed=0, max_steps=20):
     """fit_mm with the dense S-step and the IRWLS polish it had before the
     Newton polish: at most ``max_steps`` accepted steps (20, as it was), or,
     with None, every step until none is accepted, which converges to the
@@ -809,10 +823,7 @@ def dense_fit_mm(model, data, covariate_weights=None, seed=0, max_steps=20):
     """
     obs = data.delta == 1
     yc, xc = data.y[obs], data.x[obs]
-    w_cov = (
-        np.ones(yc.size) if covariate_weights is None
-        else np.clip(covariate_weights(xc), 0.0, 1.0)
-    )
+    w_cov = hard_rejection_weights(xc) if hard_rejection else np.ones(yc.size)
     rng = np.random.default_rng(seed)
     betas = regression._elemental_candidates(model, yc, xc, rng)
     resid = np.empty((betas.shape[0], yc.size))
@@ -965,12 +976,11 @@ def test_fit_mm_matches_dense_reference(data, model, weights):
     accepted."""
     data = ozone_data() if data == "ozone" else generate_sample(data, 11)[0]
     model = MODELS[model]
-    cw = hard_rejection_weights if weights else None
-    fit = fit_mm(model, data, covariate_weights=cw, seed=0)
+    fit = fit_mm(model, data, hard_rejection=weights, seed=0)
     assert fit.polish_converged
-    _, s_20, _ = dense_fit_mm(model, data, covariate_weights=cw, seed=0)
+    _, s_20, _ = dense_fit_mm(model, data, hard_rejection=weights, seed=0)
     beta, s, s_beta = dense_fit_mm(
-        model, data, covariate_weights=cw, seed=0, max_steps=None
+        model, data, hard_rejection=weights, seed=0, max_steps=None
     )
     assert fit.residual_scale <= s_20
     assert fit.residual_scale == pytest.approx(s, rel=1e-12)
@@ -1063,11 +1073,10 @@ def test_term_builder_matches_per_model_builder(data, model, weights,
     the sqrt(eps) that a minimum located by its objective allows."""
     data = ozone_data() if data == "ozone" else generate_sample(data, 11)[0]
     model = MODELS[model]
-    cw = hard_rejection_weights if weights else None
-    fit = fit_mm(model, data, covariate_weights=cw, seed=0)
+    fit = fit_mm(model, data, hard_rejection=weights, seed=0)
     monkeypatch.setattr(regression, "_elemental_candidates",
                         per_model_candidates)
-    ref = fit_mm(model, data, covariate_weights=cw, seed=0)
+    ref = fit_mm(model, data, hard_rejection=weights, seed=0)
     assert fit.residual_scale == pytest.approx(ref.residual_scale, rel=1e-13)
     tol = 2.0 * np.sqrt(np.finfo(float).eps)
     assert rel(fit.s_step_beta, ref.s_step_beta) <= tol
@@ -1087,25 +1096,16 @@ def test_polish_converges_on_simulated_samples(model_id):
 def test_work_counters_leave_the_fit_unchanged():
     data = ozone_data()
     model = MODELS["exp_linear_intercept"]
-    fit = fit_mm(model, data, covariate_weights=hard_rejection_weights, seed=0)
+    fit = fit_mm(model, data, hard_rejection=True, seed=0)
     assert 1 <= fit.candidates_solved < 500
     assert 0 <= fit.polish_steps <= regression._POLISH_ITER
     assert fit.polish_converged
     assert 1 <= fit.m_iterations <= 200
-    again = fit_mm(
-        model, data, covariate_weights=hard_rejection_weights, seed=0
-    )
+    again = fit_mm(model, data, hard_rejection=True, seed=0)
     assert np.array_equal(again.beta, fit.beta)
     assert again.residual_scale == fit.residual_scale
-    other = dataclasses.replace(
-        fit, candidates_solved=-1, polish_steps=-1, polish_converged=False,
-        m_iterations=-1,
-    )
-    assert other == fit
-    beta, s, _ = dense_fit_mm(
-        model, data, covariate_weights=hard_rejection_weights, seed=0,
-        max_steps=None,
-    )
+    beta, s, _ = dense_fit_mm(model, data, hard_rejection=True, seed=0,
+                              max_steps=None)
     assert fit.residual_scale == pytest.approx(s, rel=1e-12)
     assert rel(fit.beta, beta) <= 1e-8
 
@@ -1125,11 +1125,10 @@ def test_stack_matches_scalar_reference(model_id, weights):
     the same S-scale to 1e-12, betas within STACK_BETA_RTOL, and the same
     number of candidate scales solved."""
     model = MODELS[model_id]
-    cw = hard_rejection_weights if weights else None
     datasets = [generate_sample(100, seed)[0] for seed in range(60)]
-    fits = regression.fit_mm_stack(model, datasets, list(range(60)), cw)
+    fits = regression.fit_mm_stack(model, datasets, list(range(60)), weights)
     for seed, (data, fit) in enumerate(zip(datasets, fits)):
-        beta, s, s_beta, solved = ref_fit_mm(model, data, cw, seed)
+        beta, s, s_beta, solved = ref_fit_mm(model, data, weights, seed)
         assert fit.residual_scale == pytest.approx(s, rel=1e-12), seed
         assert rel(fit.s_step_beta, s_beta) <= STACK_BETA_RTOL, seed
         assert rel(fit.beta, beta) <= STACK_BETA_RTOL, seed
@@ -1146,7 +1145,7 @@ def test_replication_350_keeps_its_basin():
     fit = regression.fit_mm_stack(model, datasets, seeds)[seeds.index(350)]
     alone = fit_mm(model, datasets[seeds.index(350)], seed=350)
     assert fit.beta.tobytes() == alone.beta.tobytes()
-    beta, s, _, _ = ref_fit_mm(model, datasets[seeds.index(350)], None, 350)
+    beta, s, _, _ = ref_fit_mm(model, datasets[seeds.index(350)], False, 350)
     assert fit.residual_scale == pytest.approx(s, rel=1e-12)
     assert rel(fit.beta, beta) <= STACK_BETA_RTOL
     assert fit.beta[0] == pytest.approx(33.44, abs=0.01)
@@ -1171,16 +1170,15 @@ def test_stacked_fit_is_the_fit_alone(model_id):
     seeds = list(range(40, 64))
     datasets = [generate_sample(100, seed)[0] for seed in seeds]
     datasets[5] = generate_sample(20, 5)[0]  # too few complete cases
-    fits = regression.fit_mm_stack(model, datasets, seeds,
-                                   hard_rejection_weights)
+    fits = regression.fit_mm_stack(model, datasets, seeds, True)
     reversed_fits = regression.fit_mm_stack(
-        model, datasets[::-1], seeds[::-1], hard_rejection_weights)[::-1]
+        model, datasets[::-1], seeds[::-1], True)[::-1]
     assert isinstance(fits[5], ValueError)
     assert str(fits[5]) == "insufficient complete cases"
     for k, (data, seed) in enumerate(zip(datasets, seeds)):
         if k == 5:
             continue
-        alone = fit_mm(model, data, hard_rejection_weights, seed)
+        alone = fit_mm(model, data, True, seed)
         assert same_fit(fits[k], alone), k
         assert same_fit(reversed_fits[k], alone), k
         assert fits[k].weights_used.tobytes() == alone.weights_used.tobytes()
@@ -1196,10 +1194,9 @@ def test_repeated_datasets_get_their_fits_alone():
     a_less = ObservedDataset(y=a.y[keep], x=a.x[keep], z_index=a.z_index,
                              delta=a.delta[keep])
     datasets = [a, b, a, a_less]
-    fits = regression.fit_mm_stack(model, datasets, [7] * 4,
-                                   hard_rejection_weights)
+    fits = regression.fit_mm_stack(model, datasets, [7] * 4, True)
     for fit, data in zip(fits, datasets):
-        alone = fit_mm(model, data, hard_rejection_weights, 7)
+        alone = fit_mm(model, data, True, 7)
         assert same_fit(fit, alone)
         assert fit.weights_used.tobytes() == alone.weights_used.tobytes()
     fits = regression.fit_mm_stack(model, [a, a], [7, 8])
@@ -1221,8 +1218,7 @@ def rel_scale(a, b):
     return abs(a.residual_scale - b.residual_scale) / b.residual_scale
 
 
-@pytest.mark.parametrize("weights", [None, hard_rejection_weights],
-                         ids=["plain", "hr"])
+@pytest.mark.parametrize("weights", [False, True], ids=["plain", "hr"])
 @pytest.mark.parametrize("model_id", sorted(MODELS))
 def test_refit_of_the_full_data_is_the_full_fit(model_id, weights):
     """Refitted from its own fit, the ozone data gets that fit back, to the
@@ -1231,7 +1227,8 @@ def test_refit_of_the_full_data_is_the_full_fit(model_id, weights):
     and 8.3e-14)."""
     model = MODELS[model_id]
     full = fit_mm(model, ozone_data(), weights)
-    (warm,) = regression.refit_mm_stack(full, [ozone_data()], weights)
+    (warm,) = regression.refit_mm_stack(full, [ozone_data()])
+    assert (warm.weights_used is None) is not weights
     assert warm.candidates_solved == 0
     assert warm.polish_steps <= 1 and warm.polish_converged
     assert warm.converged and warm.complete_case_count == 111
@@ -1246,21 +1243,18 @@ def test_refit_is_the_refit_alone(model_id):
     and in stacks of 19 and 64."""
     model = MODELS[model_id]
     data, sets = ozone_leave_complete_out()
-    full = fit_mm(model, data, hard_rejection_weights)
-    alone = [regression.refit_mm_stack(full, [d], hard_rejection_weights)[0]
-             for d in sets]
+    full = fit_mm(model, data, True)
+    alone = [regression.refit_mm_stack(full, [d])[0] for d in sets]
     for size in (19, 64):
         for k in range(0, len(sets), size):
-            fits = regression.refit_mm_stack(full, sets[k:k + size],
-                                             hard_rejection_weights)
+            fits = regression.refit_mm_stack(full, sets[k:k + size])
             for j, fit in enumerate(fits):
                 assert same_fit(fit, alone[k + j]), (size, k + j)
                 assert (fit.weights_used.tobytes()
                         == alone[k + j].weights_used.tobytes())
 
 
-@pytest.mark.parametrize("weights", [None, hard_rejection_weights],
-                         ids=["plain", "hr"])
+@pytest.mark.parametrize("weights", [False, True], ids=["plain", "hr"])
 @pytest.mark.parametrize("model_id", sorted(MODELS))
 def test_refit_matches_the_searched_fit(model_id, weights, monkeypatch):
     """On every ozone set that leaves out a complete row, the refit from
@@ -1273,7 +1267,7 @@ def test_refit_matches_the_searched_fit(model_id, weights, monkeypatch):
     full = fit_mm(model, data, weights)
     searched = regression.fit_mm_stack(model, sets, [0] * len(sets), weights)
     monkeypatch.setattr(regression, "_s_search", None)
-    warm = regression.refit_mm_stack(full, sets, weights)
+    warm = regression.refit_mm_stack(full, sets)
     for a, b in zip(warm, searched):
         assert a.converged and a.polish_converged
         assert a.complete_case_count == b.complete_case_count == 110

@@ -65,16 +65,16 @@ hashes of the outputs at 6 significant digits, so that two records can show
 that a speed-up kept the numbers, and the machine facts (CPU count, the
 CPUs this process may use, numpy and Python versions).
 
-It measures commit 7e27a71 and later, whose CLI jackknife takes the full
-data's fits and whose fits carry every counter in ``COUNTERS``.  Its
+It measures the change that made a fit carry its hard-rejection rule
+(``fit_mm(..., hard_rejection=True)``, in place of a covariate-weights
+function) and later: it calls ``fit_mm`` with ``hard_rejection=``, its
 jackknife layer calls ``cli._estimates`` in its chunk form (a list of
-datasets, estimated by ``marginal.estimate_chunk``), and its jackknife fits
+datasets, estimated by ``marginal.estimate_chunk``), its jackknife fits
 call ``cli._jackknife_fits``, and its estimators and summaries take no
-score (the bisquare is fixed in ``robmarg.scores``), so the script as a
-whole measures the change that fixed the location score and later; an
-earlier commit is measured with its own ``tools/bench.py``.  Run it from one
-commit's ``tools/`` with ``PYTHONPATH`` at another's ``src`` to measure a
-pair with one script.
+score.  The parent of that change, and any earlier commit, is measured
+with its own copy of ``tools/bench.py``.  Run it from one commit's
+``tools/`` with ``PYTHONPATH`` at another's ``src`` to measure a pair with
+one script.
 
 This is a measuring tool, not a test: it is kept out of the test suite.
 """
@@ -104,14 +104,12 @@ from robmarg.propensity import (auto_bandwidth, fit_logistic, fit_propensity,
                                 kernel_propensity)
 from robmarg.simulation import ScenarioConfig, generate_sample, run_scenario
 
-# Record name -> (model, covariate weights).
+# Record name -> (model, whether the fit is hard-rejection weighted).
 MODELS = {
-    "exp_linear": (regression.MODELS["exp_linear"], None),
+    "exp_linear": (regression.MODELS["exp_linear"], False),
     "exp_linear_intercept+hard_rejection": (
-        regression.MODELS["exp_linear_intercept"],
-        regression.hard_rejection_weights,
-    ),
-    "linear": (regression.MODELS["linear"], None),
+        regression.MODELS["exp_linear_intercept"], True),
+    "linear": (regression.MODELS["linear"], False),
 }
 
 SIZES = (100, 400, 1600, 6400)
@@ -324,10 +322,10 @@ def bench_jackknife_fits(clock: dict) -> list[dict]:
 def bench_faults() -> dict:
     samples = [generate_sample(100, seed)[0] for seed in range(FAULT_FITS)]
     out = {}
-    for name, (model, weights) in MODELS.items():
+    for name, (model, hard_rejection) in MODELS.items():
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for seed, data in enumerate(samples):
-            regression.fit_mm(model, data, covariate_weights=weights,
+            regression.fit_mm(model, data, hard_rejection=hard_rejection,
                               seed=seed)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         out[name] = round(faults / FAULT_FITS, 2)
@@ -385,10 +383,10 @@ def bench() -> dict:
     rows, digest = [], hashlib.sha256()
     for n in SIZES:
         data, _ = generate_sample(n, 1)
-        for name, (model, weights) in MODELS.items():
+        for name, (model, hard_rejection) in MODELS.items():
             ms, split, fit = _least_ms(
                 lambda: regression.fit_mm(
-                    model, data, covariate_weights=weights, seed=0),
+                    model, data, hard_rejection=hard_rejection, seed=0),
                 clock,
             )
             values = [float(v) for v in fit.beta] + [fit.residual_scale]

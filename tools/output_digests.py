@@ -6,6 +6,10 @@ In a temporary directory it runs, through ``robmarg.cli.main``:
 
 * ``robmarg estimate`` on the packaged ozone data and config (jackknife
   on), and the same run with ``"scale_method": "s"``;
+* ``robmarg estimate`` in the form of the ``synth_large`` benchmark, at
+  n = 400: ``generate_sample(400, 1)`` written as CSV, with ipw, conv
+  (``exp_linear``) and aipw (default a_n) under the kernel and the
+  logistic propensity, no jackknife;
 * ``robmarg simulate`` of two 40-replication n = 100 scenarios: the
   kernel propensity under C0 at seed 7 (``mc_n100``'s scenario), and the
   logistic propensity under C1 with the misspecified linear regression at
@@ -25,11 +29,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 
 from robmarg import cli
+from robmarg.simulation import generate_sample
 
 PACKAGE_DATA = os.path.join(os.path.dirname(cli.__file__), "data")
 SCENARIOS = [
@@ -40,6 +46,19 @@ SCENARIOS = [
      "contamination": "C1", "missing": "MH", "propensity_method": "logistic",
      "regression_spec": "misspecified_linear"},
 ]
+SYNTH_N = 400
+SYNTH_SEED = 1
+SYNTH_CONFIG = {
+    "response": "y",
+    "z": ["x1"],
+    "covariates": ["x1", "x2"],
+    "estimators": ["ipw", "conv", "aipw"],
+    "propensities": ["kernel", "logistic"],
+    "models": [{"id": "exp_linear", "label": "exp_linear"}],
+    "jackknife": False,
+    "scale_method": "mad",
+    "seed": SYNTH_SEED,
+}
 
 
 def _write_json(path: str, doc: dict) -> str:
@@ -55,6 +74,16 @@ def _run(argv: list[str]) -> None:
         raise SystemExit(f"robmarg {' '.join(argv)} exited with {code}")
 
 
+def _write_synth_csv(path: str) -> str:
+    data, _ = generate_sample(SYNTH_N, SYNTH_SEED)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("y,x1,x2\n")
+        for row in zip(data.y, data.x[:, 0], data.x[:, 1]):
+            handle.write(",".join(repr(float(v)) if math.isfinite(v) else "NA"
+                                  for v in row) + "\n")
+    return path
+
+
 def write_outputs(root: str) -> None:
     with open(os.path.join(PACKAGE_DATA, "ozone_config.json"),
               encoding="utf-8") as handle:
@@ -65,6 +94,10 @@ def write_outputs(root: str) -> None:
         path = _write_json(os.path.join(root, f"{name}.json"), config)
         _run(["estimate", "--data", data, "--config", path,
               "--out", os.path.join(root, name)])
+    _run(["estimate", "--data", _write_synth_csv(os.path.join(root, "synth.csv")),
+          "--config", _write_json(os.path.join(root, "synth.json"),
+                                  SYNTH_CONFIG),
+          "--out", os.path.join(root, "synth")])
     path = _write_json(os.path.join(root, "simulate.json"),
                        {"scenarios": SCENARIOS})
     _run(["simulate", "--config", path,
@@ -77,7 +110,7 @@ def write_outputs(root: str) -> None:
 def main() -> int:
     with tempfile.TemporaryDirectory() as root:
         write_outputs(root)
-        for sub in ("ozone", "ozone_s", "simulate", "targets"):
+        for sub in ("ozone", "ozone_s", "synth", "simulate", "targets"):
             for name in sorted(os.listdir(os.path.join(root, sub))):
                 with open(os.path.join(root, sub, name), "rb") as handle:
                     digest = hashlib.sha256(handle.read()).hexdigest()
